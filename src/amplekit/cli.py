@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import compress as compress_mod
 from . import core, generate, graph, peeling, repmap, shatter
@@ -24,19 +23,26 @@ def _load_repmap(path: str, n=None) -> dict:
         return repmap.parse_repmap_text(fh.read(), n)
 
 
+def _coords(parts, n: int) -> list[int]:
+    """Coordinates given as decimal strings, each checked to lie in 1..n."""
+    out = []
+    for part in parts:
+        try:
+            x = int(part)
+        except ValueError:
+            raise ParseError(f"bad coordinate {part.strip()!r}") from None
+        if not 1 <= x <= n:
+            raise ParseError(f"coordinate {x} outside 1..{n}")
+        out.append(x)
+    return out
+
+
 # ---------------------------------------------------------------- subcommands
 
 def cmd_check(args) -> int:
     C = _load_class(args.file)
-    sh = shatter.shattered_complex(C)
-    st = shatter.strongly_shattered_complex(C)
-    print(f"n={C.n}")
-    print(f"size={C.size}")
-    print(f"vc_dim={sh.dim()}")
-    print(f"shattered={sh.size}")
-    print(f"strongly_shattered={st.size}")
-    print(f"ample={int(sh.size == C.size)}")
-    print(f"maximum={int(shatter.is_maximum(C))}")
+    for name, value in shatter.summary(C).printed().items():
+        print(f"{name}={value}")
     return 0
 
 
@@ -132,25 +138,14 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    r = _load_repmap(args.repmap)
-    # width comes from the repmap file itself
-    n = None
+    # the width comes from the repmap file itself
     with open(args.repmap, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                n = len(line.split("->")[0].strip())
-                break
-    if n is None:
-        raise ParseError("empty repmap file")
+        r, n = repmap._parse_repmap(fh.read())
     text = args.set.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError("expected a set like {1,3}")
     body = text[1:-1].strip()
-    alpha = 0
-    if body:
-        for part in body.split(","):
-            alpha |= core.bit(int(part))
+    alpha = core.mask_of(_coords(body.split(","), n)) if body else 0
     inv = {v: k for k, v in r.items()}
     if alpha not in inv:
         print("NO_CONCEPT")
@@ -163,7 +158,7 @@ def cmd_generate(args) -> int:
     facets = ()
     if args.facets:
         facets = tuple(
-            frozenset(int(x) for x in grp.split(",") if x)
+            core.mask_of(_coords([x for x in grp.split(",") if x], args.n))
             for grp in args.facets.split(";") if grp.strip())
     spec = generate.GeneratorSpec(kind=args.kind, n=args.n, d=args.d,
                                   size=args.size, seed=args.seed, facets=facets)
@@ -178,11 +173,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    def one(path):
-        return generate.batch_row(path, _load_class(path))
-
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as ex:
-        rows = list(ex.map(one, args.files))
+    rows = [generate.batch_row(path, _load_class(path)) for path in args.files]
     csv_text = generate.batch_csv(rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -228,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="amplekit",
                                 description="tools for ample concept classes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=10**6)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -56,6 +56,40 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def levelwise(doms: list[int], grow, limit: Optional[int] = None) -> dict:
+    """Grow a downward-closed family of coordinate sets level by level.
+
+    Starting from the empty set, a candidate Z is put to ``grow(Z, family)``
+    only when every facet Z - {x} is already a member; a truthy answer admits
+    Z with that answer as its value.  ``doms`` holds the single-bit masks the
+    members are built from.  Growth stops as soon as the family has more
+    than ``limit`` members.  Returns member -> value.
+    """
+    family: dict = {}
+    value = grow(0, family)
+    if not value:
+        return family
+    family[0] = value
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for Y in frontier:
+            for b in doms:
+                # Z is proposed once, by its facet without its top coordinate
+                if b <= Y:
+                    continue
+                Z = Y | b
+                if all(Z ^ f in family for f in bits_of(Y)):
+                    value = grow(Z, family)
+                    if value:
+                        family[Z] = value
+                        nxt.append(Z)
+                        if limit is not None and len(family) > limit:
+                            return family
+        frontier = nxt
+    return family
+
+
 def concept_to_string(c: int, n: int) -> str:
     """n-character 0/1 string, leftmost char = coordinate 1."""
     return "".join("1" if c >> i & 1 else "0" for i in range(n))
@@ -78,22 +112,26 @@ class ConceptClass:
     coord_labels records, for each local coordinate 1..n, the label it had in
     the class this one was derived from (restrictions and reductions re-index
     their domains to 1..n).  It is carried for traceability and is not part
-    of equality.
+    of equality.  concept_set holds the same concepts as ``concepts``, for
+    constant-time membership tests.
     """
 
     n: int
     concepts: tuple[int, ...]
     coord_labels: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    concept_set: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.n <= MAX_WIDTH:
             raise DomainError(f"domain width {self.n} outside 0..{MAX_WIDTH}")
-        cs = tuple(sorted(set(self.concepts)))
+        members = frozenset(self.concepts)
+        cs = tuple(sorted(members))
         if not cs:
             raise EmptyClassError("a concept class must be nonempty")
         if cs[0] < 0 or cs[-1] >= 1 << self.n:
             raise DomainError("concept out of range for domain width")
         object.__setattr__(self, "concepts", cs)
+        object.__setattr__(self, "concept_set", members)
         if not self.coord_labels:
             object.__setattr__(self, "coord_labels", tuple(range(1, self.n + 1)))
         elif len(self.coord_labels) != self.n:
@@ -121,10 +159,6 @@ class ConceptClass:
     @property
     def domain_mask(self) -> int:
         return full_mask(self.n)
-
-    @property
-    def concept_set(self) -> frozenset:
-        return frozenset(self.concepts)
 
     def support(self) -> int:
         """Mask of coordinates on which at least two concepts differ."""

@@ -117,11 +117,7 @@ BATCH_COLUMNS = ("file", "n", "size", "vc_dim", "shattered",
 
 
 def batch_row(name: str, C: ConceptClass) -> tuple:
-    sh = shatter.shattered_complex(C)
-    st = shatter.strongly_shattered_complex(C)
-    return (name, C.n, C.size, sh.dim(), sh.size, st.size,
-            int(st.size == C.size and sh.size == C.size),
-            int(shatter.is_maximum(C)))
+    return (name, *shatter.summary(C).printed().values())
 
 
 def batch_csv(rows) -> str:

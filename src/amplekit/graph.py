@@ -47,34 +47,13 @@ def cube_tags(C: ConceptClass) -> dict:
 
     A (Y|x)-cube with tag t exists iff both t and t|x are tags of Y-cubes.
     """
-    tags: dict = {0: set(C.concepts)}
-    doms = bits_of(C.domain_mask)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        seen = set()
-        for Y in frontier:
-            ts = tags[Y]
-            for b in doms:
-                if b & Y:
-                    continue
-                Z = Y | b
-                if Z in seen:
-                    continue
-                seen.add(Z)
-                if any((Z ^ bb) not in tags for bb in bits_of(Z)):
-                    continue
-                base = None
-                for bb in bits_of(Z):
-                    cand = tags[Z ^ bb]
-                    if base is None or len(cand) < len(base):
-                        base, split = cand, bb
-                new = {t & ~split for t in base if (t ^ split) in base and not t & split}
-                if new:
-                    tags[Z] = new
-                    nxt.append(Z)
-        frontier = nxt
-    return tags
+    def grow(Z: int, tags: dict) -> set:
+        if not Z:
+            return set(C.concepts)
+        base, split = min(((tags[Z ^ b], b) for b in bits_of(Z)), key=lambda p: len(p[0]))
+        return {t for t in base if not t & split and (t | split) in base}
+
+    return core.levelwise(bits_of(C.domain_mask), grow)
 
 
 def all_cubes(C: ConceptClass) -> list[Cube]:
@@ -105,26 +84,14 @@ def maximal_cubes(C: ConceptClass) -> list[Cube]:
 
 
 def cubes_through(C: ConceptClass, c: int) -> list[Cube]:
-    """All cubes of C containing the concept c, found by growing supports locally."""
+    """All cubes of C containing the concept c, found by growing supports locally.
+
+    When the Z-cube through c has all its facets through c in C, its one
+    vertex left unchecked is c ^ Z.
+    """
     s = C.concept_set
     nbr = [b for b in bits_of(C.domain_mask) if c ^ b in s]
-    good = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        seen = set()
-        for Y in frontier:
-            for b in nbr:
-                if b & Y or (Y | b) in seen:
-                    continue
-                Z = Y | b
-                seen.add(Z)
-                if any((Z ^ bb) not in good for bb in bits_of(Z)):
-                    continue
-                if all((c & ~Z) | sub in s for sub in Cube(0, Z).vertices()):
-                    good.add(Z)
-                    nxt.append(Z)
-        frontier = nxt
+    good = core.levelwise(nbr, lambda Z, _: c ^ Z in s)
     return [Cube(c & ~Y, Y) for Y in sorted(good)]
 
 

@@ -198,9 +198,9 @@ def _build_max_rec(concepts: list, alive: int, d: int) -> dict:
 def build_maximum_repmap(C: ConceptClass) -> RepMap:
     """Representation map for a maximum class by recursion on the highest
     coordinate; deterministic."""
-    if not shatter.is_maximum(C):
-        raise ContractError("construction requires a maximum class")
     d = shatter.vc_dim(C)
+    if C.size != shatter.phi(d, C.n):
+        raise ContractError("construction requires a maximum class")
     r = _build_max_rec(list(C.concepts), C.domain_mask, d)
     image = set(r.values())
     if len(image) != len(r) or any(popcount(Y) > d for Y in image):
@@ -215,10 +215,10 @@ def incomplete_cube_sources(C: ConceptClass, D: ConceptClass) -> dict:
         raise ContractError("subclass must share the domain")
     if not D.concept_set <= C.concept_set:
         raise ContractError("subclass is not contained in the class")
-    if not shatter.is_maximum(C) or not shatter.is_maximum(D):
+    d, d_sub = shatter.vc_dim(C), shatter.vc_dim(D)
+    if C.size != shatter.phi(d, C.n) or D.size != shatter.phi(d_sub, D.n):
         raise ContractError("both classes must be maximum")
-    d = shatter.vc_dim(C)
-    if shatter.vc_dim(D) != d - 1:
+    if d_sub != d - 1:
         raise ContractError("subclass dimension must be one less")
     src = _sources_for_missed_simplices(
         list(C.concepts), list(D.concepts), C.domain_mask, d)
@@ -541,20 +541,24 @@ class TailMatchingReport:
 
 
 def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
-    if not shatter.is_maximum(C):
-        raise ContractError("tail matching is defined for maximum classes")
     d = shatter.vc_dim(C)
+    if C.size != shatter.phi(d, C.n):
+        raise ContractError("tail matching is defined for maximum classes")
     xb = bit(x)
     red = core.reduce(C, xb)
     res = core.drop(C, xb)
     if red is None:
         raise ContractError("reduction is empty; the class has no x-edge")
+    # the labels are forbidden_labels(red, sigma) over all d-sets sigma,
+    # which needs vc_dim(red) = d - 1
+    red_d = shatter.vc_dim(red)
+    if red_d != d - 1:
+        raise ContractError(f"need a set of size vc_dim+1 = {red_d + 1}, got {d}")
     tails = tuple(sorted(res.concept_set - red.concept_set))
     labels = []
     for sel in combinations(range(1, red.n + 1), d):
         sigma = mask_of(sel)
-        labels.extend((fl.support, fl.pattern)
-                      for fl in shatter.forbidden_labels(red, sigma))
+        labels.extend((sigma, p) for p in shatter._missing_patterns(red, sigma))
     labels = tuple(sorted(labels))
     edges = tuple((t, i) for t in tails
                   for i, (sigma, pat) in enumerate(labels) if t & sigma == pat)
@@ -580,6 +584,11 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
 def parse_repmap_text(text: str, n: Optional[int] = None) -> RepMap:
     """Parse '<concept-bitstring> -> <coordset-bitstring>' lines; the width is
     taken from the first line when not given."""
+    return _parse_repmap(text, n)[0]
+
+
+def _parse_repmap(text: str, n: Optional[int] = None) -> tuple[RepMap, int]:
+    """parse_repmap_text, also returning the width."""
     r: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -599,7 +608,7 @@ def parse_repmap_text(text: str, n: Optional[int] = None) -> RepMap:
         r[c] = core.concept_from_string(right)
     if not r:
         raise ParseError("empty representation map file")
-    return r
+    return r, n
 
 
 def format_repmap(r: RepMap, n: int) -> str:

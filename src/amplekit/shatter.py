@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from . import core
+from . import core, graph
 from .core import ConceptClass, Cube, bits_of, coords, popcount
 from .errors import ContractError
 
@@ -33,39 +33,9 @@ class SetFamily:
 
 
 def _shattered_sets(C: ConceptClass) -> set:
-    """All shattered coordinate sets, grown levelwise.
-
-    Y+x is shattered iff Y is shattered by both halves C[x=0] and C[x=1]:
-    both restrictions to Y live inside 2^Y, so their being full is the same
-    as their intersection being full, which is exactly (C^x)|Y = 2^Y
-    together with Y shattered.
-    """
-    doms = bits_of(C.domain_mask)
-    shattered = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        seen = set()
-        for Y in frontier:
-            for b in doms:
-                if b & Y or (Y | b) in seen:
-                    continue
-                Z = Y | b
-                # all strict subsets of Z of size |Z|-1 must be shattered
-                ok = True
-                for bb in bits_of(Z):
-                    if (Z ^ bb) not in shattered:
-                        ok = False
-                        break
-                if not ok:
-                    seen.add(Z)
-                    continue
-                if _is_shattered(C.concepts, Z):
-                    shattered.add(Z)
-                    nxt.append(Z)
-                seen.add(Z)
-        frontier = nxt
-    return shattered
+    """All shattered coordinate sets, grown levelwise."""
+    return set(core.levelwise(bits_of(C.domain_mask),
+                              lambda Y, _: _is_shattered(C.concepts, Y)))
 
 
 def _is_shattered(concepts, Y: int) -> bool:
@@ -79,32 +49,8 @@ def _is_shattered(concepts, Y: int) -> bool:
 
 
 def _strongly_shattered_sets(C: ConceptClass) -> set:
-    """Coordinate sets Y such that C contains a full Y-cube.
-
-    Strong shattering is downward closed, so it is grown levelwise as well.
-    """
-    doms = bits_of(C.domain_mask)
-    strong = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        seen = set()
-        for Y in frontier:
-            for b in doms:
-                if b & Y or (Y | b) in seen:
-                    continue
-                Z = Y | b
-                seen.add(Z)
-                ok = True
-                for bb in bits_of(Z):
-                    if (Z ^ bb) not in strong:
-                        ok = False
-                        break
-                if ok and core.reduction_tags(C.concepts, Z):
-                    strong.add(Z)
-                    nxt.append(Z)
-        frontier = nxt
-    return strong
+    """Coordinate sets Y such that C contains a full Y-cube: the cube supports."""
+    return set(graph.cube_tags(C))
 
 
 def shattered_complex(C: ConceptClass) -> SetFamily:
@@ -126,29 +72,9 @@ def phi(d: int, n: int) -> int:
 
 def _is_ample_fast(C: ConceptClass) -> bool:
     """Ampleness test that aborts as soon as the shattered count exceeds |C|."""
-    limit = C.size
-    doms = bits_of(C.domain_mask)
-    shattered = {0}
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        seen = set()
-        for Y in frontier:
-            for b in doms:
-                if b & Y or (Y | b) in seen:
-                    continue
-                Z = Y | b
-                seen.add(Z)
-                ok = all((Z ^ bb) in shattered for bb in bits_of(Z))
-                if ok and _is_shattered(C.concepts, Z):
-                    shattered.add(Z)
-                    nxt.append(Z)
-                    count += 1
-                    if count > limit:
-                        return False
-        frontier = nxt
-    return count == limit
+    sh = core.levelwise(bits_of(C.domain_mask),
+                        lambda Y, _: _is_shattered(C.concepts, Y), limit=C.size)
+    return len(sh) == C.size
 
 
 def is_ample(C: ConceptClass) -> tuple[bool, Optional[int]]:
@@ -171,6 +97,35 @@ def is_maximum(C: ConceptClass) -> bool:
 
 
 @dataclass(frozen=True)
+class Summary:
+    """The invariants reported by `check` and `batch`."""
+
+    n: int
+    size: int
+    vc_dim: int
+    shattered: SetFamily
+    strongly_shattered: SetFamily
+    ample: bool
+    maximum: bool
+
+    def printed(self) -> dict:
+        """Field -> printed value: each complex by its size, flags as 0/1."""
+        return {"n": self.n, "size": self.size, "vc_dim": self.vc_dim,
+                "shattered": self.shattered.size,
+                "strongly_shattered": self.strongly_shattered.size,
+                "ample": int(self.ample), "maximum": int(self.maximum)}
+
+
+def summary(C: ConceptClass) -> Summary:
+    """All of `Summary`, building each complex once."""
+    sh = shattered_complex(C)
+    st = strongly_shattered_complex(C)
+    d = sh.dim()
+    return Summary(C.n, C.size, d, sh, st,
+                   ample=sh.size == C.size, maximum=C.size == phi(d, C.n))
+
+
+@dataclass(frozen=True)
 class ForbiddenLabel:
     """A labelled set of d+1 coordinates that C cannot realise: C|support misses pattern."""
 
@@ -185,12 +140,13 @@ def forbidden_labels(C: ConceptClass, Y: int) -> list[ForbiddenLabel]:
     d = vc_dim(C)
     if popcount(Y) != d + 1:
         raise ContractError(f"need a set of size vc_dim+1 = {d + 1}, got {popcount(Y)}")
+    return [ForbiddenLabel(Y, p) for p in _missing_patterns(C, Y)]
+
+
+def _missing_patterns(C: ConceptClass, Y: int) -> list[int]:
+    """Ascending patterns over Y that C|Y misses."""
     seen = {c & Y for c in C}
-    out = []
-    for p in Cube(0, Y).vertices():
-        if p not in seen:
-            out.append(ForbiddenLabel(Y, p))
-    return sorted(out, key=lambda fl: fl.pattern)
+    return sorted(p for p in Cube(0, Y).vertices() if p not in seen)
 
 
 @dataclass(frozen=True)
@@ -282,8 +238,6 @@ def _partition_lopsided_ok(C: ConceptClass, st: set) -> bool:
 
 
 def ample_characterization_report(C: ConceptClass) -> AmpleReport:
-    from . import graph  # local import: graph depends only on core
-
     sh = _shattered_sets(C)
     st = _strongly_shattered_sets(C)
     definition = sh <= st

@@ -79,6 +79,16 @@ def test_repmap_build_verify_and_compress(capsys, tmp_path, ball_file):
     assert out.strip() == "010"
 
 
+@pytest.mark.parametrize("bad_set", ["{0}", "{a}", "{4}"])
+def test_decompress_bad_set_exits_2(capsys, tmp_path, ball_file, bad_set):
+    code, out, _ = run(capsys, "repmap", "build", ball_file)
+    rp = tmp_path / "ball.rep"
+    rp.write_text(out)
+    code, out, err = run(capsys, "decompress", "--repmap", str(rp), "--set", bad_set)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_repmap_verify_invalid_exits_1(capsys, tmp_path, ball_file):
     rp = tmp_path / "bad.rep"
     rp.write_text("000 -> 000\n100 -> 000\n010 -> 010\n001 -> 001\n")
@@ -113,6 +123,15 @@ def test_generate_and_batch(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[0].startswith("file,n,size,")
     assert lines[1].endswith(",1,1")   # ample, maximum
+
+
+def test_generate_simplicial_facets(capsys):
+    code, out, _ = run(capsys, "generate", "--kind", "simplicial", "--n", "4",
+                       "--facets", "1,2;3,4")
+    assert code == 0
+    want = generate.simplicial_class(4, [core.mask_of([1, 2]), core.mask_of([3, 4])])
+    assert core.parse_class_text(out) == want
+    assert want.size == 7
 
 
 def test_generate_emit_ingest_round_trip(capsys, tmp_path):

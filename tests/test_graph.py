@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,6 +15,19 @@ def cc(*strings):
 def all_classes(n):
     for mask in range(1, 1 << (1 << n)):
         yield ConceptClass(n, tuple(c for c in range(1 << n) if mask >> c & 1))
+
+
+def random_classes():
+    """Seeded classes at n=5 and n=6: dense, sparse and ample."""
+    from amplekit import generate
+    rng = random.Random(2025)
+    for n in (5, 6):
+        for density in (0.8, 0.2):
+            for _ in range(8):
+                cs = [c for c in range(1 << n) if rng.random() < density]
+                yield ConceptClass(n, tuple(cs or [0]))
+        for seed in range(4):
+            yield generate.random_ample(n, rng.randint(2, 1 << (n - 1)), seed=seed)
 
 
 # ---------------------------------------------------------------- oracles
@@ -87,6 +101,17 @@ def test_cubes_and_maximal_cubes_match_oracle_n3():
         assert got == cubes_oracle(C)
         gotm = {(B.tag, B.support) for B in graph.maximal_cubes(C)}
         assert gotm == maximal_cubes_oracle(C)
+
+
+def test_cube_tags_and_cubes_through_match_oracle_random_n5_n6():
+    for C in random_classes():
+        cubes = cubes_oracle(C)
+        tags = graph.cube_tags(C)
+        assert {(t, Y) for Y, ts in tags.items() for t in ts} == cubes
+        for c in C:
+            got = [(B.tag, B.support) for B in graph.cubes_through(C, c)]
+            assert len(got) == len(set(got))
+            assert set(got) == {(t, S) for t, S in cubes if c & ~S == t}
 
 
 def test_corners_examples():

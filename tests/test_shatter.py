@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -46,6 +47,20 @@ def all_classes(n, max_size=None):
         yield ConceptClass(n, tuple(concepts))
 
 
+def random_classes():
+    """Seeded classes at n=5 and n=6: dense, sparse, ample and maximum."""
+    from amplekit import generate
+    rng = random.Random(2024)
+    for n in (5, 6):
+        for density in (0.8, 0.2):
+            for _ in range(8):
+                cs = [c for c in range(1 << n) if rng.random() < density]
+                yield ConceptClass(n, tuple(cs or [0]))
+        for seed in range(4):
+            yield generate.random_ample(n, rng.randint(2, 1 << (n - 1)), seed=seed)
+        yield generate.hamming_ball(n, n // 2)
+
+
 # ---------------------------------------------------------------- complexes
 
 def test_shattered_complex_examples():
@@ -64,14 +79,39 @@ def test_strongly_shattered_complex_examples():
     assert shatter.strongly_shattered_complex(Q3).members == set(range(8))
 
 
+def assert_complexes_match_oracle(C):
+    sh = shatter.shattered_complex(C).members
+    st = shatter.strongly_shattered_complex(C).members
+    for Y in range(1 << C.n):
+        assert (Y in sh) == shattered_oracle(C, Y)
+        assert (Y in st) == strongly_shattered_oracle(C, Y)
+    assert st <= sh
+
+
 def test_complexes_match_oracle_exhaustive_n3():
     for C in all_classes(3):
-        sh = shatter.shattered_complex(C).members
-        st = shatter.strongly_shattered_complex(C).members
-        for Y in range(8):
-            assert (Y in sh) == shattered_oracle(C, Y)
-            assert (Y in st) == strongly_shattered_oracle(C, Y)
-        assert st <= sh
+        assert_complexes_match_oracle(C)
+
+
+def test_engine_matches_oracle_random_n5_n6():
+    for C in random_classes():
+        assert_complexes_match_oracle(C)
+        sh = {Y for Y in range(1 << C.n) if shattered_oracle(C, Y)}
+        st = {Y for Y in range(1 << C.n) if strongly_shattered_oracle(C, Y)}
+        assert shatter._shattered_sets(C) == sh
+        assert shatter._strongly_shattered_sets(C) == st
+        assert shatter._is_ample_fast(C) == (len(sh) == C.size)
+
+
+def test_summary_fields_match_public_functions():
+    for C in itertools.chain(all_classes(2), random_classes()):
+        s = shatter.summary(C)
+        assert s.n == C.n and s.size == C.size
+        assert s.vc_dim == shatter.vc_dim(C)
+        assert s.shattered == shatter.shattered_complex(C)
+        assert s.strongly_shattered == shatter.strongly_shattered_complex(C)
+        assert s.ample == shatter.is_ample(C)[0]
+        assert s.maximum == shatter.is_maximum(C)
 
 
 def test_complexes_downward_closed():
