@@ -131,7 +131,7 @@ def cmd_compress(args) -> int:
     C = _load_class(args.file)
     r = _load_repmap(args.repmap, C.n)
     scheme = compress_mod.CompressionScheme(C, r)
-    s = compress_mod.parse_sample(args.sample)
+    s = compress_mod.parse_sample(args.sample, C.n)
     alpha = scheme.compress(s)
     print("{" + ",".join(str(x) for x in sorted(core.coords(alpha))) + "}")
     return 0
@@ -295,13 +295,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AmplekitError as exc:
+    except (AmplekitError, OSError, UnicodeDecodeError) as exc:
+        # unreadable or non-UTF-8 input files are usage errors, not failed checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

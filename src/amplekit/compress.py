@@ -33,8 +33,9 @@ def format_sample(s: Sample) -> str:
     return ",".join(f"x{x}={(s.bits >> (x - 1)) & 1}" for x in coords(s.dom))
 
 
-def parse_sample(text: str) -> Sample:
-    """Parse 'x1=0,x3=1'; coordinates must be strictly ascending."""
+def parse_sample(text: str, n: int = core.MAX_WIDTH) -> Sample:
+    """Parse 'x1=0,x3=1'; coordinates must be strictly ascending and lie
+    in 1..n."""
     text = text.strip()
     if not text:
         return Sample(0, 0)
@@ -52,6 +53,8 @@ def parse_sample(text: str) -> Sample:
             raise ParseError(f"bad sample entry {part!r}") from None
         if v not in (0, 1):
             raise ParseError(f"label must be 0 or 1 in {part!r}")
+        if not 1 <= x <= n:
+            raise ParseError(f"coordinate {x} outside 1..{n}")
         if x <= last:
             raise ParseError("sample coordinates must be strictly ascending")
         last = x

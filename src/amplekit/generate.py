@@ -52,10 +52,10 @@ def random_ample(n: int, size: int, seed: int,
         rng.shuffle(frontier)
         placed = False
         for t in frontier:
-            cand = ConceptClass(n, tuple(chosen) + (t,))
-            if not graph.is_isometric(cand, "full"):
+            if not graph.extends_isometric(cset, t, n):
                 continue
-            if max_dim is not None and shatter.vc_dim(cand) > max_dim:
+            if (max_dim is not None
+                    and shatter.vc_dim(ConceptClass(n, tuple(chosen) + (t,))) > max_dim):
                 continue
             chosen.append(t)
             cset.add(t)

@@ -95,17 +95,27 @@ def cubes_through(C: ConceptClass, c: int) -> list[Cube]:
     return [Cube(c & ~Y, Y) for Y in sorted(good)]
 
 
+def _neighbour_dirs(s, c: int, n: int) -> int:
+    """Mask of the directions b among n coordinates with c ^ b in s."""
+    N = 0
+    for b in bits_of(core.full_mask(n)):
+        if c ^ b in s:
+            N |= b
+    return N
+
+
 def is_corner(C: ConceptClass, c: int) -> bool:
     """True when c lies in a unique maximal cube of C.
 
-    The supports of cubes through c form a family closed under subsets; c is a
-    corner iff that family has a unique maximal element (a cube through c that
-    is maximal among them is also maximal in C, since any larger cube would
+    The supports of cubes through c form a family closed under subsets whose
+    union is N, the set of directions b with c ^ b in C.  That family has a
+    unique maximal element iff N itself is a member, so c is a corner exactly
+    when the cube through c spanned by N lies in C (a cube through c that is
+    maximal among them is also maximal in C, since any larger cube would
     again pass through c).
     """
-    sups = {B.support for B in cubes_through(C, c)}
-    maxi = [Y for Y in sups if not any(Y != Z and Y & ~Z == 0 for Z in sups)]
-    return len(maxi) == 1
+    N = _neighbour_dirs(C.concept_set, c, C.n)
+    return core.cube_in_class(Cube(c & ~N, N), C.concept_set)
 
 
 def corners(C: ConceptClass) -> list[int]:
@@ -153,6 +163,19 @@ def is_isometric(C: ConceptClass, mode: str = "full") -> bool:
             if k != popcount(c ^ d):
                 return False
     return True
+
+
+def extends_isometric(P, v: int, n: int) -> bool:
+    """Whether P ∪ {v} is isometric, for an isometric set P (a set or
+    frozenset) of concepts on n coordinates that does not contain v.
+
+    With N the directions b such that v ^ b is in P, the extension is
+    isometric iff every u in P has (u ^ v) & N nonzero: a shortest path from
+    v to u must start along a coordinate where they differ, and P being
+    isometric carries it on from there.  O(|P| + n), with no BFS.
+    """
+    N = _neighbour_dirs(P, v, n)
+    return all((u ^ v) & N for u in P)
 
 
 def gallery(C: ConceptClass, Q1: Cube, Q2: Cube) -> list[Cube]:

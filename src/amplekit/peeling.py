@@ -34,14 +34,17 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
     """Evaluate the four level-set properties of an ordering, each directly."""
     order = _check_permutation(C, ordering)
     ample = corner = isometric = weak = True
+    prefix: set = set()
     for i in range(1, len(order) + 1):
         level = ConceptClass(C.n, tuple(order[:i]))
         if ample and not shatter._is_ample_fast(level):
             ample = False
         if corner and not graph.is_corner(level, order[i - 1]):
             corner = False
-        if isometric and not graph.is_isometric(level, "full"):
+        # while it stays isometric, each level extends the previous one
+        if isometric and not graph.extends_isometric(prefix, order[i - 1], C.n):
             isometric = False
+        prefix.add(order[i - 1])
         if weak and not graph.is_isometric(level, "weak"):
             weak = False
         if not (ample or corner or isometric or weak):
@@ -66,42 +69,44 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
     Removing a corner of an ample class leaves an ample class, so only
     cornerhood needs re-checking along the way.  A None ordering with
     proven=True means the exhaustive search finished without success;
-    proven=False means the expansion budget ran out first.
+    proven=False means the expansion budget ran out first.  The search keeps
+    its own stack, so its depth is not bounded by the recursion limit.
     """
     if not shatter._is_ample_fast(C):
         raise ContractError("corner peeling search requires an ample class")
     expansions = 0
     failed: set = set()
     peeled: list[int] = []
-    remaining = list(C.concepts)
-
-    def dfs() -> bool:
-        nonlocal expansions
+    remaining = set(C.concepts)
+    # one frame per peeled level: its state and its corners not yet tried
+    stack: list = []
+    while True:
         if len(remaining) == 1:
-            peeled.append(remaining[0])
-            return True
+            peeled.extend(remaining)
+            return PeelingResult(tuple(reversed(peeled)), True, expansions)
         state = frozenset(remaining)
         if state in failed:
-            return False
-        level = ConceptClass(C.n, tuple(remaining))
-        for c in sorted(graph.corners(level)):
-            expansions += 1
-            if expansions > budget:
-                return False
-            remaining.remove(c)
-            peeled.append(c)
-            if dfs():
-                return True
-            peeled.pop()
-            remaining.append(c)
-            if expansions > budget:
-                return False
-        failed.add(state)
-        return False
-
-    if dfs():
-        return PeelingResult(tuple(reversed(peeled)), True, expansions)
-    return PeelingResult(None, expansions <= budget, expansions)
+            remaining.add(peeled.pop())
+        else:
+            level = ConceptClass(C.n, tuple(remaining))
+            stack.append((state, iter(sorted(graph.corners(level)))))
+        # next untried corner, dropping exhausted levels as failed
+        while True:
+            if not stack:
+                return PeelingResult(None, True, expansions)
+            state, untried = stack[-1]
+            c = next(untried, None)
+            if c is not None:
+                break
+            failed.add(state)
+            stack.pop()
+            if stack:
+                remaining.add(peeled.pop())
+        expansions += 1
+        if expansions > budget:
+            return PeelingResult(None, False, expansions)
+        remaining.remove(c)
+        peeled.append(c)
 
 
 def _closure(C: ConceptClass, s: int) -> Optional[int]:
@@ -300,7 +305,9 @@ def validate_shelling(sh: ShellingOrder) -> None:
     """Partial shelling: for i<j some k<j shares a ridge with facet j and
     captures the i,j intersection.  In bitmask terms the facet k differs from
     facet j in exactly one coordinate, and that coordinate is one where
-    facets i and j disagree."""
+    facets i and j disagree.  The ridge coordinates of facet j are its
+    neighbour directions among the earlier facets, so this is term for term
+    the test of `graph.extends_isometric`."""
     fs = sh.facets
     seen = set()
     for j, fj in enumerate(fs):
@@ -308,26 +315,19 @@ def validate_shelling(sh: ShellingOrder) -> None:
             raise OrderingValidationError("repeated facet", j)
         if fj >= 1 << sh.n:
             raise OrderingValidationError("facet out of range", j)
-        seen.add(fj)
-        for i in range(j):
-            diff_ij = fs[i] ^ fj
-            ok = False
-            for k in range(j):
-                dk = fs[k] ^ fj
-                if popcount(dk) == 1 and dk & diff_ij:
-                    ok = True
-                    break
-            if ok:
-                continue
+        if not graph.extends_isometric(seen, fj, sh.n):
             raise OrderingValidationError(
                 "partial shelling condition fails", j)
+        seen.add(fj)
 
 
 def ordering_to_shelling(C: ConceptClass, ordering) -> ShellingOrder:
     order = _check_permutation(C, ordering)
-    for i in range(1, len(order) + 1):
-        if not graph.is_isometric(ConceptClass(C.n, tuple(order[:i])), "full"):
-            raise OrderingValidationError("level set is not isometric", i - 1)
+    prefix: set = set()
+    for i, c in enumerate(order):
+        if not graph.extends_isometric(prefix, c, C.n):
+            raise OrderingValidationError("level set is not isometric", i)
+        prefix.add(c)
     sh = ShellingOrder(C.n, tuple(order))
     validate_shelling(sh)
     return sh
@@ -337,8 +337,10 @@ def shelling_to_ordering(sh: ShellingOrder) -> tuple[ConceptClass, tuple]:
     validate_shelling(sh)
     C = ConceptClass(sh.n, sh.facets)
     ordering = sh.facets
-    for i in range(1, len(ordering) + 1):
-        if not graph.is_isometric(ConceptClass(sh.n, tuple(ordering[:i])), "full"):
+    prefix: set = set()
+    for i, c in enumerate(ordering):
+        if not graph.extends_isometric(prefix, c, sh.n):
             raise IntegrityError(
-                f"shelling produced a non-isometric level set at index {i - 1}")
+                f"shelling produced a non-isometric level set at index {i}")
+        prefix.add(c)
     return C, ordering

@@ -39,6 +39,20 @@ def test_check_parse_error(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_check_directory_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_check_non_utf8_file_exits_2(capsys, tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"n=2\n00\n01\n# \xe9t\xe9\n")
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_graph_dot(capsys, ball_file):
     code, out, _ = run(capsys, "graph", ball_file, "--dot")
     assert code == 0
@@ -87,6 +101,17 @@ def test_decompress_bad_set_exits_2(capsys, tmp_path, ball_file, bad_set):
     code, out, err = run(capsys, "decompress", "--repmap", str(rp), "--set", bad_set)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sample, x", [("x9=0", 9), ("x0=1", 0), ("x1=0,x4=1", 4)])
+def test_compress_sample_outside_domain_exits_2(capsys, tmp_path, ball_file, sample, x):
+    code, out, _ = run(capsys, "repmap", "build", ball_file)
+    rp = tmp_path / "ball.rep"
+    rp.write_text(out)
+    code, out, err = run(capsys, "compress", ball_file, "--repmap", str(rp),
+                         "--sample", sample)
+    assert code == 2 and out == ""
+    assert err == f"error: coordinate {x} outside 1..3\n"
 
 
 def test_repmap_verify_invalid_exits_1(capsys, tmp_path, ball_file):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from amplekit import core, generate, graph, peeling, shatter
@@ -45,6 +47,17 @@ def test_random_ample_is_ample_and_seeded():
         assert graph.is_isometric(C, "full")
         assert C == generate.random_ample(5, 14, seed=seed)
     assert generate.random_ample(5, 14, seed=0) != generate.random_ample(5, 14, seed=1)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    # sha256 of `amplekit --seed S generate --kind random_ample --n 10 --size 120`
+    # recorded by perfbench/digests.json before isometry was tested locally
+    (0, "060e96396062f32571ebc1126a9d67ec82aa27887e264474f4a9df3e6773b90f"),
+    (1, "2b4f4f7e43cd02d30e105227e54208bb7f22a04393ac69b058450b91d1f0ae15"),
+])
+def test_random_ample_pinned_digests(seed, digest):
+    text = core.format_class(generate.random_ample(10, 120, seed))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_random_ample_dim_cap():

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from amplekit import core, graph, shatter
+from amplekit import core, graph, peeling, shatter
 from amplekit.core import ConceptClass, Cube, bit, mask_of
-from amplekit.errors import ContractError, NotConnectedError
+from amplekit.errors import ContractError, NotConnectedError, OrderingValidationError
 
 
 def cc(*strings):
@@ -125,6 +125,11 @@ def test_corners_match_oracle_n3():
         assert sorted(graph.corners(C)) == corners_oracle(C)
 
 
+def test_is_corner_matches_oracle_random_n5_n6():
+    for C in random_classes():
+        assert [c for c in C if graph.is_corner(C, c)] == corners_oracle(C)
+
+
 def test_maximal_cube_supports_distinct_for_ample():
     for C in all_classes(3):
         if not shatter.is_ample(C)[0]:
@@ -169,6 +174,55 @@ def test_weak_vs_full():
             assert graph.is_isometric(C, "weak")
     with pytest.raises(ContractError):
         graph.is_isometric(cc("00"), "other")
+
+
+def _shuffled_orders(C, rng):
+    """A plain shuffle, and a shuffle that grows along edges where it can
+    (so that long isometric prefixes occur in dense classes too)."""
+    plain = list(C.concepts)
+    rng.shuffle(plain)
+    yield plain
+    rest = list(C.concepts)
+    rng.shuffle(rest)
+    grown = [rest.pop()]
+    while rest:
+        near = [i for i, c in enumerate(rest)
+                if any(core.popcount(c ^ u) == 1 for u in grown)]
+        grown.append(rest.pop(rng.choice(near) if near else 0))
+    yield grown
+
+
+def test_extends_isometric_matches_bfs_on_prefixes_random_n5_n6():
+    rng = random.Random(7)
+    outcomes = set()
+    for C in random_classes():
+        for order in _shuffled_orders(C, rng):
+            for i in range(len(order)):
+                # every concept left could come next; the order takes order[i]
+                P = set(order[:i])
+                for v in order[i:]:
+                    want = graph.is_isometric(ConceptClass(C.n, (*P, v)), "full")
+                    assert graph.extends_isometric(P, v, C.n) == want
+                    outcomes.add(want)
+                if not graph.is_isometric(ConceptClass(C.n, order[:i + 1]), "full"):
+                    break    # the helper presumes an isometric prefix
+    assert outcomes == {True, False}
+
+
+def test_validate_shelling_fails_at_first_non_isometric_prefix_random_n5_n6():
+    rng = random.Random(8)
+    for C in random_classes():
+        for order in _shuffled_orders(C, rng):
+            bad = next((i for i in range(len(order))
+                        if not graph.is_isometric(
+                            ConceptClass(C.n, tuple(order[:i + 1])), "full")), None)
+            sh = peeling.ShellingOrder(C.n, tuple(order))
+            if bad is None:
+                peeling.validate_shelling(sh)
+                continue
+            with pytest.raises(OrderingValidationError) as exc:
+                peeling.validate_shelling(sh)
+            assert exc.value.index == bad
 
 
 def test_reductions_connected_isometric_for_ample():

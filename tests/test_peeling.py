@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -87,6 +89,85 @@ def test_found_peelings_are_corner_peelings_n3():
         assert res.peelable          # every ample class on n=3 is dismantlable
         rep = peeling.classify_ordering(C, res.ordering)
         assert rep.all_equal and rep.corner_peeling
+
+
+def _recursive_search(C, budget=10**6):
+    """The corner peeling search as it was written recursively, kept as the
+    reference for the explicit-stack search."""
+    expansions = 0
+    failed = set()
+    peeled = []
+    remaining = list(C.concepts)
+
+    def dfs():
+        nonlocal expansions
+        if len(remaining) == 1:
+            peeled.append(remaining[0])
+            return True
+        state = frozenset(remaining)
+        if state in failed:
+            return False
+        level = ConceptClass(C.n, tuple(remaining))
+        for c in sorted(graph.corners(level)):
+            expansions += 1
+            if expansions > budget:
+                return False
+            remaining.remove(c)
+            peeled.append(c)
+            if dfs():
+                return True
+            peeled.pop()
+            remaining.append(c)
+            if expansions > budget:
+                return False
+        failed.add(state)
+        return False
+
+    if dfs():
+        return peeling.PeelingResult(tuple(reversed(peeled)), True, expansions)
+    return peeling.PeelingResult(None, expansions <= budget, expansions)
+
+
+def _small_ample_classes():
+    yield from ample_classes(3)
+    rng = random.Random(2025)
+    for n in (5, 6):
+        for seed in range(4):
+            yield generate.random_ample(n, rng.randint(2, 1 << (n - 1)), seed=seed)
+
+
+def test_search_matches_recursive_reference(monkeypatch):
+    classes = list(_small_ample_classes())
+    for C in classes:
+        for budget in (0, 1, 3, 10**6):
+            assert (peeling.corner_peeling_search(C, budget)
+                    == _recursive_search(C, budget))
+    # withholding some corners forces dead ends, backtracking and memo hits
+    real = graph.corners
+    monkeypatch.setattr(graph, "corners", lambda level: [
+        c for c in real(level) if (c * 7 + level.size) % 3])
+    backtracked = 0
+    for C in classes:
+        for budget in (5, 10**6):
+            got = peeling.corner_peeling_search(C, budget)
+            assert got == _recursive_search(C, budget)
+            backtracked += got.expansions > C.size - 1
+    assert backtracked
+
+
+def test_search_depth_not_bounded_by_recursion_limit():
+    C = generate.hamming_ball(16, 2)
+    assert C.size == 137
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        res = peeling.corner_peeling_search(C)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.peelable and sorted(res.ordering) == list(C.concepts)
+    for i in range(1, C.size + 1):
+        level = ConceptClass(C.n, res.ordering[:i])
+        assert graph.is_corner(level, res.ordering[i - 1])
 
 
 # ------------------------------------------------------- corner properties
