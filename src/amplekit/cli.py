@@ -86,7 +86,7 @@ def cmd_repmap(args) -> int:
     if not args.repmap:
         raise ParseError("repmap verify requires --repmap <file>")
     r = _load_repmap(args.repmap, C.n)
-    report = repmap.verify_repmap(C, r)
+    report = repmap.certify_repmap(C, r)
     for name in ("r1", "r2", "r3", "r4", "bijective", "c1", "c2"):
         print(f"{name}={int(getattr(report, name).ok)}")
     print(f"valid={int(report.valid)}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import core, shatter
+from . import core, repmap, shatter
 from .core import ConceptClass, bits_of, coords, popcount
 from .errors import ContractError, DecodeError, IntegrityError, ParseError
 
@@ -89,6 +89,10 @@ class CompressionScheme:
     C: ConceptClass
     r: dict
 
+    def __post_init__(self):
+        # a map missing a concept would surface as a KeyError mid-compress
+        repmap._check_total(self.C, self.r)
+
     def compress(self, s: Sample) -> int:
         """α(s) = r(γ(s)), an unlabeled coordinate set."""
         return self.r[reconstruct_unique(self.C, self.r, s)]
@@ -108,6 +112,7 @@ class SchemeReport:
     samples_checked: int
     witness: Optional[Sample] = None
     reason: str = ""
+    sampled: bool = False       # True when only a seeded selection of domains ran
 
 
 _FULL_ENUM_CAP = 12
@@ -117,7 +122,7 @@ def verify_scheme(C: ConceptClass, scheme: CompressionScheme,
                   seed: int = 0, dom_samples: int = 2048) -> SchemeReport:
     """Round-trip every realizable sample: α(s) ⊆ dom(s), |α(s)| ≤ vc_dim,
     and β(α(s)) consistent with s.  All domains are enumerated for n ≤ 12,
-    a seeded selection above.
+    a seeded selection above (the report's `sampled` flag says which).
 
     Equivalent to the definition but evaluated per domain: bucket concepts by
     r(c) ⊆ dom, then each realized pattern must hit exactly one bucket entry.
@@ -129,7 +134,8 @@ def verify_scheme(C: ConceptClass, scheme: CompressionScheme,
     inv = {}
     for c, v in r.items():
         inv[v] = c
-    if C.n <= _FULL_ENUM_CAP:
+    sampled = C.n > _FULL_ENUM_CAP
+    if not sampled:
         domains = range(1 << C.n)
     else:
         rng = random.Random(seed)
@@ -138,30 +144,29 @@ def verify_scheme(C: ConceptClass, scheme: CompressionScheme,
         domains.add(0)
     max_size = 0
     checked = 0
+
+    def fail(dom: int, pat: int, reason: str) -> SchemeReport:
+        return SchemeReport(False, max_size, checked, Sample(dom, pat), reason, sampled)
+
     for dom in domains:
         candidates: dict = {}
         for c in C:
             if r[c] & ~dom == 0:
                 key = c & dom
                 if key in candidates:
-                    return SchemeReport(False, max_size, checked,
-                                        Sample(dom, key), "ambiguous reconstruction")
+                    return fail(dom, key, "ambiguous reconstruction")
                 candidates[key] = c
         for pat in {c & dom for c in C}:
             checked += 1
             g = candidates.get(pat)
             if g is None:
-                return SchemeReport(False, max_size, checked,
-                                    Sample(dom, pat), "no reconstruction")
+                return fail(dom, pat, "no reconstruction")
             a = r[g]
             if a & ~dom:
-                return SchemeReport(False, max_size, checked,
-                                    Sample(dom, pat), "compressed set leaves dom")
+                return fail(dom, pat, "compressed set leaves dom")
             if popcount(a) > d:
-                return SchemeReport(False, max_size, checked,
-                                    Sample(dom, pat), "compressed set too large")
+                return fail(dom, pat, "compressed set too large")
             if inv[a] & dom != pat:
-                return SchemeReport(False, max_size, checked,
-                                    Sample(dom, pat), "round trip mismatch")
+                return fail(dom, pat, "round trip mismatch")
             max_size = max(max_size, popcount(a))
-    return SchemeReport(True, max_size, checked)
+    return SchemeReport(True, max_size, checked, sampled=sampled)

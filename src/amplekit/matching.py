@@ -34,14 +34,32 @@ def hopcroft_karp(adj: dict) -> dict:
                     q.append(w)
         return found
 
-    def dfs(u: Hashable) -> bool:
-        for v in adj[u]:
-            w = match_r.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
+    def dfs(root: Hashable) -> bool:
+        """Augment along the BFS layers from a free left vertex.  An explicit
+        stack replaces the recursion, so path length is not bounded by the
+        interpreter's recursion limit; path[i] is the right vertex taken
+        from stack[i]."""
+        stack = [(root, iter(adj[root]))]
+        path: list = []
+        while stack:
+            u, it = stack[-1]
+            for v in it:
+                w = match_r.get(v)
+                if w is None:
+                    path.append(v)
+                    for (x, _), y in zip(reversed(stack), reversed(path)):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    path.append(v)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
     while bfs():

@@ -313,7 +313,7 @@ def validate_shelling(sh: ShellingOrder) -> None:
     for j, fj in enumerate(fs):
         if fj in seen:
             raise OrderingValidationError("repeated facet", j)
-        if fj >= 1 << sh.n:
+        if not 0 <= fj < 1 << sh.n:
             raise OrderingValidationError("facet out of range", j)
         if not graph.extends_isometric(seen, fj, sh.n):
             raise OrderingValidationError(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from amplekit import cli, core, generate
+from amplekit import cli, core, generate, repmap
 from amplekit.core import ConceptClass
 
 
@@ -120,6 +120,27 @@ def test_repmap_verify_invalid_exits_1(capsys, tmp_path, ball_file):
     code, out, _ = run(capsys, "repmap", "verify", ball_file, "--repmap", str(rp))
     assert code == 1
     assert "valid=0" in out
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_repmap_verify_prints_the_exhaustive_report(capsys, tmp_path, corrupt):
+    # certified or not, the CLI prints what verify_repmap says
+    C = generate.hamming_ball(5, 2)
+    r = repmap.build_maximum_repmap(C)
+    if corrupt:
+        a, b = C.concepts[3], C.concepts[7]
+        r[a], r[b] = r[b], r[a]
+    cls, rp = tmp_path / "ball.txt", tmp_path / "ball.rep"
+    core.write_class_file(str(cls), C)
+    rp.write_text(repmap.format_repmap(r, C.n))
+    report = repmap.verify_repmap(C, r)
+    assert report.valid is not corrupt
+    want = [f"{name}={int(getattr(report, name).ok)}"
+            for name in ("r1", "r2", "r3", "r4", "bijective", "c1", "c2")]
+    want.append(f"valid={int(report.valid)}")
+    code, out, err = run(capsys, "repmap", "verify", str(cls), "--repmap", str(rp))
+    assert out == "\n".join(want) + "\n" and err == ""
+    assert code == (0 if report.valid else 1)
 
 
 def test_isr_json(capsys, ball_file):

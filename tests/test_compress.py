@@ -124,6 +124,23 @@ def test_verify_scheme_maximum_classes():
         assert report.ok and report.max_size == d
 
 
+@pytest.mark.parametrize("n, sampled", [(3, False), (12, False), (13, True)])
+def test_verify_scheme_says_when_domains_were_sampled(n, sampled):
+    C = generate.hamming_ball(n, 1)
+    r = repmap.build_maximum_repmap(C)
+    report = compress.verify_scheme(C, compress.CompressionScheme(C, r))
+    assert report.ok and report.sampled is sampled
+    bad = dict(r)
+    bad[bit(1)], bad[bit(2)] = r[bit(2)], r[bit(1)]
+    report = compress.verify_scheme(C, compress.CompressionScheme(C, bad))
+    assert not report.ok and report.sampled is sampled
+
+
+def test_scheme_rejects_a_map_that_is_not_total():
+    with pytest.raises(ContractError):
+        compress.CompressionScheme(PATH3, {0: 0, bit(1): bit(1)})
+
+
 def test_full_domain_compression_injective():
     C = generate.hamming_ball(4, 2)
     r = repmap.build_maximum_repmap(C)

@@ -348,6 +348,18 @@ def test_shelling_validators_reject():
         peeling.validate_shelling(peeling.ShellingOrder(2, (0, 0)))
 
 
+@pytest.mark.parametrize("facets, index", [((-1, -2), 0), ((0, 1, -1), 2),
+                                           ((0, 4), 1)])
+def test_shelling_rejects_facet_out_of_range(facets, index):
+    # a negative facet is a validation error, not a DomainError raised later
+    # by ConceptClass inside shelling_to_ordering
+    sh = peeling.ShellingOrder(2, facets)
+    for check in (peeling.validate_shelling, peeling.shelling_to_ordering):
+        with pytest.raises(OrderingValidationError, match="facet out of range") as exc:
+            check(sh)
+        assert exc.value.index == index
+
+
 def test_shelling_agrees_with_isometric_classifier():
     # an ordering maps to a valid partial shelling iff it is isometric
     for C in ample_classes(2):

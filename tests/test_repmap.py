@@ -380,3 +380,100 @@ def test_repmap_parse_errors():
         repmap.parse_repmap_text("00 -> 0", 2)
     with pytest.raises(ParseError):
         repmap.parse_repmap_text("001\n", 3)
+
+
+# ---------------------------------------------------------------- certify
+
+def c2_sweep_oracle(C, r):
+    """C2 as first written: per support, count sinks over all of C."""
+    for Y, ts in sorted(graph.cube_tags(C).items()):
+        sinks = {t: 0 for t in ts}
+        for c in C:
+            t = c & ~Y
+            if t in sinks and r[c] & Y == 0:
+                sinks[t] += 1
+        for t, k in sorted(sinks.items()):
+            if k != 1:
+                return repmap.Check(False, Cube(t, Y))
+    return repmap.Check(True)
+
+
+def assert_certify_agrees(C, r):
+    # every field, witnesses included
+    full = repmap.verify_repmap(C, r)
+    assert repmap.certify_repmap(C, r) == full
+    assert repmap._check_c2(C, r) == c2_sweep_oracle(C, r) == full.c2
+    return full
+
+
+def swapped(r, rng, k):
+    """k copies of r, each with the images of two random concepts exchanged."""
+    cs = sorted(r)
+    out = []
+    for _ in range(k):
+        a, b = rng.sample(cs, 2)
+        s = dict(r)
+        s[a], s[b] = r[b], r[a]
+        out.append(s)
+    return out
+
+
+def test_certify_every_bijection_n_le_2():
+    valid = 0
+    for n in (1, 2):
+        for C in ample_classes(n):
+            fams = sorted(shatter._strongly_shattered_sets(C))
+            for images in itertools.permutations(fams):
+                valid += assert_certify_agrees(C, dict(zip(C.concepts, images))).valid
+    assert valid > 0
+
+
+def test_certify_n3_sample():
+    # the sample of test_valid_iff_c1_and_c2
+    rng = random.Random(3)
+    for C in ample_classes(3, max_size=5):
+        fams = sorted(shatter.shattered_complex(C).members)
+        perms = list(itertools.permutations(fams))
+        rng.shuffle(perms)
+        for images in perms[:6]:
+            assert_certify_agrees(C, dict(zip(C.concepts, images)))
+
+
+def test_certify_uso_out_maps_of_random_ample_classes():
+    rng = random.Random(5)
+    seen = [0, 0]
+    for n in (4, 5, 6):
+        for seed in range(4):
+            C = generate.random_ample(n, rng.randrange(2, (1 << n) - 1), seed)
+            o = repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
+            assert assert_certify_agrees(C, o).valid
+            if C.size > 1:
+                for s in swapped(o, rng, 5):
+                    seen[assert_certify_agrees(C, s).valid] += 1
+    assert seen[0] > 0
+
+
+def test_certify_built_maps_on_small_balls():
+    rng = random.Random(11)
+    for n, d in ((3, 1), (4, 2), (5, 2), (6, 3), (7, 2)):
+        C = generate.hamming_ball(n, d)
+        r = repmap.build_maximum_repmap(C)
+        assert assert_certify_agrees(C, r).valid
+        for s in swapped(r, rng, 4):
+            assert_certify_agrees(C, s)
+
+
+def test_certify_on_a_non_ample_class():
+    C = cc("000", "011", "101", "110")   # shatters every pair, no 2-cube
+    assert not shatter.is_ample(C)[0]
+    for images in itertools.product(range(1 << C.n), repeat=C.size):
+        assert not assert_certify_agrees(C, dict(zip(C.concepts, images))).valid
+    partial = {c: 0 for c in C.concepts[1:]}
+    extra = dict.fromkeys((*C.concepts, 0b111), 0)
+    outside = dict.fromkeys(C.concepts, bit(4))
+    for r in (partial, extra, outside):
+        with pytest.raises(ContractError) as want:
+            repmap.verify_repmap(C, r)
+        with pytest.raises(ContractError) as got:
+            repmap.certify_repmap(C, r)
+        assert str(got.value) == str(want.value)
