@@ -141,12 +141,12 @@ def cmd_decompress(args) -> int:
     # the width comes from the repmap file itself
     with open(args.repmap, "r", encoding="utf-8") as fh:
         r, n = repmap._parse_repmap(fh.read())
+    inv = repmap._inverse(r)
     text = args.set.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError("expected a set like {1,3}")
     body = text[1:-1].strip()
     alpha = core.mask_of(_coords(body.split(","), n)) if body else 0
-    inv = {v: k for k, v in r.items()}
     if alpha not in inv:
         print("NO_CONCEPT")
         return 1

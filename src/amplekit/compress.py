@@ -2,7 +2,7 @@
 representation map."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import core, repmap, shatter
@@ -88,10 +88,13 @@ def reconstruct_unique(C: ConceptClass, r: dict, s: Sample) -> int:
 class CompressionScheme:
     C: ConceptClass
     r: dict
+    inv: dict = field(init=False, compare=False, repr=False)   # r^{-1}
 
     def __post_init__(self):
-        # a map missing a concept would surface as a KeyError mid-compress
+        # a map missing a concept would surface as a KeyError mid-compress,
+        # and one that is not injective would decompress to an arbitrary concept
         repmap._check_total(self.C, self.r)
+        object.__setattr__(self, "inv", repmap._inverse(self.r))
 
     def compress(self, s: Sample) -> int:
         """α(s) = r(γ(s)), an unlabeled coordinate set."""
@@ -99,10 +102,9 @@ class CompressionScheme:
 
     def decompress(self, Z: int) -> int:
         """β(Z) = r^{-1}(Z)."""
-        for c, v in self.r.items():
-            if v == Z:
-                return c
-        raise DecodeError(f"coordinate set {coords(Z)} is not in the map's image")
+        if Z not in self.inv:
+            raise DecodeError(f"coordinate set {coords(Z)} is not in the map's image")
+        return self.inv[Z]
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,7 @@ def verify_scheme(C: ConceptClass, scheme: CompressionScheme,
     import random
 
     d = shatter.vc_dim(C)
-    r = scheme.r
-    inv = {}
-    for c, v in r.items():
-        inv[v] = c
+    r, inv = scheme.r, scheme.inv
     sampled = C.n > _FULL_ENUM_CAP
     if not sampled:
         domains = range(1 << C.n)

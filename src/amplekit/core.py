@@ -56,14 +56,13 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
-def levelwise(doms: list[int], grow, limit: Optional[int] = None) -> dict:
+def levelwise(doms: list[int], grow) -> dict:
     """Grow a downward-closed family of coordinate sets level by level.
 
     Starting from the empty set, a candidate Z is put to ``grow(Z, family)``
     only when every facet Z - {x} is already a member; a truthy answer admits
     Z with that answer as its value.  ``doms`` holds the single-bit masks the
-    members are built from.  Growth stops as soon as the family has more
-    than ``limit`` members.  Returns member -> value.
+    members are built from.  Returns member -> value.
     """
     family: dict = {}
     value = grow(0, family)
@@ -84,8 +83,6 @@ def levelwise(doms: list[int], grow, limit: Optional[int] = None) -> dict:
                     if value:
                         family[Z] = value
                         nxt.append(Z)
-                        if limit is not None and len(family) > limit:
-                            return family
         frontier = nxt
     return family
 

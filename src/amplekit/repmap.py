@@ -48,6 +48,14 @@ def _check_total(C: ConceptClass, r: RepMap) -> None:
             raise ContractError("image coordinate set outside domain")
 
 
+def _inverse(r: RepMap) -> dict:
+    """image -> concept, for a map that is injective."""
+    inv = {v: c for c, v in r.items()}
+    if len(inv) != len(r):
+        raise ContractError("map is not injective")
+    return inv
+
+
 def _check_pairwise(C: ConceptClass, r: RepMap, symmetric_diff: bool) -> Check:
     cs = C.concepts
     for i, c in enumerate(cs):
@@ -162,24 +170,20 @@ def _sources_for_missed_simplices(concepts: list, sub: list, alive: int, d: int)
 
     Every size-d subset of the alive coordinates is a missed simplex; each
     supports a unique cube of the class, whose source realises the one
-    pattern missing from the subclass's restriction.
+    pattern missing from the subclass's restriction.  The cubes are read
+    from one cube complex of the class, whose concepts lie on the alive
+    coordinates.
     """
     out: dict = {}
-    alive_coords = coords(alive)
-    sub_set = set(sub)
-    for sel in combinations(alive_coords, d):
+    tags = graph.cube_tags(ConceptClass(alive.bit_length(), tuple(concepts)))
+    for sel in combinations(coords(alive), d):
         sigma = mask_of(sel)
-        groups: dict = {}
-        for c in concepts:
-            groups.setdefault(c & ~sigma, []).append(c)
-        full = [t for t, g in groups.items() if len(g) == 1 << d]
+        full = tags.get(sigma, ())
         if len(full) != 1:
             raise IntegrityError(
                 f"{len(full)} cubes with a missed-simplex support, expected 1")
-        t = full[0]
-        patterns = set(Cube(0, sigma).vertices())
-        for c in sub:
-            patterns.discard(c & sigma)
+        t = next(iter(full))
+        patterns = set(Cube(0, sigma).vertices()) - {c & sigma for c in sub}
         if len(patterns) != 1:
             raise IntegrityError(
                 f"{len(patterns)} missing patterns on a missed simplex, expected 1")

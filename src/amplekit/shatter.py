@@ -33,7 +33,7 @@ class SetFamily:
 
 
 def _shattered_sets(C: ConceptClass) -> set:
-    """All shattered coordinate sets, grown levelwise."""
+    """All shattered coordinate sets, grown levelwise by a shattering scan."""
     return set(core.levelwise(bits_of(C.domain_mask),
                               lambda Y, _: _is_shattered(C.concepts, Y)))
 
@@ -53,8 +53,22 @@ def _strongly_shattered_sets(C: ConceptClass) -> set:
     return set(graph.cube_tags(C))
 
 
+def _complexes(C: ConceptClass) -> tuple[set, set]:
+    """(shattered, strongly shattered) coordinate sets of C.
+
+    By the sandwich lemma st(C) ⊆ sh(C) and |st(C)| ≤ |C| ≤ |sh(C)|, and C is
+    ample iff |st(C)| = |C|, in which case sh(C) = st(C).  So the shattered
+    complex is read off the cube complex whenever that has |C| members, and
+    only a class that falls short pays for the shattering scan.
+    """
+    st = _strongly_shattered_sets(C)
+    if len(st) == C.size:
+        return st, st
+    return _shattered_sets(C), st
+
+
 def shattered_complex(C: ConceptClass) -> SetFamily:
-    return SetFamily(C.n, frozenset(_shattered_sets(C)))
+    return SetFamily(C.n, frozenset(_complexes(C)[0]))
 
 
 def strongly_shattered_complex(C: ConceptClass) -> SetFamily:
@@ -62,7 +76,7 @@ def strongly_shattered_complex(C: ConceptClass) -> SetFamily:
 
 
 def vc_dim(C: ConceptClass) -> int:
-    return max(popcount(Y) for Y in _shattered_sets(C))
+    return max(popcount(Y) for Y in _complexes(C)[0])
 
 
 def phi(d: int, n: int) -> int:
@@ -71,10 +85,8 @@ def phi(d: int, n: int) -> int:
 
 
 def _is_ample_fast(C: ConceptClass) -> bool:
-    """Ampleness test that aborts as soon as the shattered count exceeds |C|."""
-    sh = core.levelwise(bits_of(C.domain_mask),
-                        lambda Y, _: _is_shattered(C.concepts, Y), limit=C.size)
-    return len(sh) == C.size
+    """Ampleness as |X(C)| = |C|: the cube complex alone, no shattering scan."""
+    return len(graph.cube_tags(C)) == C.size
 
 
 def is_ample(C: ConceptClass) -> tuple[bool, Optional[int]]:
@@ -83,10 +95,9 @@ def is_ample(C: ConceptClass) -> tuple[bool, Optional[int]]:
     The witness for a non-ample class is the lex-smallest (ordered by
     coordinate tuple) set that is shattered but not strongly shattered.
     """
-    sh = _shattered_sets(C)
+    sh, st = _complexes(C)
     if len(sh) == C.size:
         return True, None
-    st = _strongly_shattered_sets(C)
     gap = sh - st
     witness = min(gap, key=lambda Y: (popcount(Y), tuple(coords(Y))))
     return False, witness
@@ -118,8 +129,7 @@ class Summary:
 
 def summary(C: ConceptClass) -> Summary:
     """All of `Summary`, building each complex once."""
-    sh = shattered_complex(C)
-    st = strongly_shattered_complex(C)
+    sh, st = (SetFamily(C.n, frozenset(m)) for m in _complexes(C))
     d = sh.dim()
     return Summary(C.n, C.size, d, sh, st,
                    ample=sh.size == C.size, maximum=C.size == phi(d, C.n))

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -141,6 +142,59 @@ def test_repmap_verify_prints_the_exhaustive_report(capsys, tmp_path, corrupt):
     code, out, err = run(capsys, "repmap", "verify", str(cls), "--repmap", str(rp))
     assert out == "\n".join(want) + "\n" and err == ""
     assert code == (0 if report.valid else 1)
+
+
+NOT_INJECTIVE = "000 -> 000\n100 -> 000\n"
+
+
+def test_decompress_rejects_a_map_that_is_not_injective(capsys, tmp_path):
+    rp = tmp_path / "dup.rep"
+    rp.write_text(NOT_INJECTIVE)
+    code, out, err = run(capsys, "decompress", "--repmap", str(rp), "--set", "{}")
+    assert code == 2 and out == ""
+    assert err == "error: map is not injective\n"
+
+
+def test_compress_rejects_a_map_that_is_not_injective(capsys, tmp_path):
+    cls, rp = tmp_path / "pair.txt", tmp_path / "dup.rep"
+    core.write_class_file(str(cls), ConceptClass.from_strings(["000", "100"]))
+    rp.write_text(NOT_INJECTIVE)
+    code, out, err = run(capsys, "compress", str(cls), "--repmap", str(rp),
+                         "--sample", "x1=1")
+    assert code == 2 and out == ""
+    assert err == "error: map is not injective\n"
+
+
+@pytest.fixture(scope="module")
+def ball_24_3(tmp_path_factory):
+    """B(24,3), enumerated by size rather than by scanning all 2^24 masks."""
+    C = ConceptClass(24, tuple(core.mask_of(s) for k in range(4)
+                               for s in itertools.combinations(range(1, 25), k)))
+    p = tmp_path_factory.mktemp("wide") / "ball_24_3.txt"
+    core.write_class_file(str(p), C)
+    return C, str(p)
+
+
+def test_check_ball_24_3_prints_the_closed_forms(capsys, ball_24_3):
+    # |B(24,3)| = 1 + 24 + 276 + 2024, and a maximum class shatters exactly
+    # the sets of size <= 3, each strongly
+    _, path = ball_24_3
+    code, out, err = run(capsys, "check", path)
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["n=24", "size=2325", "vc_dim=3", "shattered=2325",
+                                "strongly_shattered=2325", "ample=1", "maximum=1"]
+
+
+def test_certify_accepts_the_built_map_of_ball_24_3(capsys, ball_24_3):
+    C, path = ball_24_3
+    code, out, _ = run(capsys, "repmap", "build", path)
+    assert code == 0
+    r = repmap.parse_repmap_text(out, C.n)
+    assert set(r) == C.concept_set
+    report = repmap.certify_repmap(C, r)
+    assert report.valid
+    assert all(getattr(report, name).ok
+               for name in ("r1", "r2", "r3", "r4", "bijective", "c1", "c2"))
 
 
 def test_isr_json(capsys, ball_file):

@@ -5,6 +5,7 @@ the run is the same every time and leaves nothing in the checkout."""
 import contextlib
 import io
 import tempfile
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,3 +90,59 @@ def test_fuzz_decompress(paths, text, alpha):
     _, rep = paths
     rep.write_text(text, encoding="utf-8")
     assert_contract(["decompress", "--repmap", str(rep), f"--set={alpha}"])
+
+
+# ---------------------------------------------------------------- check
+
+def brute_check_lines(n, concepts):
+    """`check`'s output computed by definition, with no amplekit code."""
+    s = set(concepts)
+    size = lambda Y: bin(Y).count("1")
+    sh = [Y for Y in range(1 << n) if len({c & Y for c in s}) == 1 << size(Y)]
+    st = [Y for Y in range(1 << n)
+          if any(all((c & ~Y) | p in s for p in range(1 << n) if not p & ~Y) for c in s)]
+    d = max(map(size, sh))
+    return [f"n={n}", f"size={len(s)}", f"vc_dim={d}", f"shattered={len(sh)}",
+            f"strongly_shattered={len(st)}", f"ample={int(len(sh) == len(s))}",
+            f"maximum={int(len(s) == sum(comb(n, i) for i in range(d + 1)))}"]
+
+
+widths = st.integers(1, 5)
+any_classes = widths.flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True)))
+ample_classes = widths.flatmap(lambda n: st.builds(
+    lambda size, seed: (n, list(generate.random_ample(n, size, seed).concepts)),
+    st.integers(1, 1 << n), st.integers(0, 1 << 16)))
+
+
+@pytest.fixture(scope="module")
+def class_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("check") / "class.txt"
+
+
+def check_output(path, n, concepts):
+    """`check`'s lines on a class file listing the concepts in the given order."""
+    lines = [f"n={n}"] + [core.concept_to_string(c, n) for c in concepts]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["check", str(path)]) == 0
+    return out.getvalue().splitlines()
+
+
+@FUZZ
+@given(cls=any_classes)
+def test_fuzz_check_prints_the_brute_force_invariants(class_path, cls):
+    # about half are not ample, and only those run the shattering scan
+    n, concepts = cls
+    assert check_output(class_path, n, concepts) == brute_check_lines(n, concepts)
+
+
+@FUZZ
+@given(cls=ample_classes)
+def test_fuzz_check_reads_ample_classes_off_the_cube_complex(class_path, cls):
+    # ample by construction: the complexes are read off the cube complex
+    n, concepts = cls
+    want = brute_check_lines(n, concepts)
+    assert want[5] == "ample=1"
+    assert check_output(class_path, n, concepts) == want

@@ -141,6 +141,12 @@ def test_scheme_rejects_a_map_that_is_not_total():
         compress.CompressionScheme(PATH3, {0: 0, bit(1): bit(1)})
 
 
+def test_scheme_rejects_a_map_that_is_not_injective():
+    C = ConceptClass.of(3, [0, bit(1)])
+    with pytest.raises(ContractError, match="map is not injective"):
+        compress.CompressionScheme(C, {0: 0, bit(1): 0})
+
+
 def test_full_domain_compression_injective():
     C = generate.hamming_ball(4, 2)
     r = repmap.build_maximum_repmap(C)

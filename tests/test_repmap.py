@@ -5,7 +5,7 @@ import pytest
 
 from amplekit import core, generate, graph, peeling, repmap, shatter
 from amplekit.core import ConceptClass, Cube, bit, mask_of
-from amplekit.errors import ContractError, ParseError
+from amplekit.errors import ContractError, IntegrityError, ParseError
 
 
 def cc(*strings):
@@ -155,6 +155,80 @@ def test_incomplete_cube_sources_examples():
 def test_incomplete_cube_sources_contract():
     with pytest.raises(ContractError):
         repmap.incomplete_cube_sources(PATH3, cc("00", "11"))
+
+
+def sources_groups_oracle(concepts, sub, alive, d):
+    """The former per-σ loop: group every concept by its tag off σ and keep
+    the groups that fill a whole σ-cube."""
+    out = {}
+    for sel in itertools.combinations(core.coords(alive), d):
+        sigma = mask_of(sel)
+        groups = {}
+        for c in concepts:
+            groups.setdefault(c & ~sigma, []).append(c)
+        full = [t for t, g in groups.items() if len(g) == 1 << d]
+        if len(full) != 1:
+            raise IntegrityError(
+                f"{len(full)} cubes with a missed-simplex support, expected 1")
+        patterns = set(Cube(0, sigma).vertices())
+        for c in sub:
+            patterns.discard(c & sigma)
+        if len(patterns) != 1:
+            raise IntegrityError(
+                f"{len(patterns)} missing patterns on a missed simplex, expected 1")
+        src = full[0] | patterns.pop()
+        if src in out:
+            raise IntegrityError("concept is the source of two incomplete cubes")
+        out[src] = sigma
+    return out
+
+
+def missed_simplex_cases():
+    """(concepts, sub, alive, d) as both callers pass them: a ball B(n,d)
+    with B(n,d-1), and its restriction with its reduction at the top
+    coordinate, for plain and twisted balls with n <= 8."""
+    rng = random.Random(3)
+    for n in range(1, 9):
+        for d in range(1, n + 1):
+            for t in (0, rng.randrange(1 << n)):
+                C = core.twist(generate.hamming_ball(n, d), t)
+                D = core.twist(generate.hamming_ball(n, d - 1), t)
+                yield list(C.concepts), list(D.concepts), C.domain_mask, d
+                xb = bit(n)
+                if n > d:   # the restriction keeps dimension d
+                    restriction = sorted({c & ~xb for c in C})
+                    reduction = sorted(c for c in C
+                                       if not c & xb and c | xb in C.concept_set)
+                    yield restriction, reduction, C.domain_mask & ~xb, d
+
+
+def test_sources_for_missed_simplices_match_groups_loop():
+    count = 0
+    for concepts, sub, alive, d in missed_simplex_cases():
+        got = repmap._sources_for_missed_simplices(concepts, sub, alive, d)
+        want = sources_groups_oracle(concepts, sub, alive, d)
+        assert list(got.items()) == list(want.items())
+        count += 1
+    assert count > 100
+
+
+@pytest.mark.parametrize("concepts, sub, alive, d, message", [
+    # B(3,1) has no 2-cube at all
+    (list(generate.hamming_ball(3, 1).concepts), [0], 0b111, 2,
+     "0 cubes with a missed-simplex support, expected 1"),
+    # the full 3-cube has two {1,2}-cubes, tags 000 and 001
+    (list(range(8)), list(generate.hamming_ball(3, 1).concepts), 0b111, 2,
+     "2 cubes with a missed-simplex support, expected 1"),
+    # the square with only 00 below it misses three patterns
+    (list(range(4)), [0], 0b11, 2,
+     "3 missing patterns on a missed simplex, expected 1"),
+])
+def test_sources_for_missed_simplices_integrity_errors(concepts, sub, alive, d, message):
+    with pytest.raises(IntegrityError) as want:
+        sources_groups_oracle(concepts, sub, alive, d)
+    with pytest.raises(IntegrityError) as got:
+        repmap._sources_for_missed_simplices(concepts, sub, alive, d)
+    assert str(got.value) == str(want.value) == message
 
 
 # ---------------------------------------------------------------- uso

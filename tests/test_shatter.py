@@ -86,11 +86,38 @@ def assert_complexes_match_oracle(C):
         assert (Y in sh) == shattered_oracle(C, Y)
         assert (Y in st) == strongly_shattered_oracle(C, Y)
     assert st <= sh
+    assert_invariants_match_oracle(C)
+
+
+def assert_invariants_match_oracle(C):
+    """Everything read off the complexes, against the brute-force oracles:
+    an ample class takes the cube-complex shortcut, any other the scan."""
+    sh = {Y for Y in range(1 << C.n) if shattered_oracle(C, Y)}
+    st = {Y for Y in range(1 << C.n) if strongly_shattered_oracle(C, Y)}
+    d = max(bin(Y).count("1") for Y in sh)
+    ample = len(sh) == C.size
+    maximum = C.size == sum(comb(C.n, i) for i in range(d + 1))
+    gap = sorted(sh - st, key=lambda Y: (bin(Y).count("1"), core.coords(Y)))
+    assert shatter._complexes(C) == (sh, st)
+    assert shatter.shattered_complex(C).members == sh
+    assert shatter.vc_dim(C) == d
+    assert shatter.is_ample(C) == ((True, None) if ample else (False, gap[0]))
+    assert shatter._is_ample_fast(C) == ample
+    assert shatter.is_maximum(C) == maximum
+    s = shatter.summary(C)
+    assert (s.n, s.size, s.vc_dim, s.ample, s.maximum) == (C.n, C.size, d, ample, maximum)
+    assert (s.shattered.members, s.strongly_shattered.members) == (sh, st)
 
 
 def test_complexes_match_oracle_exhaustive_n3():
     for C in all_classes(3):
         assert_complexes_match_oracle(C)
+
+
+def test_invariants_match_oracle_exhaustive_n0_to_n2():
+    for n in range(3):
+        for C in all_classes(n):
+            assert_complexes_match_oracle(C)
 
 
 def test_engine_matches_oracle_random_n5_n6():
