@@ -6,11 +6,11 @@ failing scheme, ...), 2 = usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import compress as compress_mod
-from . import core, generate, graph, peeling, repmap, shatter
+# each handler imports the modules it runs, so that a command loads no more
+# of the package than it needs
+from . import core
 from .errors import AmplekitError, ParseError
 
 
@@ -18,9 +18,9 @@ def _load_class(path: str) -> core.ConceptClass:
     return core.read_class_file(path)
 
 
-def _load_repmap(path: str, n=None) -> dict:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return repmap.parse_repmap_text(fh.read(), n)
+        return fh.read()
 
 
 def _coords(parts, n: int) -> list[int]:
@@ -40,6 +40,8 @@ def _coords(parts, n: int) -> list[int]:
 # ---------------------------------------------------------------- subcommands
 
 def cmd_check(args) -> int:
+    from . import shatter
+
     C = _load_class(args.file)
     for name, value in shatter.summary(C).printed().items():
         print(f"{name}={value}")
@@ -47,6 +49,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import graph
+
     C = _load_class(args.file)
     if args.dot:
         print(graph.to_dot(C), end="")
@@ -61,6 +65,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_peel(args) -> int:
+    from . import peeling
+
     C = _load_class(args.file)
     if args.algorithm == "antimatroid":
         ordering = peeling.antimatroid_peeling(C)
@@ -78,6 +84,8 @@ def cmd_peel(args) -> int:
 
 
 def cmd_repmap(args) -> int:
+    from . import repmap
+
     C = _load_class(args.file)
     if args.action == "build":
         r = repmap.build_maximum_repmap(C)
@@ -85,7 +93,7 @@ def cmd_repmap(args) -> int:
         return 0
     if not args.repmap:
         raise ParseError("repmap verify requires --repmap <file>")
-    r = _load_repmap(args.repmap, C.n)
+    r = repmap.parse_repmap_text(_read_text(args.repmap), C.n)
     report = repmap.certify_repmap(C, r)
     for name in ("r1", "r2", "r3", "r4", "bijective", "c1", "c2"):
         print(f"{name}={int(getattr(report, name).ok)}")
@@ -94,6 +102,10 @@ def cmd_repmap(args) -> int:
 
 
 def cmd_isr(args) -> int:
+    import json
+
+    from . import repmap
+
     C = _load_class(args.file)
     inst = repmap.isr_instance(C)
     if args.json:
@@ -115,6 +127,8 @@ def cmd_isr(args) -> int:
 
 
 def cmd_tailmatch(args) -> int:
+    from . import repmap
+
     C = _load_class(args.file)
     rep = repmap.tail_matching_analysis(C, args.x)
     print(f"coord={rep.coord}")
@@ -128,10 +142,12 @@ def cmd_tailmatch(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    from . import compress
+
     C = _load_class(args.file)
-    r = _load_repmap(args.repmap, C.n)
-    scheme = compress_mod.CompressionScheme(C, r)
-    s = compress_mod.parse_sample(args.sample, C.n)
+    r = core.parse_repmap_text(_read_text(args.repmap), C.n)
+    scheme = compress.CompressionScheme(C, r)
+    s = compress.parse_sample(args.sample, C.n)
     alpha = scheme.compress(s)
     print("{" + ",".join(str(x) for x in sorted(core.coords(alpha))) + "}")
     return 0
@@ -139,9 +155,8 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     # the width comes from the repmap file itself
-    with open(args.repmap, "r", encoding="utf-8") as fh:
-        r, n = repmap._parse_repmap(fh.read())
-    inv = repmap._inverse(r)
+    r, n = core._parse_repmap(_read_text(args.repmap))
+    inv = core._inverse(r)
     text = args.set.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError("expected a set like {1,3}")
@@ -155,6 +170,8 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import generate
+
     facets = ()
     if args.facets:
         facets = tuple(
@@ -173,6 +190,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    from . import generate
+
     rows = [generate.batch_row(path, _load_class(path)) for path in args.files]
     csv_text = generate.batch_csv(rows)
     if args.output:
@@ -184,6 +203,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_collapse(args) -> int:
+    from . import peeling
+
     C = _load_class(args.file)
     seq = peeling.collapse_sequence(C)
     removed = {q.tag for q, _ in seq if q.support == 0}
@@ -197,9 +218,10 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_shelling(args) -> int:
+    from . import peeling
+
     # the concept lines of the file are taken in order as the ordering
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.file)
     C = core.parse_class_text(text)
     ordering = []
     for raw in text.splitlines():

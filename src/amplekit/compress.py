@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import core, repmap, shatter
+from . import core
 from .core import ConceptClass, bits_of, coords, popcount
 from .errors import ContractError, DecodeError, IntegrityError, ParseError
 
@@ -93,8 +93,8 @@ class CompressionScheme:
     def __post_init__(self):
         # a map missing a concept would surface as a KeyError mid-compress,
         # and one that is not injective would decompress to an arbitrary concept
-        repmap._check_total(self.C, self.r)
-        object.__setattr__(self, "inv", repmap._inverse(self.r))
+        core._check_total(self.C, self.r)
+        object.__setattr__(self, "inv", core._inverse(self.r))
 
     def compress(self, s: Sample) -> int:
         """α(s) = r(γ(s)), an unlabeled coordinate set."""
@@ -130,6 +130,8 @@ def verify_scheme(C: ConceptClass, scheme: CompressionScheme,
     r(c) ⊆ dom, then each realized pattern must hit exactly one bucket entry.
     """
     import random
+
+    from . import shatter
 
     d = shatter.vc_dim(C)
     r, inv = scheme.r, scheme.inv

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .errors import DomainError, EmptyClassError, ParseError
+from .errors import ContractError, DomainError, EmptyClassError, ParseError
 
 MAX_WIDTH = 24
 
@@ -381,3 +381,60 @@ def format_class(C: ConceptClass) -> str:
 def write_class_file(path, C: ConceptClass) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(format_class(C))
+
+
+# -- representation map file format -----------------------------------------
+#
+# one line '<concept> -> <coordset>' per concept, both n-character 0/1 strings
+# lines starting with '#' are comments
+
+def _check_total(C: ConceptClass, r: dict) -> None:
+    if set(r) != set(C.concepts):
+        raise ContractError("map is not total on the class")
+    for v in r.values():
+        if v & ~C.domain_mask:
+            raise ContractError("image coordinate set outside domain")
+
+
+def _inverse(r: dict) -> dict:
+    """image -> concept, for a map that is injective."""
+    inv = {v: c for c, v in r.items()}
+    if len(inv) != len(r):
+        raise ContractError("map is not injective")
+    return inv
+
+
+def parse_repmap_text(text: str, n: Optional[int] = None) -> dict:
+    """Parse '<concept-bitstring> -> <coordset-bitstring>' lines; the width is
+    taken from the first line when not given."""
+    return _parse_repmap(text, n)[0]
+
+
+def _parse_repmap(text: str, n: Optional[int] = None) -> tuple[dict, int]:
+    """parse_repmap_text, also returning the width."""
+    r: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("->")
+        if len(parts) != 2:
+            raise ParseError("expected '<concept> -> <coordset>'", line=lineno)
+        left, right = parts[0].strip(), parts[1].strip()
+        if n is None:
+            n = len(left)
+        if len(left) != n or len(right) != n:
+            raise ParseError(f"expected two bitstrings of width {n}", line=lineno)
+        c = concept_from_string(left)
+        if c in r:
+            raise ParseError("duplicate concept", line=lineno)
+        r[c] = concept_from_string(right)
+    if not r:
+        raise ParseError("empty representation map file")
+    return r, n
+
+
+def format_repmap(r: dict, n: int) -> str:
+    lines = [f"{concept_to_string(c, n)} -> {concept_to_string(r[c], n)}"
+             for c in sorted(r)]
+    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ from typing import Optional
 
 from . import core, graph, shatter
 from .core import ConceptClass, Cube, bits_of, full_mask, mask_of, popcount
-from .errors import ContractError
+from .errors import ContractError, DomainError
 
 
 def cube_class(n: int) -> ConceptClass:
@@ -96,20 +96,27 @@ class GeneratorSpec:
     factors: tuple = ()   # for kind="product": two GeneratorSpecs
 
 
+# the kinds built directly over a domain of width spec.n
+_BUILDERS = {
+    "cube": lambda spec: cube_class(spec.n),
+    "hamming_ball": lambda spec: hamming_ball(spec.n, spec.d),
+    "simplicial": lambda spec: simplicial_class(spec.n, spec.facets),
+    "random_ample": lambda spec: random_ample(spec.n, spec.size, spec.seed),
+}
+
+
 def generate(spec: GeneratorSpec) -> ConceptClass:
-    if spec.kind == "cube":
-        return cube_class(spec.n)
-    if spec.kind == "hamming_ball":
-        return hamming_ball(spec.n, spec.d)
-    if spec.kind == "simplicial":
-        return simplicial_class(spec.n, spec.facets)
-    if spec.kind == "random_ample":
-        return random_ample(spec.n, spec.size, spec.seed)
     if spec.kind == "product":
         if len(spec.factors) != 2:
             raise ContractError("product takes exactly two factor specs")
         return core.product(generate(spec.factors[0]), generate(spec.factors[1]))
-    raise ContractError(f"unknown generator kind {spec.kind!r}")
+    build = _BUILDERS.get(spec.kind)
+    if build is None:
+        raise ContractError(f"unknown generator kind {spec.kind!r}")
+    # checked before any of the 2^n masks is enumerated
+    if not 1 <= spec.n <= core.MAX_WIDTH:
+        raise DomainError(f"width {spec.n} outside 1..{core.MAX_WIDTH}")
+    return build(spec)
 
 
 BATCH_COLUMNS = ("file", "n", "size", "vc_dim", "shattered",

@@ -13,7 +13,19 @@ from typing import Optional
 
 from . import core, graph, matching, shatter
 from .core import ConceptClass, Cube, bit, bits_of, coords, mask_of, popcount
-from .errors import ContractError, IntegrityError, ParseError
+from .errors import ContractError, DomainError, IntegrityError
+
+# The map file format and the map contracts are defined in `core`, next to
+# the class file format, so that `compress` and `decompress` can read a map
+# without importing this module and its dependencies.  They stay importable
+# from here for existing callers.
+from .core import (  # noqa: F401
+    _check_total,
+    _inverse,
+    _parse_repmap,
+    format_repmap,
+    parse_repmap_text,
+)
 
 RepMap = dict
 
@@ -38,22 +50,6 @@ class RepMapReport:
     def valid(self) -> bool:
         return all(c.ok for c in (self.r1, self.r2, self.r3, self.r4,
                                   self.bijective, self.c1, self.c2))
-
-
-def _check_total(C: ConceptClass, r: RepMap) -> None:
-    if set(r) != set(C.concepts):
-        raise ContractError("map is not total on the class")
-    for v in r.values():
-        if v & ~C.domain_mask:
-            raise ContractError("image coordinate set outside domain")
-
-
-def _inverse(r: RepMap) -> dict:
-    """image -> concept, for a map that is injective."""
-    inv = {v: c for c, v in r.items()}
-    if len(inv) != len(r):
-        raise ContractError("map is not injective")
-    return inv
 
 
 def _check_pairwise(C: ConceptClass, r: RepMap, symmetric_diff: bool) -> Check:
@@ -566,6 +562,8 @@ class TailMatchingReport:
 
 
 def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
+    if not 1 <= x <= C.n:
+        raise DomainError(f"coordinate {x} outside 1..{C.n}")
     d = shatter.vc_dim(C)
     if C.size != shatter.phi(d, C.n):
         raise ContractError("tail matching is defined for maximum classes")
@@ -602,41 +600,3 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
         counts[i] += 1
     deg_l = tuple(labels[i] for i, k in enumerate(counts) if k == 1)
     return TailMatchingReport(x, red, tails, labels, edges, status, m, deg_t, deg_l)
-
-
-# -- repmap file format -------------------------------------------------------------
-
-def parse_repmap_text(text: str, n: Optional[int] = None) -> RepMap:
-    """Parse '<concept-bitstring> -> <coordset-bitstring>' lines; the width is
-    taken from the first line when not given."""
-    return _parse_repmap(text, n)[0]
-
-
-def _parse_repmap(text: str, n: Optional[int] = None) -> tuple[RepMap, int]:
-    """parse_repmap_text, also returning the width."""
-    r: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("->")
-        if len(parts) != 2:
-            raise ParseError("expected '<concept> -> <coordset>'", line=lineno)
-        left, right = parts[0].strip(), parts[1].strip()
-        if n is None:
-            n = len(left)
-        if len(left) != n or len(right) != n:
-            raise ParseError(f"expected two bitstrings of width {n}", line=lineno)
-        c = core.concept_from_string(left)
-        if c in r:
-            raise ParseError("duplicate concept", line=lineno)
-        r[c] = core.concept_from_string(right)
-    if not r:
-        raise ParseError("empty representation map file")
-    return r, n
-
-
-def format_repmap(r: RepMap, n: int) -> str:
-    lines = [f"{core.concept_to_string(c, n)} -> {core.concept_to_string(r[c], n)}"
-             for c in sorted(r)]
-    return "\n".join(lines) + "\n"

@@ -211,6 +211,23 @@ def test_tailmatch(capsys, ball_file):
     assert "status=unique" in out
 
 
+@pytest.mark.parametrize("x", ["0", "-1", "99"])
+def test_tailmatch_coordinate_outside_domain_exits_2(capsys, ball_file, x):
+    code, out, err = run(capsys, "tailmatch", ball_file, "-x", x)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["-3", "0", "25", "30"])
+def test_generate_width_outside_1_to_24_exits_2(capsys, tmp_path, n):
+    # checked before enumerating: --n 30 would otherwise build 2^30 masks
+    out_file = tmp_path / "c.txt"
+    code, out, err = run(capsys, "generate", "--kind", "cube", "--n", n,
+                         "-o", str(out_file))
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_generate_and_batch(capsys, tmp_path):
     out_file = tmp_path / "c.txt"
     code, _, _ = run(capsys, "generate", "--kind", "hamming_ball",
