@@ -25,14 +25,7 @@ def full_mask(n: int) -> int:
 
 def coords(mask: int) -> list[int]:
     """Ascending coordinate labels of a bitmask."""
-    out = []
-    x = 1
-    while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
-    return out
+    return [b.bit_length() for b in bits_of(mask)]
 
 
 def mask_of(xs: Iterable[int]) -> int:
@@ -85,6 +78,16 @@ def levelwise(doms: list[int], grow) -> dict:
                         nxt.append(Z)
         frontier = nxt
     return family
+
+
+def support_of(concepts) -> int:
+    """Mask of coordinates on which at least two of the (nonempty sequence
+    of) concepts differ."""
+    lo = concepts[0]
+    acc = 0
+    for c in concepts:
+        acc |= c ^ lo
+    return acc
 
 
 def concept_to_string(c: int, n: int) -> str:
@@ -159,11 +162,7 @@ class ConceptClass:
 
     def support(self) -> int:
         """Mask of coordinates on which at least two concepts differ."""
-        lo = self.concepts[0]
-        acc = 0
-        for c in self.concepts:
-            acc |= c ^ lo
-        return acc
+        return support_of(self.concepts)
 
     def strings(self) -> list[str]:
         return [concept_to_string(c, self.n) for c in self.concepts]
@@ -216,7 +215,8 @@ def interval(c: int, d: int) -> Cube:
     return Cube(tag=c & d, support=c ^ d)
 
 
-def cube_in_class(cube: Cube, concept_set: frozenset) -> bool:
+def cube_in_class(cube: Cube, concept_set) -> bool:
+    """Whether every vertex of the cube lies in the set of concepts."""
     return all(v in concept_set for v in cube.vertices())
 
 
@@ -263,9 +263,7 @@ def reduce(C: ConceptClass, Y: int) -> Optional[ConceptClass]:
     tags = reduction_tags(C.concepts, Y)
     if not tags:
         return None
-    ys = coords(C.domain_mask & ~Y)
-    labels = tuple(C.coord_labels[y - 1] for y in ys)
-    return ConceptClass(len(ys), tuple(_project(t, ys) for t in tags), labels)
+    return drop(ConceptClass(C.n, tuple(tags), C.coord_labels), Y)
 
 
 def complement(C: ConceptClass) -> ConceptClass:
@@ -321,9 +319,8 @@ def tail(C: ConceptClass, x: int) -> Optional[ConceptClass]:
     t = [c for c in C if c ^ b not in s]
     if not t:
         return None
-    ys = coords(C.domain_mask & ~b)
-    labels = tuple(C.coord_labels[y - 1] for y in ys)
-    return ConceptClass(len(ys), tuple(_project(c, ys) for c in t), labels)
+    # no two tail concepts differ only in x, so dropping x keeps them apart
+    return drop(ConceptClass(C.n, tuple(t), C.coord_labels), b)
 
 
 # -- class file format -------------------------------------------------------

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from . import core
 from .core import ConceptClass, Cube, bits_of, concept_to_string, interval, popcount
@@ -21,25 +20,8 @@ def edges(C: ConceptClass) -> list[tuple[int, int, int]]:
     return out
 
 
-def neighbors(C: ConceptClass, c: int) -> list[int]:
-    s = C.concept_set
-    return [c ^ b for b in bits_of(C.domain_mask) if c ^ b in s]
-
-
 def is_connected(C: ConceptClass) -> bool:
-    s = C.concept_set
-    start = C.concepts[0]
-    seen = {start}
-    q = deque([start])
-    doms = bits_of(C.domain_mask)
-    while q:
-        c = q.popleft()
-        for b in doms:
-            d = c ^ b
-            if d in s and d not in seen:
-                seen.add(d)
-                q.append(d)
-    return len(seen) == C.size
+    return len(_bfs_dist(C, C.concepts[0])) == C.size
 
 
 def cube_tags(C: ConceptClass) -> dict:

@@ -82,15 +82,25 @@ def find_alternating_cycle(adj: dict, matching: dict) -> Optional[list]:
         for v in adj[u]:
             if matching.get(u) != v and v in match_r:
                 succ[u].add(match_r[v])
-    color: dict = {}
+    return find_cycle(adj, succ)
 
-    def walk(u):
-        stack = [(u, iter(succ[u]))]
-        color[u] = 1
-        path = [u]
+
+def find_cycle(nodes, succ) -> Optional[list]:
+    """A directed cycle, as its list of nodes in order, or None.
+
+    `succ` maps each node to its successors.  Depth-first search starts
+    from each of `nodes` in turn, on an explicit stack, and returns the
+    cycle closed by the first back edge it meets.
+    """
+    color: dict = {}    # 1 on the current path, 2 when finished
+    for start in nodes:
+        if start in color:
+            continue
+        stack = [(start, iter(succ[start]))]
+        color[start] = 1
+        path = [start]
         while stack:
             node, it = stack[-1]
-            advanced = False
             for w in it:
                 if color.get(w) == 1:
                     return path[path.index(w):]
@@ -98,19 +108,11 @@ def find_alternating_cycle(adj: dict, matching: dict) -> Optional[list]:
                     color[w] = 1
                     path.append(w)
                     stack.append((w, iter(succ[w])))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[node] = 2
                 path.pop()
                 stack.pop()
-        return None
-
-    for u in adj:
-        if u not in color:
-            cyc = walk(u)
-            if cyc is not None:
-                return cyc
     return None
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import core, graph, shatter
-from .core import ConceptClass, Cube, bit, bits_of, popcount
+from .core import ConceptClass, Cube, bits_of, popcount
 from .errors import ContractError, IntegrityError, OrderingValidationError
 
 
@@ -72,8 +72,7 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
     proven=False means the expansion budget ran out first.  The search keeps
     its own stack, so its depth is not bounded by the recursion limit.
     """
-    if not shatter._is_ample_fast(C):
-        raise ContractError("corner peeling search requires an ample class")
+    shatter._ample_tags(C, "corner peeling search requires an ample class")
     expansions = 0
     failed: set = set()
     peeled: list[int] = []
@@ -144,12 +143,9 @@ def antimatroid_peeling(C: ConceptClass) -> tuple:
 def two_dim_peeling(C: ConceptClass) -> tuple:
     """Max-adjacency growth ordering; a corner peeling for ample classes of
     VC-dimension at most 2."""
-    if not shatter._is_ample_fast(C):
-        raise ContractError("two-dimensional peeling requires an ample class")
-    if shatter.vc_dim(C) > 2:
+    tags = shatter._ample_tags(C, "two-dimensional peeling requires an ample class")
+    if max(popcount(Y) for Y in tags) > 2:
         raise ContractError("two-dimensional peeling requires VC-dimension <= 2")
-    s = C.concept_set
-    doms = bits_of(C.domain_mask)
     order = [C.concepts[0]]
     placed = {C.concepts[0]}
     while len(order) < C.size:
@@ -158,7 +154,7 @@ def two_dim_peeling(C: ConceptClass) -> tuple:
         for c in C:
             if c in placed:
                 continue
-            deg = sum(1 for b in doms if c ^ b in placed)
+            deg = popcount(graph._neighbour_dirs(placed, c, C.n))
             if deg > best_deg or (deg == best_deg and c < best):
                 best, best_deg = c, deg
         order.append(best)
@@ -181,21 +177,15 @@ def _collapse_rec(n: int, concepts: tuple) -> tuple[CollapseSequence, int]:
     """
     if len(concepts) == 1:
         return [], concepts[0]
-    support = 0
-    lo = concepts[0]
-    for c in concepts:
-        support |= c ^ lo
-    xb = 1 << (support.bit_length() - 1)  # highest varying coordinate
+    xb = 1 << (core.support_of(concepts).bit_length() - 1)  # highest varying
     s = set(concepts)
     below = tuple(sorted({c & ~xb for c in concepts}))
     seq_x, survivor_x = _collapse_rec(n, below)
 
     def side_cubes(Q: Cube) -> tuple[Optional[Cube], Optional[Cube]]:
-        c0 = all(v in s for v in Q.vertices())
-        c1 = all(v | xb in s for v in Q.vertices())
-        side0 = Q if c0 else None
-        side1 = Cube(Q.tag | xb, Q.support) if c1 else None
-        return side0, side1
+        Q1 = Cube(Q.tag | xb, Q.support)
+        return (Q if core.cube_in_class(Q, s) else None,
+                Q1 if core.cube_in_class(Q1, s) else None)
 
     seq: CollapseSequence = []
     for Q, Qp in seq_x:
@@ -246,8 +236,7 @@ def _collapse_rec(n: int, concepts: tuple) -> tuple[CollapseSequence, int]:
 
 def collapse_sequence(C: ConceptClass) -> CollapseSequence:
     """Collapsing sequence of Q(C) down to one vertex, validated by replay."""
-    if not shatter._is_ample_fast(C):
-        raise ContractError("collapse sequences are built for ample classes only")
+    shatter._ample_tags(C, "collapse sequences are built for ample classes only")
     seq, survivor = _collapse_rec(C.n, C.concepts)
     replay_collapse(C, seq, survivor)
     return seq
@@ -328,19 +317,9 @@ def ordering_to_shelling(C: ConceptClass, ordering) -> ShellingOrder:
         if not graph.extends_isometric(prefix, c, C.n):
             raise OrderingValidationError("level set is not isometric", i)
         prefix.add(c)
-    sh = ShellingOrder(C.n, tuple(order))
-    validate_shelling(sh)
-    return sh
+    return ShellingOrder(C.n, tuple(order))
 
 
 def shelling_to_ordering(sh: ShellingOrder) -> tuple[ConceptClass, tuple]:
     validate_shelling(sh)
-    C = ConceptClass(sh.n, sh.facets)
-    ordering = sh.facets
-    prefix: set = set()
-    for i, c in enumerate(ordering):
-        if not graph.extends_isometric(prefix, c, sh.n):
-            raise IntegrityError(
-                f"shelling produced a non-isometric level set at index {i}")
-        prefix.add(c)
-    return C, ordering
+    return ConceptClass(sh.n, sh.facets), sh.facets

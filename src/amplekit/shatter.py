@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -89,6 +88,27 @@ def _is_ample_fast(C: ConceptClass) -> bool:
     return len(graph.cube_tags(C)) == C.size
 
 
+def _ample_tags(C: ConceptClass, message: str) -> dict:
+    """`graph.cube_tags(C)` for an ample C, by the test of `_is_ample_fast`;
+    raises ContractError(message) otherwise.  Guards hand the tags on, so
+    their callers read X(C) without building it again."""
+    tags = graph.cube_tags(C)
+    if len(tags) != C.size:
+        raise ContractError(message)
+    return tags
+
+
+def _maximum_tags(C: ConceptClass, message: str) -> tuple[dict, int]:
+    """(`graph.cube_tags(C)`, vc_dim(C)) for a maximum C; raises
+    ContractError(message) otherwise.  A maximum class is ample, so its
+    VC-dimension is the largest cube support."""
+    tags = _ample_tags(C, message)
+    d = max(popcount(Y) for Y in tags)
+    if C.size != phi(d, C.n):
+        raise ContractError(message)
+    return tags, d
+
+
 def is_ample(C: ConceptClass) -> tuple[bool, Optional[int]]:
     """(ample?, witness).
 
@@ -153,9 +173,10 @@ def forbidden_labels(C: ConceptClass, Y: int) -> list[ForbiddenLabel]:
     return [ForbiddenLabel(Y, p) for p in _missing_patterns(C, Y)]
 
 
-def _missing_patterns(C: ConceptClass, Y: int) -> list[int]:
-    """Ascending patterns over Y that C|Y misses."""
-    seen = {c & Y for c in C}
+def _missing_patterns(concepts, Y: int) -> list[int]:
+    """Ascending patterns over Y that the concepts (a class or any iterable
+    of concepts) miss."""
+    seen = {c & Y for c in concepts}
     return sorted(p for p in Cube(0, Y).vertices() if p not in seen)
 
 
@@ -205,13 +226,8 @@ _PARTITION_CAP = 10   # 2^n partitions, each needing cube / restriction work
 def all_cubes_of_domain(n: int):
     """Every subcube of the full n-cube (3^n of them)."""
     for support in range(1 << n):
-        free = core.full_mask(n) & ~support
-        sub = 0
-        while True:
-            yield Cube(sub, support)
-            if sub == free:
-                break
-            sub = (sub - free) & free
+        for tag in Cube(0, core.full_mask(n) & ~support).vertices():
+            yield Cube(tag, support)
 
 
 def _cube_intersections_ok(C: ConceptClass) -> bool:

@@ -2,7 +2,8 @@ import random
 import sys
 from collections import deque
 
-from amplekit import matching
+from amplekit import generate, graph, matching
+from amplekit.core import bit, bits_of
 
 INF = float("inf")
 
@@ -82,3 +83,99 @@ def test_agrees_with_recursive_version():
     adj = long_path_instance(40)
     assert list(matching.hopcroft_karp(adj).items()) == \
         list(hopcroft_karp_recursive(adj).items())
+
+
+def alternating_cycle_former(adj, matching_):
+    """find_alternating_cycle as it was, with its own DFS walk."""
+    succ = {u: set() for u in adj}
+    match_r = {v: u for u, v in matching_.items()}
+    for u in adj:
+        for v in adj[u]:
+            if matching_.get(u) != v and v in match_r:
+                succ[u].add(match_r[v])
+    color = {}
+
+    def walk(u):
+        stack = [(u, iter(succ[u]))]
+        color[u] = 1
+        path = [u]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for w in it:
+                if color.get(w) == 1:
+                    return path[path.index(w):]
+                if w not in color:
+                    color[w] = 1
+                    path.append(w)
+                    stack.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                path.pop()
+                stack.pop()
+        return None
+
+    for u in adj:
+        if u not in color:
+            cyc = walk(u)
+            if cyc is not None:
+                return cyc
+    return None
+
+
+def orientation_cycle_former(C, o):
+    """The cycle walk over an out-map that `repmap.uso_to_peeling` used."""
+    color = {}
+    for start in C:
+        if start in color:
+            continue
+        stack = [(start, iter(bits_of(o[start])))]
+        color[start] = 1
+        path = [start]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for b in it:
+                w = node ^ b
+                if color.get(w) == 1:
+                    return path[path.index(w):]
+                if w not in color:
+                    color[w] = 1
+                    path.append(w)
+                    stack.append((w, iter(bits_of(o[w]))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = 2
+                path.pop()
+                stack.pop()
+    return None
+
+
+def test_find_cycle_matches_former_walks():
+    rng = random.Random(23)
+    found = [0, 0]
+    for _ in range(300):
+        k = rng.randrange(1, 12)
+        adj = {u: [v for v in range(k) if rng.random() < 0.3] for u in range(k)}
+        for u in adj:
+            adj[u].append(u)        # a perfect matching u -> u
+            rng.shuffle(adj[u])
+        m = {u: u for u in adj}
+        want = alternating_cycle_former(adj, m)
+        assert matching.find_alternating_cycle(adj, m) == want
+        found[want is not None] += 1
+    for _ in range(200):
+        n = rng.randrange(1, 6)
+        C = generate.random_ample(n, rng.randrange(1, (1 << n) + 1), rng.randrange(100))
+        # orient each edge of G(C) at random
+        o = dict.fromkeys(C, 0)
+        for c, d, x in graph.edges(C):
+            o[rng.choice((c, d))] |= bit(x)
+        want = orientation_cycle_former(C, o)
+        succ = {c: [c ^ b for b in bits_of(o[c])] for c in C}
+        assert matching.find_cycle(C, succ) == want
+        found[want is not None] += 1
+    assert all(found)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -137,6 +138,60 @@ def test_build_is_deterministic():
     assert repmap.build_maximum_repmap(C) == repmap.build_maximum_repmap(C)
 
 
+def split_tags_cases():
+    for n in range(1, 9):
+        for d in range(n + 1):
+            yield generate.hamming_ball(n, d)
+    yield core.twist(generate.hamming_ball(7, 3), 0b1010011)
+    rng = random.Random(17)
+    for n in (5, 6, 7):
+        for seed in range(12):
+            yield generate.random_ample(n, rng.randrange(2, 1 << (n - 1)), seed)
+
+
+def test_split_tags_match_rebuilt_complexes():
+    pairs = 0
+    for C in split_tags_cases():
+        tags = graph.cube_tags(C)
+        for x in range(1, C.n + 1):
+            xb = bit(x)
+            reduction = [c for c in C if not c & xb and c | xb in C.concept_set]
+            restriction = {c & ~xb for c in C}
+            red, res = repmap._split_tags(tags, xb)
+            assert red == (graph.cube_tags(ConceptClass(C.n, tuple(reduction)))
+                           if reduction else {})
+            assert res == graph.cube_tags(ConceptClass(C.n, tuple(restriction)))
+            pairs += 1
+    assert pairs > 400
+
+
+def test_cube_tags_built_once_per_call(monkeypatch):
+    built = []
+    cube_tags = graph.cube_tags
+
+    def counted(C):
+        built.append(C)
+        return cube_tags(C)
+
+    monkeypatch.setattr(graph, "cube_tags", counted)
+
+    def builds(f, *args):
+        built.clear()
+        f(*args)
+        return list(built)
+
+    C, D = generate.hamming_ball(10, 3), generate.hamming_ball(10, 2)
+    r = repmap.build_maximum_repmap(C)
+    assert builds(repmap.build_maximum_repmap, C) == [C]
+    assert builds(repmap.certify_repmap, C, r) == [C]
+    # one complex for each of the two classes it is given
+    assert builds(repmap.incomplete_cube_sources, C, D) == [C, D]
+    assert builds(repmap.tail_matching_analysis, C, 1) == [C]
+    for A in (C, generate.random_ample(7, 50, 3)):
+        assert builds(repmap.pre_rep_c1, A) == [A]
+        assert builds(repmap.pre_rep_c2, A) == [A]
+
+
 # ----------------------------------------------------------- cube sources
 
 def test_incomplete_cube_sources_examples():
@@ -202,10 +257,15 @@ def missed_simplex_cases():
                     yield restriction, reduction, C.domain_mask & ~xb, d
 
 
+def class_tags(concepts, alive):
+    """The cube complex the callers hand to `_sources_for_missed_simplices`."""
+    return graph.cube_tags(ConceptClass(alive.bit_length(), tuple(concepts)))
+
+
 def test_sources_for_missed_simplices_match_groups_loop():
     count = 0
     for concepts, sub, alive, d in missed_simplex_cases():
-        got = repmap._sources_for_missed_simplices(concepts, sub, alive, d)
+        got = repmap._sources_for_missed_simplices(class_tags(concepts, alive), sub, alive, d)
         want = sources_groups_oracle(concepts, sub, alive, d)
         assert list(got.items()) == list(want.items())
         count += 1
@@ -227,7 +287,7 @@ def test_sources_for_missed_simplices_integrity_errors(concepts, sub, alive, d, 
     with pytest.raises(IntegrityError) as want:
         sources_groups_oracle(concepts, sub, alive, d)
     with pytest.raises(IntegrityError) as got:
-        repmap._sources_for_missed_simplices(concepts, sub, alive, d)
+        repmap._sources_for_missed_simplices(class_tags(concepts, alive), sub, alive, d)
     assert str(got.value) == str(want.value) == message
 
 
@@ -551,3 +611,28 @@ def test_certify_on_a_non_ample_class():
         with pytest.raises(ContractError) as got:
             repmap.certify_repmap(C, r)
         assert str(got.value) == str(want.value)
+
+
+def test_certify_c1_lookup_every_bijection_n_le_3(monkeypatch):
+    """With C2 forced to pass and the R1–R4 fallback stubbed, certify_repmap
+    accepts a bijection onto X(C) exactly when `_check_c1` does.  The real
+    C2 never holds where C1 fails: for a bijection onto X(C) of an ample
+    class, C2 implies C1 (see `certify_repmap`)."""
+    check_c2 = repmap._check_c2
+    fallback = repmap.RepMapReport(*[repmap.Check(False)] * 7)
+    # the same complex each time, built once per class
+    monkeypatch.setattr(graph, "cube_tags", functools.lru_cache(graph.cube_tags))
+    monkeypatch.setattr(repmap, "_check_c2", lambda C, r, tags=None: repmap.Check(True))
+    monkeypatch.setattr(repmap, "verify_repmap", lambda C, r: fallback)
+    seen = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        for C in ample_classes(n):
+            tags = graph.cube_tags(C)
+            for images in itertools.permutations(sorted(tags)):
+                r = dict(zip(C.concepts, images))
+                c1 = repmap._check_c1(C, r).ok
+                assert repmap.certify_repmap(C, r).valid == c1
+                if not c1:
+                    assert not check_c2(C, r, tags).ok
+                seen[c1] += 1
+    assert seen[True] > 0 and seen[False] > 0
