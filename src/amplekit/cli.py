@@ -14,13 +14,18 @@ from . import core
 from .errors import AmplekitError, ParseError
 
 
-def _load_class(path: str) -> core.ConceptClass:
-    return core.read_class_file(path)
-
-
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _write_or_print(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
 
 
 def _coords(parts, n: int) -> list[int]:
@@ -42,7 +47,7 @@ def _coords(parts, n: int) -> list[int]:
 def cmd_check(args) -> int:
     from . import shatter
 
-    C = _load_class(args.file)
+    C = core.read_class_file(args.file)
     for name, value in shatter.summary(C).printed().items():
         print(f"{name}={value}")
     return 0
@@ -51,7 +56,7 @@ def cmd_check(args) -> int:
 def cmd_graph(args) -> int:
     from . import graph
 
-    C = _load_class(args.file)
+    C = core.read_class_file(args.file)
     if args.dot:
         print(graph.to_dot(C), end="")
     else:
@@ -67,7 +72,7 @@ def cmd_graph(args) -> int:
 def cmd_peel(args) -> int:
     from . import peeling
 
-    C = _load_class(args.file)
+    C = core.read_class_file(args.file)
     if args.algorithm == "antimatroid":
         ordering = peeling.antimatroid_peeling(C)
     elif args.algorithm == "twodim":
@@ -86,7 +91,7 @@ def cmd_peel(args) -> int:
 def cmd_repmap(args) -> int:
     from . import repmap
 
-    C = _load_class(args.file)
+    C = core.read_class_file(args.file)
     if args.action == "build":
         r = repmap.build_maximum_repmap(C)
         print(repmap.format_repmap(r, C.n), end="")
@@ -106,7 +111,7 @@ def cmd_isr(args) -> int:
 
     from . import repmap
 
-    C = _load_class(args.file)
+    C = core.read_class_file(args.file)
     inst = repmap.isr_instance(C)
     if args.json:
         out = {
@@ -129,7 +134,7 @@ def cmd_isr(args) -> int:
 def cmd_tailmatch(args) -> int:
     from . import repmap
 
-    C = _load_class(args.file)
+    C = core.read_class_file(args.file)
     rep = repmap.tail_matching_analysis(C, args.x)
     print(f"coord={rep.coord}")
     print(f"tails={len(rep.tails)}")
@@ -144,7 +149,7 @@ def cmd_tailmatch(args) -> int:
 def cmd_compress(args) -> int:
     from . import compress
 
-    C = _load_class(args.file)
+    C = core.read_class_file(args.file)
     r = core.parse_repmap_text(_read_text(args.repmap), C.n)
     scheme = compress.CompressionScheme(C, r)
     s = compress.parse_sample(args.sample, C.n)
@@ -179,33 +184,22 @@ def cmd_generate(args) -> int:
             for grp in args.facets.split(";") if grp.strip())
     spec = generate.GeneratorSpec(kind=args.kind, n=args.n, d=args.d,
                                   size=args.size, seed=args.seed, facets=facets)
-    C = generate.generate(spec)
-    text = core.format_class(C)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write_or_print(core.format_class(generate.generate(spec)), args.output)
     return 0
 
 
 def cmd_batch(args) -> int:
     from . import generate
 
-    rows = [generate.batch_row(path, _load_class(path)) for path in args.files]
-    csv_text = generate.batch_csv(rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        print(csv_text, end="")
+    rows = [generate.batch_row(path, core.read_class_file(path)) for path in args.files]
+    _write_or_print(generate.batch_csv(rows), args.output)
     return 0
 
 
 def cmd_collapse(args) -> int:
     from . import peeling
 
-    C = _load_class(args.file)
+    C = core.read_class_file(args.file)
     seq = peeling.collapse_sequence(C)
     removed = {q.tag for q, _ in seq if q.support == 0}
     survivor = next(c for c in C if c not in removed)
@@ -221,15 +215,8 @@ def cmd_shelling(args) -> int:
     from . import peeling
 
     # the concept lines of the file are taken in order as the ordering
-    text = _read_text(args.file)
-    C = core.parse_class_text(text)
-    ordering = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("n="):
-            continue
-        ordering.append(core.concept_from_string(line))
-    sh = peeling.ordering_to_shelling(C, tuple(ordering))
+    n, ordering = core._parse_class(_read_text(args.file))
+    sh = peeling.ordering_to_shelling(core.ConceptClass(n, ordering), ordering)
     for f in sh.facets:
         print(core.concept_to_string(f, sh.n))
     return 0

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import core
-from .core import ConceptClass, bits_of, coords, popcount
+from .core import ConceptClass, coords, popcount
 from .errors import ContractError, DecodeError, IntegrityError, ParseError
 
 
@@ -118,10 +118,11 @@ class SchemeReport:
 
 
 _FULL_ENUM_CAP = 12
+_SAMPLE_SEED = 0          # seeds the domains drawn above the cap
+_SAMPLED_DOMAINS = 2048   # draws, with the full and the empty domain added
 
 
-def verify_scheme(C: ConceptClass, scheme: CompressionScheme,
-                  seed: int = 0, dom_samples: int = 2048) -> SchemeReport:
+def verify_scheme(C: ConceptClass, scheme: CompressionScheme) -> SchemeReport:
     """Round-trip every realizable sample: α(s) ⊆ dom(s), |α(s)| ≤ vc_dim,
     and β(α(s)) consistent with s.  All domains are enumerated for n ≤ 12,
     a seeded selection above (the report's `sampled` flag says which).
@@ -139,8 +140,8 @@ def verify_scheme(C: ConceptClass, scheme: CompressionScheme,
     if not sampled:
         domains = range(1 << C.n)
     else:
-        rng = random.Random(seed)
-        domains = {rng.randrange(1 << C.n) for _ in range(dom_samples)}
+        rng = random.Random(_SAMPLE_SEED)
+        domains = {rng.randrange(1 << C.n) for _ in range(_SAMPLED_DOMAINS)}
         domains.add(C.domain_mask)
         domains.add(0)
     max_size = 0

@@ -330,6 +330,11 @@ def tail(C: ConceptClass, x: int) -> Optional[ConceptClass]:
 # lines starting with '#' are comments
 
 def parse_class_text(text: str) -> ConceptClass:
+    return ConceptClass(*_parse_class(text))
+
+
+def _parse_class(text: str) -> tuple[int, tuple]:
+    """(width, concepts in file order) of a class file's text."""
     n = None
     seen: dict = {}
     concepts = []
@@ -361,7 +366,7 @@ def parse_class_text(text: str) -> ConceptClass:
         raise ParseError("empty file: missing 'n=' header")
     if not concepts:
         raise ParseError("class file contains no concepts")
-    return ConceptClass(n, tuple(concepts))
+    return n, tuple(concepts)
 
 
 def read_class_file(path) -> ConceptClass:

@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import core, graph, shatter
-from .core import ConceptClass, Cube, bits_of, full_mask, mask_of, popcount
+from .core import ConceptClass, bits_of, full_mask, popcount
 from .errors import ContractError, DomainError
 
 
@@ -24,15 +24,12 @@ def hamming_ball(n: int, d: int) -> ConceptClass:
 def simplicial_class(n: int, facets) -> ConceptClass:
     """Characteristic vectors of all faces of the complex generated by the
     given facets (coordinate sets): a bouquet of cubes glued at the origin."""
-    members = {0}
     for f in facets:
         if f & ~full_mask(n):
             raise ContractError("facet outside domain")
-        sub = f
-        while sub:
-            members.add(sub)
-            sub = (sub - 1) & f
-    return ConceptClass(n, tuple(members))
+    faces = core.levelwise(bits_of(full_mask(n)),
+                           lambda Z, _: Z == 0 or any(Z & ~f == 0 for f in facets))
+    return ConceptClass(n, tuple(faces))
 
 
 def random_ample(n: int, size: int, seed: int,

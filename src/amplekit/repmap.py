@@ -8,11 +8,10 @@ the class to a coordinate-set bitmask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from . import core, graph, matching, shatter
-from .core import ConceptClass, Cube, bit, bits_of, coords, mask_of, popcount
+from .core import ConceptClass, Cube, bit, bits_of, coords, popcount
 from .errors import ContractError, DomainError, IntegrityError
 
 # The map file format and the map contracts are defined in `core`, next to
@@ -116,13 +115,13 @@ def _check_c2(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Check:
 
 def verify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
     _check_total(C, r)
-    xc = shatter._strongly_shattered_sets(C)
+    tags = graph.cube_tags(C)
     image = list(r.values())
     if len(set(image)) != len(image):
         dup = next(v for v in image if image.count(v) > 1)
         bij = Check(False, dup)
-    elif set(image) != xc:
-        off = min(set(image) ^ xc)
+    elif set(image) != tags.keys():
+        off = min(set(image) ^ tags.keys())
         bij = Check(False, off)
     else:
         bij = Check(True)
@@ -133,7 +132,7 @@ def verify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
         r4=_check_pairwise(C, r, symmetric_diff=True),
         bijective=bij,
         c1=_check_c1(C, r),
-        c2=_check_c2(C, r),
+        c2=_check_c2(C, r, tags),
     )
 
 
@@ -181,14 +180,12 @@ def _sources_for_missed_simplices(tags: dict, sub: list, alive: int, d: int) -> 
     pattern missing from the subclass's restriction.
     """
     out: dict = {}
-    for sel in combinations(coords(alive), d):
-        sigma = mask_of(sel)
+    for sigma, patterns in shatter._missed_labels(sub, alive, d).items():
         full = tags.get(sigma, ())
         if len(full) != 1:
             raise IntegrityError(
                 f"{len(full)} cubes with a missed-simplex support, expected 1")
         t = next(iter(full))
-        patterns = shatter._missing_patterns(sub, sigma)
         if len(patterns) != 1:
             raise IntegrityError(
                 f"{len(patterns)} missing patterns on a missed simplex, expected 1")
@@ -230,33 +227,30 @@ def _lift(concepts, xb: int, r_x: dict) -> dict:
     return r
 
 
-def _build_max_rec(concepts: list, alive: int, d: int, tags: dict) -> dict:
+def _build_max_rec(alive: int, d: int, tags: dict) -> dict:
     """Representation map of a maximum class of dimension d on the alive
-    coordinates with cube complex `tags`; the complexes of its reduction
-    and restriction come from `_split_tags`, never from a rebuild."""
+    coordinates with cube complex `tags`, whose concepts are `tags[0]`;
+    the complexes of its reduction and restriction come from `_split_tags`,
+    never from a rebuild."""
     if d == 0 or alive == 0:
-        return {concepts[0]: 0}
+        return dict.fromkeys(tags[0], 0)
     xb = 1 << (alive.bit_length() - 1)
     below = alive & ~xb
-    cset = set(concepts)
-    reduction = sorted(c for c in concepts if not c & xb and (c | xb) in cset)
-    restriction = sorted({c & ~xb for c in concepts})
     red_tags, res_tags = _split_tags(tags, xb)
-    r_red = _build_max_rec(reduction, below, d - 1, red_tags)
-    extra = _sources_for_missed_simplices(res_tags, reduction, below, d)
-    tail = [c for c in restriction if c not in r_red]
-    if sorted(extra) != tail:
+    r_red = _build_max_rec(below, d - 1, red_tags)
+    extra = _sources_for_missed_simplices(res_tags, sorted(red_tags[0]), below, d)
+    if extra.keys() != res_tags[0] - r_red.keys():
         raise IntegrityError("source map is not a bijection onto the tail")
     r_x = dict(r_red)
     r_x.update(extra)
-    return _lift(concepts, xb, r_x)
+    return _lift(tags[0], xb, r_x)
 
 
 def build_maximum_repmap(C: ConceptClass) -> RepMap:
     """Representation map for a maximum class by recursion on the highest
     coordinate; deterministic."""
     tags, d = shatter._maximum_tags(C, "construction requires a maximum class")
-    r = _build_max_rec(list(C.concepts), C.domain_mask, d, tags)
+    r = _build_max_rec(C.domain_mask, d, tags)
     image = set(r.values())
     if len(image) != len(r) or any(popcount(Y) > d for Y in image):
         raise IntegrityError("constructed map is not a bijection onto the complex")
@@ -461,25 +455,33 @@ class ISRInstance:
 
 
 def isr_instance(C: ConceptClass) -> ISRInstance:
-    shatter._ample_tags(C, "ISR instances are defined for ample classes")
-    supports = {c: {B.support for B in graph.cubes_through(C, c)} for c in C}
-    vertices = [(c, Y) for c in C for Y in sorted(supports[c])]
+    """One part per concept c of an ample C, with a vertex (c, Y) for each
+    support Y of a cube of C through c; (c, Y1) and (w, Y2) conflict when
+    some cube of C through both has a support S with Y1 ∩ S = Y2 ∩ S.
+
+    Every cube of C through c and w contains their interval cube, of
+    support c ^ w, so that is a cube of C through both whenever any is,
+    and Y1 ∩ S = Y2 ∩ S implies the same on the subset c ^ w of S.  So the
+    rule holds iff the interval cube lies in C and (Y1 ^ Y2) & (c ^ w) = 0:
+    each edge comes from one antipodal pair (c, c ^ S) of one cube of X(C).
+    """
+    tags = shatter._ample_tags(C, "ISR instances are defined for ample classes")
+    ys = sorted(tags)
+    supports = {c: [Y for Y in ys if c & ~Y in tags[Y]] for c in C}
+    vertices = [(c, Y) for c in C for Y in supports[c]]
     index = {v: i for i, v in enumerate(vertices)}
-    parts = {c: tuple(index[(c, Y)] for Y in sorted(supports[c])) for c in C}
+    parts = {c: tuple(index[(c, Y)] for Y in supports[c]) for c in C}
     edges = []
-    cs = C.concepts
-    for a, c1 in enumerate(cs):
-        for c2 in cs[a + 1:]:
-            diff = c1 ^ c2
-            common = [S for S in supports[c1] if diff & ~S == 0]
-            if not common:
-                continue
-            for Y1 in supports[c1]:
-                for Y2 in supports[c2]:
-                    if any(Y1 & S == Y2 & S for S in common):
-                        i, j = index[(c1, Y1)], index[(c2, Y2)]
-                        edges.append((i, j) if i < j else (j, i))
-    return ISRInstance(C, tuple(vertices), parts, tuple(sorted(set(edges))))
+    for S, ts in tags.items():
+        for t in ts:
+            for c in Cube(t, S).vertices():
+                w = c ^ S
+                if w <= c:
+                    continue
+                for Y1, i in zip(supports[c], parts[c]):
+                    edges.extend((i, j) for Y2, j in zip(supports[w], parts[w])
+                                 if not (Y1 ^ Y2) & S)
+    return ISRInstance(C, tuple(vertices), parts, tuple(sorted(edges)))
 
 
 @dataclass(frozen=True)
@@ -549,7 +551,6 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     tags, d = shatter._maximum_tags(C, "tail matching is defined for maximum classes")
     xb = bit(x)
     red = core.reduce(C, xb)
-    res = core.drop(C, xb)
     if red is None:
         raise ContractError("reduction is empty; the class has no x-edge")
     # the labels are forbidden_labels(red, sigma) over all d-sets sigma,
@@ -558,12 +559,11 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     red_d = max(popcount(Y) for Y in tags if Y & xb) - 1
     if red_d != d - 1:
         raise ContractError(f"need a set of size vc_dim+1 = {red_d + 1}, got {d}")
-    tails = tuple(sorted(res.concept_set - red.concept_set))
-    labels = []
-    for sel in combinations(range(1, red.n + 1), d):
-        sigma = mask_of(sel)
-        labels.extend((sigma, p) for p in shatter._missing_patterns(red, sigma))
-    labels = tuple(sorted(labels))
+    tail = core.tail(C, x)
+    tails = tail.concepts if tail is not None else ()
+    labels = tuple(sorted((sigma, p) for sigma, ps in
+                          shatter._missed_labels(red, red.domain_mask, d).items()
+                          for p in ps))
     edges = tuple((t, i) for t in tails
                   for i, (sigma, pat) in enumerate(labels) if t & sigma == pat)
     adj = {t: [i for tt, i in edges if tt == t] for t in tails}

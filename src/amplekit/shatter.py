@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Optional
 
 from . import core, graph
-from .core import ConceptClass, Cube, bits_of, coords, popcount
+from .core import ConceptClass, Cube, bits_of, coords, mask_of, popcount
 from .errors import ContractError
 
 
@@ -178,6 +179,14 @@ def _missing_patterns(concepts, Y: int) -> list[int]:
     of concepts) miss."""
     seen = {c & Y for c in concepts}
     return sorted(p for p in Cube(0, Y).vertices() if p not in seen)
+
+
+def _missed_labels(concepts, alive: int, d: int) -> dict:
+    """sigma -> `_missing_patterns(concepts, sigma)` for every d-subset sigma
+    of the alive coordinates, in `combinations` order: the one scan for the
+    labels a class of dimension d - 1 cannot realise."""
+    return {sigma: _missing_patterns(concepts, sigma)
+            for sigma in map(mask_of, combinations(coords(alive), d))}
 
 
 @dataclass(frozen=True)

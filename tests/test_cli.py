@@ -242,6 +242,21 @@ def test_generate_and_batch(capsys, tmp_path):
     assert lines[1].endswith(",1,1")   # ample, maximum
 
 
+def test_generate_and_batch_output_files_hold_what_stdout_prints(capsys, tmp_path):
+    gen = ["generate", "--kind", "random_ample", "--n", "6", "--size", "20"]
+    code, printed, _ = run(capsys, *gen)
+    assert code == 0
+    class_file = tmp_path / "c.txt"
+    assert run(capsys, *gen, "-o", str(class_file)) == (0, "", "")
+    assert class_file.read_bytes() == printed.encode("utf-8")
+
+    code, printed, _ = run(capsys, "batch", str(class_file))
+    assert code == 0
+    csv_file = tmp_path / "rows.csv"
+    assert run(capsys, "batch", str(class_file), "-o", str(csv_file)) == (0, "", "")
+    assert csv_file.read_bytes() == printed.encode("utf-8")
+
+
 def test_generate_simplicial_facets(capsys):
     code, out, _ = run(capsys, "generate", "--kind", "simplicial", "--n", "4",
                        "--facets", "1,2;3,4")
@@ -272,6 +287,18 @@ def test_shelling(capsys, tmp_path):
     code, out, _ = run(capsys, "shelling", str(p))
     assert code == 0
     assert len(out.strip().splitlines()) == 4
+
+
+def test_shelling_skips_comments_and_blank_lines(capsys, tmp_path):
+    # the concept lines keep their file order, 110 before 010
+    plain = tmp_path / "plain.txt"
+    plain.write_text("n=3\n000\n100\n110\n010\n001\n")
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# a corner peeling, read in file order\nn=3\n\n  000\n"
+                         "# the next concept\n100\n\n110  \n010\n001\n")
+    want = (0, "000\n100\n110\n010\n001\n", "")
+    assert run(capsys, "shelling", str(plain)) == want
+    assert run(capsys, "shelling", str(commented)) == want
 
 
 def test_usage_error_exit_2():

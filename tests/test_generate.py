@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -38,6 +39,28 @@ def test_simplicial_bouquet():
     assert 0 in C.concept_set
     assert shatter.is_ample(C)[0]
     assert shatter.shattered_complex(C).members == C.concept_set
+
+
+def simplicial_submask_oracle(n, facets):
+    """Every submask of every facet, with the empty set."""
+    members = {0}
+    for f in facets:
+        sub = f
+        while sub:
+            members.add(sub)
+            sub = (sub - 1) & f
+    return ConceptClass(n, tuple(members))
+
+
+def test_simplicial_class_matches_the_submask_oracle():
+    rng = random.Random(4)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        facets = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
+        assert generate.simplicial_class(n, facets) == simplicial_submask_oracle(n, facets)
+    assert generate.simplicial_class(5, []).concepts == (0,)
+    with pytest.raises(ContractError):
+        generate.simplicial_class(3, [mask_of([1]), mask_of([4])])
 
 
 def test_random_ample_is_ample_and_seeded():

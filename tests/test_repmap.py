@@ -184,6 +184,7 @@ def test_cube_tags_built_once_per_call(monkeypatch):
     r = repmap.build_maximum_repmap(C)
     assert builds(repmap.build_maximum_repmap, C) == [C]
     assert builds(repmap.certify_repmap, C, r) == [C]
+    assert builds(repmap.verify_repmap, C, r) == [C]
     # one complex for each of the two classes it is given
     assert builds(repmap.incomplete_cube_sources, C, D) == [C, D]
     assert builds(repmap.tail_matching_analysis, C, 1) == [C]
@@ -469,6 +470,49 @@ def test_isr_budget():
     assert res.assignment is None and not res.proven
 
 
+def isr_all_pairs_oracle(C):
+    """The all-pairs builder: supports from `graph.cubes_through`, and an
+    edge when some common cube support S has Y1 ∩ S = Y2 ∩ S."""
+    supports = {c: {B.support for B in graph.cubes_through(C, c)} for c in C}
+    vertices = [(c, Y) for c in C for Y in sorted(supports[c])]
+    index = {v: i for i, v in enumerate(vertices)}
+    parts = {c: tuple(index[(c, Y)] for Y in sorted(supports[c])) for c in C}
+    edges = []
+    cs = C.concepts
+    for a, c1 in enumerate(cs):
+        for c2 in cs[a + 1:]:
+            diff = c1 ^ c2
+            common = [S for S in supports[c1] if diff & ~S == 0]
+            if not common:
+                continue
+            for Y1 in supports[c1]:
+                for Y2 in supports[c2]:
+                    if any(Y1 & S == Y2 & S for S in common):
+                        i, j = index[(c1, Y1)], index[(c2, Y2)]
+                        edges.append((i, j) if i < j else (j, i))
+    return tuple(vertices), parts, tuple(sorted(set(edges)))
+
+
+def isr_cases():
+    # the balls stop at d = 3: B(7,6) alone has 12 million edges
+    for n in range(1, 9):
+        for d in range(min(n, 3) + 1):
+            yield generate.hamming_ball(n, d)
+    yield core.twist(generate.hamming_ball(7, 3), 0b1010101)
+    for n in range(5, 9):
+        for seed in range(3):
+            yield generate.random_ample(n, 3 * n + 2 * seed, seed)
+
+
+def test_isr_instance_matches_the_all_pairs_builder():
+    for C in isr_cases():
+        inst = repmap.isr_instance(C)
+        vertices, parts, edges = isr_all_pairs_oracle(C)
+        assert inst.vertices == vertices
+        assert list(inst.parts.items()) == list(parts.items())
+        assert inst.edges == edges
+
+
 # ---------------------------------------------------------------- matching
 
 def test_tail_matching_path():
@@ -492,6 +536,29 @@ def test_tail_matching_sides_same_size():
             rep = repmap.tail_matching_analysis(C, x)
             assert len(rep.tails) == len(rep.labels)
             assert rep.status != "no_perfect_matching"
+
+
+def test_missed_labels_match_a_brute_force_scan():
+    for concepts, sub, alive, d in missed_simplex_cases():
+        want = {}
+        for sel in itertools.combinations(core.coords(alive), d):
+            sigma = mask_of(sel)
+            seen = {c & sigma for c in sub}
+            want[sigma] = [p for p in range(sigma + 1)
+                           if p & ~sigma == 0 and p not in seen]
+        assert list(shatter._missed_labels(sub, alive, d).items()) == list(want.items())
+
+
+def test_tail_matching_tails_are_the_restriction_less_the_reduction():
+    rng = random.Random(8)
+    for n in range(1, 7):
+        for d in range(1, n + 1):
+            for t in (0, rng.randrange(1 << n)):
+                C = core.twist(generate.hamming_ball(n, d), t)
+                for x in range(1, n + 1):
+                    res, red = core.drop(C, bit(x)), core.reduce(C, bit(x))
+                    want = tuple(sorted(res.concept_set - red.concept_set))
+                    assert repmap.tail_matching_analysis(C, x).tails == want
 
 
 def test_tail_matching_requires_maximum():
