@@ -302,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.budget < 0:
+        parser.error(f"argument --budget: must not be negative: {args.budget}")
     try:
         return args.func(args)
     except (AmplekitError, OSError, UnicodeDecodeError) as exc:

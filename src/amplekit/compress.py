@@ -2,25 +2,24 @@
 representation map."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import core
-from .core import ConceptClass, coords, popcount
+from .core import ConceptClass, _Frozen, _setfield, coords, popcount
 from .errors import ContractError, DecodeError, IntegrityError, ParseError
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(_Frozen):
     """A labeled sample: dom is the queried coordinate set, bits the labels
     (bits ⊆ dom)."""
 
-    dom: int
-    bits: int
+    __slots__ = _key = ("dom", "bits")
 
-    def __post_init__(self):
-        if self.bits & ~self.dom:
+    def __init__(self, dom: int, bits: int):
+        if bits & ~dom:
             raise ContractError("sample labels outside its domain")
+        _setfield(self, "dom", dom)
+        _setfield(self, "bits", bits)
 
     def consistent(self, c: int) -> bool:
         return c & self.dom == self.bits
@@ -84,17 +83,18 @@ def reconstruct_unique(C: ConceptClass, r: dict, s: Sample) -> int:
     return hits[0]
 
 
-@dataclass(frozen=True)
-class CompressionScheme:
-    C: ConceptClass
-    r: dict
-    inv: dict = field(init=False, compare=False, repr=False)   # r^{-1}
+class CompressionScheme(_Frozen):
+    __slots__ = ("C", "r", "inv")     # inv = r^{-1}, derived
+    _key = ("C", "r")
 
-    def __post_init__(self):
+    def __init__(self, C: ConceptClass, r: dict):
         # a map missing a concept would surface as a KeyError mid-compress,
         # and one that is not injective would decompress to an arbitrary concept
-        core._check_total(self.C, self.r)
-        object.__setattr__(self, "inv", core._inverse(self.r))
+        core._check_total(C, r)
+        inv = core._inverse(r)
+        _setfield(self, "C", C)
+        _setfield(self, "r", r)
+        _setfield(self, "inv", inv)
 
     def compress(self, s: Sample) -> int:
         """α(s) = r(γ(s)), an unlabeled coordinate set."""
@@ -107,8 +107,7 @@ class CompressionScheme:
         return self.inv[Z]
 
 
-@dataclass(frozen=True)
-class SchemeReport:
+class SchemeReport(NamedTuple):
     ok: bool
     max_size: int
     samples_checked: int

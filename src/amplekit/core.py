@@ -6,7 +6,7 @@ same convention.  Everything is immutable; operations return new values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from .errors import ContractError, DomainError, EmptyClassError, ParseError
@@ -92,21 +92,65 @@ def support_of(concepts) -> int:
 
 def concept_to_string(c: int, n: int) -> str:
     """n-character 0/1 string, leftmost char = coordinate 1."""
-    return "".join("1" if c >> i & 1 else "0" for i in range(n))
+    # the leading 1 pads to n digits; the slice drops it and reverses
+    return format(c & ((1 << n) - 1) | 1 << n, "b")[:0:-1]
 
 
 def concept_from_string(s: str) -> int:
-    c = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            c |= 1 << i
-        elif ch != "0":
-            raise ParseError(f"invalid character {ch!r} in concept string {s!r}")
-    return c
+    # int() alone would also take '_', signs, spaces and non-ASCII digits;
+    # s.strip("01") is empty exactly when every character is 0 or 1
+    if s.strip("01"):
+        raise ParseError(_bad_character(s))
+    return int(s[::-1], 2) if s else 0
 
 
-@dataclass(frozen=True)
-class ConceptClass:
+def _bad_character(s: str) -> str:
+    """The error message for a concept string with a character not 0/1."""
+    ch = next(ch for ch in s if ch not in "01")
+    return f"invalid character {ch!r} in concept string {s!r}"
+
+
+# sets a field of a _Frozen value, once, in its __init__
+_setfield = object.__setattr__
+
+
+class _Frozen:
+    """Base of the validated value classes: slots set once in ``__init__``
+    (through ``_setfield``) that refuse assignment afterwards.  Equality,
+    hash, repr and copying use the fields named in ``_key``, two or more."""
+
+    __slots__ = ()
+    _key: tuple = ()
+
+    def __init_subclass__(cls):
+        # `_values` reads the fields of `_key` as one tuple
+        cls._values = property(attrgetter(*cls._key))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}("
+                + ", ".join(f"{k}={getattr(self, k)!r}" for k in self._key) + ")")
+
+    def __reduce__(self):
+        # rebuilt through __init__, so that copies and unpickled values are
+        # validated and derived like the original
+        return self.__class__, self._values
+
+
+class ConceptClass(_Frozen):
     """A nonempty, duplicate-free concept class in canonical (ascending) order.
 
     coord_labels records, for each local coordinate 1..n, the label it had in
@@ -116,26 +160,29 @@ class ConceptClass:
     constant-time membership tests.
     """
 
-    n: int
-    concepts: tuple[int, ...]
-    coord_labels: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    concept_set: frozenset = field(init=False, compare=False, repr=False)
+    __slots__ = ("n", "concepts", "coord_labels", "concept_set")
+    _key = ("n", "concepts")
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_WIDTH:
-            raise DomainError(f"domain width {self.n} outside 0..{MAX_WIDTH}")
-        members = frozenset(self.concepts)
+    def __init__(self, n: int, concepts: tuple[int, ...], coord_labels: tuple[int, ...] = ()):
+        if not 0 <= n <= MAX_WIDTH:
+            raise DomainError(f"domain width {n} outside 0..{MAX_WIDTH}")
+        members = frozenset(concepts)
         cs = tuple(sorted(members))
         if not cs:
             raise EmptyClassError("a concept class must be nonempty")
-        if cs[0] < 0 or cs[-1] >= 1 << self.n:
+        if cs[0] < 0 or cs[-1] >= 1 << n:
             raise DomainError("concept out of range for domain width")
-        object.__setattr__(self, "concepts", cs)
-        object.__setattr__(self, "concept_set", members)
-        if not self.coord_labels:
-            object.__setattr__(self, "coord_labels", tuple(range(1, self.n + 1)))
-        elif len(self.coord_labels) != self.n:
+        if not coord_labels:
+            coord_labels = tuple(range(1, n + 1))
+        elif len(coord_labels) != n:
             raise DomainError("coord_labels length must equal domain width")
+        _setfield(self, "n", n)
+        _setfield(self, "concepts", cs)
+        _setfield(self, "coord_labels", coord_labels)
+        _setfield(self, "concept_set", members)
+
+    def __reduce__(self):
+        return ConceptClass, (self.n, self.concepts, self.coord_labels)
 
     @classmethod
     def of(cls, n: int, concepts: Iterable[int]) -> "ConceptClass":
@@ -180,16 +227,16 @@ class ConceptClass:
         return c in self.concept_set
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(_Frozen):
     """A subcube of the hypercube: fixed bits in ``tag``, free coordinates in ``support``."""
 
-    tag: int
-    support: int
+    __slots__ = _key = ("tag", "support")
 
-    def __post_init__(self):
-        if self.tag & self.support:
+    def __init__(self, tag: int, support: int):
+        if tag & support:
             raise DomainError("cube tag must be zero on support coordinates")
+        _setfield(self, "tag", tag)
+        _setfield(self, "support", support)
 
     @property
     def dim(self) -> int:
@@ -336,11 +383,10 @@ def parse_class_text(text: str) -> ConceptClass:
 def _parse_class(text: str) -> tuple[int, tuple]:
     """(width, concepts in file order) of a class file's text."""
     n = None
-    seen: dict = {}
-    concepts = []
+    seen: dict = {}     # concept -> line, in file order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if n is None:
             if not line.startswith("n="):
@@ -354,19 +400,16 @@ def _parse_class(text: str) -> tuple[int, tuple]:
             continue
         if len(line) != n:
             raise ParseError(f"concept {line!r} has width {len(line)}, expected {n}", line=lineno)
-        try:
-            c = concept_from_string(line)
-        except ParseError as e:
-            raise ParseError(str(e), line=lineno) from None
-        if c in seen:
-            raise ParseError(f"duplicate concept {line!r} (first at line {seen[c]})", line=lineno)
-        seen[c] = lineno
-        concepts.append(c)
+        if line.strip("01"):
+            raise ParseError(_bad_character(line), line=lineno)
+        first = seen.setdefault(int(line[::-1], 2), lineno)
+        if first != lineno:
+            raise ParseError(f"duplicate concept {line!r} (first at line {first})", line=lineno)
     if n is None:
         raise ParseError("empty file: missing 'n=' header")
-    if not concepts:
+    if not seen:
         raise ParseError("class file contains no concepts")
-    return n, tuple(concepts)
+    return n, tuple(seen)
 
 
 def read_class_file(path) -> ConceptClass:
@@ -417,7 +460,7 @@ def _parse_repmap(text: str, n: Optional[int] = None) -> tuple[dict, int]:
     r: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         parts = line.split("->")
         if len(parts) != 2:

@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import core, graph, shatter
 from .core import ConceptClass, bits_of, full_mask, popcount
@@ -82,8 +81,7 @@ def random_downset_class(n: int, seed: int) -> ConceptClass:
     return ConceptClass(n, tuple(downsets))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     kind: str
     n: int = 0
     d: int = 0

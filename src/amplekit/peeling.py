@@ -2,16 +2,14 @@
 collapsing sequences, and the shelling correspondence."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import core, graph, shatter
 from .core import ConceptClass, Cube, bits_of, popcount
 from .errors import ContractError, IntegrityError, OrderingValidationError
 
 
-@dataclass(frozen=True)
-class OrderingReport:
+class OrderingReport(NamedTuple):
     ample: bool
     corner_peeling: bool
     isometric: bool
@@ -52,8 +50,7 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
     return OrderingReport(ample, corner, isometric, weak)
 
 
-@dataclass(frozen=True)
-class PeelingResult:
+class PeelingResult(NamedTuple):
     ordering: Optional[tuple]
     proven: bool          # meaningful when ordering is None: search space exhausted
     expansions: int
@@ -281,8 +278,7 @@ def replay_collapse(C: ConceptClass, seq: CollapseSequence, survivor: Optional[i
 
 # -- shelling correspondence --------------------------------------------------
 
-@dataclass(frozen=True)
-class ShellingOrder:
+class ShellingOrder(NamedTuple):
     """Ordering of cross-polytope facets; facet sigma is encoded as a concept
     bitmask (bit x set = the positive element of the antipodal pair x)."""
 

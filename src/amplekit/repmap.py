@@ -7,8 +7,7 @@ the class to a coordinate-set bitmask.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import core, graph, matching, shatter
 from .core import ConceptClass, Cube, bit, bits_of, coords, popcount
@@ -29,14 +28,12 @@ from .core import (  # noqa: F401
 RepMap = dict
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     ok: bool
     witness: object = None
 
 
-@dataclass(frozen=True)
-class RepMapReport:
+class RepMapReport(NamedTuple):
     r1: Check
     r2: Check
     r3: Check
@@ -113,9 +110,12 @@ def _check_c2(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Check:
     return Check(True)
 
 
-def verify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
+def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> RepMapReport:
+    """Every check, exhaustively; `tags` is `graph.cube_tags(C)` when the
+    caller already has it."""
     _check_total(C, r)
-    tags = graph.cube_tags(C)
+    if tags is None:
+        tags = graph.cube_tags(C)
     image = list(r.values())
     if len(set(image)) != len(image):
         dup = next(v for v in image if image.count(v) > 1)
@@ -165,7 +165,7 @@ def certify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
             and all(c & ~r[c] in tags[r[c]] for c in C)
             and _check_c2(C, r, tags).ok):
         return RepMapReport(*[Check(True)] * 7)
-    return verify_repmap(C, r)
+    return verify_repmap(C, r, tags)
 
 
 # -- construction for maximum classes -----------------------------------------
@@ -289,8 +289,7 @@ def _check_orientation(C: ConceptClass, o: RepMap) -> None:
                 raise ContractError("edge oriented both ways")
 
 
-@dataclass(frozen=True)
-class UsoReport:
+class UsoReport(NamedTuple):
     is_orientation: bool
     c1: Check
     c2: Check
@@ -446,8 +445,7 @@ def _pre_rep_c2_rec(concepts: tuple) -> dict:
 
 # -- ISR instances ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ISRInstance:
+class ISRInstance(NamedTuple):
     C: ConceptClass
     vertices: tuple        # (concept, coordset) pairs
     parts: dict            # concept -> tuple of vertex indices
@@ -484,8 +482,7 @@ def isr_instance(C: ConceptClass) -> ISRInstance:
     return ISRInstance(C, tuple(vertices), parts, tuple(sorted(edges)))
 
 
-@dataclass(frozen=True)
-class ISRResult:
+class ISRResult(NamedTuple):
     assignment: Optional[dict]   # concept -> coordset
     proven: bool                 # exhaustive when no assignment found
     expansions: int
@@ -532,8 +529,7 @@ def isr_solve(inst: ISRInstance, budget: int = 10**6) -> ISRResult:
 
 # -- tail matching ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailMatchingReport:
+class TailMatchingReport(NamedTuple):
     coord: int
     reduced: ConceptClass            # C^x over the re-indexed domain
     tails: tuple                     # tail concepts, re-indexed

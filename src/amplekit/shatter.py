@@ -1,18 +1,16 @@
 """Shattering, VC dimension, and recognition of ample / maximum classes."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import core, graph
 from .core import ConceptClass, Cube, bits_of, coords, mask_of, popcount
 from .errors import ContractError
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(NamedTuple):
     """A simplicial complex on coordinates 1..n, members as bitmasks."""
 
     n: int
@@ -128,8 +126,7 @@ def is_maximum(C: ConceptClass) -> bool:
     return C.size == phi(vc_dim(C), C.n)
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     """The invariants reported by `check` and `batch`."""
 
     n: int
@@ -156,8 +153,7 @@ def summary(C: ConceptClass) -> Summary:
                    ample=sh.size == C.size, maximum=C.size == phi(d, C.n))
 
 
-@dataclass(frozen=True)
-class ForbiddenLabel:
+class ForbiddenLabel(NamedTuple):
     """A labelled set of d+1 coordinates that C cannot realise: C|support misses pattern."""
 
     support: int
@@ -189,8 +185,7 @@ def _missed_labels(concepts, alive: int, d: int) -> dict:
             for sigma in map(mask_of, combinations(coords(alive), d))}
 
 
-@dataclass(frozen=True)
-class AmpleReport:
+class AmpleReport(NamedTuple):
     """Outcomes of the independent ample characterisations.
 
     Each field is True/False, or None when that test was skipped because the

@@ -305,3 +305,20 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["totally-unknown-subcommand"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["peel", "isr"])
+def test_negative_budget_is_a_usage_error(capsys, ball_file, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--budget", "-1", command, ball_file])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "--budget" in out.err
+
+
+def test_zero_budget_is_accepted(capsys, ball_file):
+    # a zero budget is a valid search limit: the search stops at once
+    code, out, _ = run(capsys, "--budget", "0", "peel", ball_file)
+    assert (code, out) == (1, "NOT_PEELABLE budget\n")
+    code, out, _ = run(capsys, "--budget", "0", "isr", ball_file)
+    assert (code, out) == (1, "NO_ASSIGNMENT budget\n")

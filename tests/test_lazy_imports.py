@@ -44,8 +44,13 @@ OLD_EXPORTS = {
 HEAVY = {"amplekit.repmap", "amplekit.shatter", "amplekit.graph", "amplekit.matching",
          "amplekit.peeling", "amplekit.generate"}
 
+# standard-library modules that cost a command's start-up milliseconds
+# (`dataclasses` also imports `inspect`, which imports `ast`, `dis` and
+# `tokenize`) and that no command needs
+START_UP_HEAVY = {"dataclasses", "inspect"}
+
 # runs `python -m amplekit.cli <argv>` in this interpreter, then reports the
-# exit code and the amplekit modules it loaded on stderr's last line
+# exit code and the modules it loaded on stderr's last line
 CLI_RUN = """
 import json, runpy, sys
 sys.argv = ["amplekit", *sys.argv[1:]]
@@ -53,8 +58,7 @@ try:
     runpy.run_module("amplekit.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "amplekit")
-print(json.dumps([code, loaded]), file=sys.stderr)
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
 """
 
 
@@ -63,11 +67,17 @@ def python(code, *args):
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
 
 
-def cli_run(*argv):
-    """(stdout, exit code, set of amplekit modules loaded)"""
+def cli_run_all(*argv):
+    """(stdout, exit code, set of all modules loaded)"""
     proc = python(CLI_RUN, *argv)
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     return proc.stdout, code, set(loaded)
+
+
+def cli_run(*argv):
+    """(stdout, exit code, set of amplekit modules loaded)"""
+    out, code, loaded = cli_run_all(*argv)
+    return out, code, {m for m in loaded if m.split(".")[0] == "amplekit"}
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +114,23 @@ def test_compress_loads_none_of_the_heavy_modules(ball_files):
                                 "--sample", "x1=1,x2=1,x3=0")
     assert (out, code) == ("{" + ",".join(map(str, core.coords(r[c]))) + "}\n", 0)
     assert "amplekit.compress" in loaded and not loaded & HEAVY
+
+
+def test_commands_load_no_heavy_standard_modules(ball_files):
+    bare = set(python("import sys; print(' '.join(sys.modules))").stdout.split())
+    cls, rep, _ = ball_files
+    runs = {
+        "compress": ("compress", cls, "--repmap", rep, "--sample", "x1=1,x3=0"),
+        "decompress": ("decompress", "--repmap", rep, "--set", "{}"),
+        "check": ("check", cls),
+        "peel": ("peel", cls),
+        "repmap build": ("repmap", "build", cls),
+        "generate": ("generate", "--kind", "random_ample", "--n", "6", "--size", "20"),
+    }
+    for name, argv in runs.items():
+        out, code, loaded = cli_run_all(*argv)
+        assert code == 0 and out, name
+        assert not (loaded - bare) & START_UP_HEAVY, (name, (loaded - bare) & START_UP_HEAVY)
 
 
 def test_old_exports_resolve_lazily_to_their_module_objects():

@@ -193,6 +193,29 @@ def test_cube_tags_built_once_per_call(monkeypatch):
         assert builds(repmap.pre_rep_c2, A) == [A]
 
 
+def test_certify_fallback_builds_the_complex_once(monkeypatch):
+    C = generate.hamming_ball(10, 3)
+    r = repmap.build_maximum_repmap(C)
+    a, b = C.concepts[3], C.concepts[40]
+    r[a], r[b] = r[b], r[a]
+    expected = repmap.verify_repmap(C, r)
+    assert not expected.valid
+
+    built = []
+    cube_tags = graph.cube_tags
+
+    def counted(D):
+        built.append(D)
+        return cube_tags(D)
+
+    monkeypatch.setattr(graph, "cube_tags", counted)
+    report = repmap.certify_repmap(C, r)
+    assert built == [C]
+    # the same report as from scratch, witnesses included
+    assert report == expected
+    assert [c.witness for c in report] == [c.witness for c in expected]
+
+
 # ----------------------------------------------------------- cube sources
 
 def test_incomplete_cube_sources_examples():
@@ -690,7 +713,7 @@ def test_certify_c1_lookup_every_bijection_n_le_3(monkeypatch):
     # the same complex each time, built once per class
     monkeypatch.setattr(graph, "cube_tags", functools.lru_cache(graph.cube_tags))
     monkeypatch.setattr(repmap, "_check_c2", lambda C, r, tags=None: repmap.Check(True))
-    monkeypatch.setattr(repmap, "verify_repmap", lambda C, r: fallback)
+    monkeypatch.setattr(repmap, "verify_repmap", lambda C, r, tags=None: fallback)
     seen = {True: 0, False: 0}
     for n in (1, 2, 3):
         for C in ample_classes(n):
