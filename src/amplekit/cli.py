@@ -33,7 +33,7 @@ def _coords(parts, n: int) -> list[int]:
     out = []
     for part in parts:
         try:
-            x = int(part)
+            x = core.parse_decimal(part)
         except ValueError:
             raise ParseError(f"bad coordinate {part.strip()!r}") from None
         if not 1 <= x <= n:

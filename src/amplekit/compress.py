@@ -46,8 +46,8 @@ def parse_sample(text: str, n: int = core.MAX_WIDTH) -> Sample:
             raise ParseError(f"bad sample entry {part!r}")
         xs, _, vs = part[1:].partition("=")
         try:
-            x = int(xs)
-            v = int(vs)
+            x = core.parse_decimal(xs)
+            v = core.parse_decimal(vs)
         except ValueError:
             raise ParseError(f"bad sample entry {part!r}") from None
         if v not in (0, 1):

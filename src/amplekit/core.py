@@ -104,6 +104,16 @@ def concept_from_string(s: str) -> int:
     return int(s[::-1], 2) if s else 0
 
 
+def parse_decimal(s: str) -> int:
+    """The value of a string of ASCII digits, surrounding whitespace
+    stripped; ValueError for anything else.  int() alone would also take
+    signs, '_' and non-ASCII digits."""
+    digits = s.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal number: {s!r}")
+    return int(digits)
+
+
 def _bad_character(s: str) -> str:
     """The error message for a concept string with a character not 0/1."""
     ch = next(ch for ch in s if ch not in "01")
@@ -392,7 +402,7 @@ def _parse_class(text: str) -> tuple[int, tuple]:
             if not line.startswith("n="):
                 raise ParseError("expected header 'n=<int>'", line=lineno)
             try:
-                n = int(line[2:])
+                n = parse_decimal(line[2:])
             except ValueError:
                 raise ParseError(f"bad width {line[2:]!r}", line=lineno) from None
             if not 1 <= n <= MAX_WIDTH:

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from . import core, graph, shatter
-from .core import ConceptClass, bits_of, full_mask, popcount
+from .core import ConceptClass, bits_of, full_mask
 from .errors import ContractError, DomainError
 
 
@@ -17,7 +18,10 @@ def hamming_ball(n: int, d: int) -> ConceptClass:
     """All concepts of weight at most d; maximum of VC-dimension d."""
     if not 0 <= d <= n:
         raise ContractError(f"radius {d} outside 0..{n}")
-    return ConceptClass(n, tuple(c for c in range(1 << n) if popcount(c) <= d))
+    # enumerated by weight, never scanning all 2^n masks; ConceptClass sorts
+    dirs = [1 << i for i in range(n)]
+    return ConceptClass(n, tuple(sum(ys) for k in range(d + 1)
+                                 for ys in combinations(dirs, k)))
 
 
 def simplicial_class(n: int, facets) -> ConceptClass:

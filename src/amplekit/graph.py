@@ -25,17 +25,48 @@ def is_connected(C: ConceptClass) -> bool:
 
 
 def cube_tags(C: ConceptClass) -> dict:
-    """support -> set of tags of all full support-cubes in C, grown levelwise.
+    """support -> set of tags of all full support-cubes in C, walked cube by
+    cube, so that the work is proportional to the number of cubes.
 
-    A (Y|x)-cube with tag t exists iff both t and t|x are tags of Y-cubes.
+    Each Y-cube with tag t carries its up-mask M_Y(t): the directions b
+    above the top coordinate of Y, with b not in t, for which t | b is also
+    a tag of a Y-cube.  A (Y|b)-cube with tag t exists iff the Y-cubes with
+    tags t and t|b both exist, so the children of (t, Y) are exactly the
+    cubes (t, Y|b) for b in M_Y(t).  For b' above b, the cube (t, Y|b|b')
+    exists iff the Y-cubes with tags t, t|b, t|b' and t|b|b' all do, that
+    is iff b' lies in both M_Y(t) and M_Y(t|b); so
+    M_{Y|b}(t) = (M_Y(t) above b) & M_Y(t|b).  At the bottom,
+    M_0(c) = N(c) & ~c, with N(c) the neighbour directions of c.
+
+    Each support Z is generated exactly once, from its facet Z minus its
+    top coordinate, with all its tags at once; no candidate fails.  Levels
+    are walked in order and each support's children in ascending b, so the
+    keys come by size, then lexicographically on the ascending coordinates.
     """
-    def grow(Z: int, tags: dict) -> set:
-        if not Z:
-            return set(C.concepts)
-        base, split = min(((tags[Z ^ b], b) for b in bits_of(Z)), key=lambda p: len(p[0]))
-        return {t for t in base if not t & split and (t | split) in base}
-
-    return core.levelwise(bits_of(C.domain_mask), grow)
+    s, n = C.concept_set, C.n
+    tags: dict = {}
+    level = {0: {c: _neighbour_dirs(s, c, n) & ~c for c in C.concepts}}
+    while level:
+        nxt: dict = {}
+        for Y, up in level.items():
+            tags[Y] = set(up)
+            children: dict = {}
+            for t, m in up.items():
+                while m:
+                    b = m & -m
+                    # m keeps the directions of M_Y(t) above b
+                    m ^= b
+                    child = children.get(b)
+                    if child is None:
+                        child = children[b] = {}
+                    child[t] = m & up[t | b]
+            # Y's masks are spent: freed now, so that memory holds about one
+            # level of masks at a time, not two
+            up.clear()
+            for b in sorted(children):
+                nxt[Y | b] = children[b]
+        level = nxt
+    return tags
 
 
 def all_cubes(C: ConceptClass) -> list[Cube]:
@@ -77,10 +108,14 @@ def cubes_through(C: ConceptClass, c: int) -> list[Cube]:
     return [Cube(c & ~Y, Y) for Y in sorted(good)]
 
 
+# single-bit masks of coordinates 1..MAX_WIDTH, ascending
+_DIRS = tuple(1 << i for i in range(core.MAX_WIDTH))
+
+
 def _neighbour_dirs(s, c: int, n: int) -> int:
     """Mask of the directions b among n coordinates with c ^ b in s."""
     N = 0
-    for b in bits_of(core.full_mask(n)):
+    for b in _DIRS[:n]:
         if c ^ b in s:
             N |= b
     return N

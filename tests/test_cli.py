@@ -94,7 +94,7 @@ def test_repmap_build_verify_and_compress(capsys, tmp_path, ball_file):
     assert out.strip() == "010"
 
 
-@pytest.mark.parametrize("bad_set", ["{0}", "{a}", "{4}"])
+@pytest.mark.parametrize("bad_set", ["{0}", "{a}", "{4}", "{+1, ٩}", "{+1}", "{١}", "{1_0}"])
 def test_decompress_bad_set_exits_2(capsys, tmp_path, ball_file, bad_set):
     code, out, _ = run(capsys, "repmap", "build", ball_file)
     rp = tmp_path / "ball.rep"
@@ -264,6 +264,14 @@ def test_generate_simplicial_facets(capsys):
     want = generate.simplicial_class(4, [core.mask_of([1, 2]), core.mask_of([3, 4])])
     assert core.parse_class_text(out) == want
     assert want.size == 7
+
+
+@pytest.mark.parametrize("facets", ["+1,2", "1,٢", "1_0", "1;-2"])
+def test_generate_simplicial_facets_take_only_ascii_digits(capsys, facets):
+    code, out, err = run(capsys, "generate", "--kind", "simplicial", "--n", "12",
+                         "--facets", facets)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad coordinate") and "Traceback" not in err
 
 
 def test_generate_emit_ingest_round_trip(capsys, tmp_path):

@@ -34,14 +34,35 @@ class_maps = st.lists(st.integers(0, 7), min_size=C.size, max_size=C.size).map(
     lambda images: repmap.format_repmap(dict(zip(C.concepts, images)), C.n))
 repmap_texts = st.one_of(st.just(GOOD), class_maps,
                          st.lists(lines, max_size=8).map("\n".join))
+# characters int() takes in an integer field and the CLI refuses: a sign,
+# '_', and Arabic-Indic, Devanagari and fullwidth digits
+ODD = "+_\u0661\u0663\u0969\uff11"
+
+
+def with_odd(texts):
+    """The texts, each with one character of ODD inserted somewhere."""
+    return st.builds(lambda s, i, ch: s[:i % (len(s) + 1)] + ch + s[i % (len(s) + 1):],
+                     texts, st.integers(0, 20), st.sampled_from(ODD))
+
+
+def has_odd(text):
+    return any(ch in ODD for ch in text)
+
+
+well_formed_samples = st.lists(
+    st.tuples(st.integers(-1, 5), st.integers(-1, 2)), max_size=4).map(
+        lambda kv: ",".join(f"x{k}={v}" for k, v in kv))
 samples = st.one_of(
-    st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 2)), max_size=4).map(
-        lambda kv: ",".join(f"x{k}={v}" for k, v in kv)),
-    st.text("x0123456789=,- ", max_size=15))
+    well_formed_samples,
+    with_odd(well_formed_samples),
+    st.text("x0123456789=,- " + ODD, max_size=15))
+well_formed_sets = st.lists(st.integers(-1, 5), max_size=4).map(
+    lambda xs: "{" + ",".join(map(str, xs)) + "}")
 sets = st.one_of(
-    st.lists(st.integers(-1, 5), max_size=4).map(
-        lambda xs: "{" + ",".join(map(str, xs)) + "}"),
-    st.text("{}0123456789,- a", max_size=10))
+    well_formed_sets,
+    with_odd(well_formed_sets),
+    st.text("{}0123456789,- a" + ODD, max_size=10))
+headers = with_odd(st.sampled_from(("3", "03", " 3", "10", "")))
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +87,7 @@ def assert_contract(argv):
     code, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
+    return code
 
 
 @FUZZ
@@ -81,7 +103,9 @@ def test_fuzz_repmap_verify(paths, text):
 def test_fuzz_compress(paths, text, sample):
     cls, rep = paths
     rep.write_text(text, encoding="utf-8")
-    assert_contract(["compress", cls, "--repmap", str(rep), f"--sample={sample}"])
+    code = assert_contract(["compress", cls, "--repmap", str(rep), f"--sample={sample}"])
+    if has_odd(sample):
+        assert code == 2, sample
 
 
 @FUZZ
@@ -89,7 +113,28 @@ def test_fuzz_compress(paths, text, sample):
 def test_fuzz_decompress(paths, text, alpha):
     _, rep = paths
     rep.write_text(text, encoding="utf-8")
-    assert_contract(["decompress", "--repmap", str(rep), f"--set={alpha}"])
+    code = assert_contract(["decompress", "--repmap", str(rep), f"--set={alpha}"])
+    if has_odd(alpha):
+        assert code == 2, alpha
+
+
+@FUZZ
+@given(sample=with_odd(well_formed_samples), alpha=with_odd(well_formed_sets))
+def test_fuzz_odd_integer_fields_exit_2_on_a_valid_map(paths, sample, alpha):
+    # with a valid map, the sample or set is all that can be refused
+    cls, rep = paths
+    rep.write_text(GOOD, encoding="utf-8")
+    assert assert_contract(
+        ["compress", cls, "--repmap", str(rep), f"--sample={sample}"]) == 2, sample
+    assert assert_contract(["decompress", "--repmap", str(rep), f"--set={alpha}"]) == 2, alpha
+
+
+@FUZZ
+@given(header=headers)
+def test_fuzz_check_refuses_a_header_width_with_odd_characters(paths, header):
+    _, rep = paths
+    rep.write_text(f"n={header}\n000\n100\n", encoding="utf-8")
+    assert assert_contract(["check", str(rep)]) == 2, header
 
 
 # ---------------------------------------------------------------- check

@@ -33,6 +33,12 @@ def test_sample_rejects_unsorted_or_malformed():
         compress.parse_sample("x1=0,x1=1")
 
 
+@pytest.mark.parametrize("text", ["x١٢=1", "x1=+1", "x+1=0", "x1_0=1", "x1=٠", "x=1", "x1="])
+def test_sample_fields_take_only_ascii_digits(text):
+    with pytest.raises(ParseError, match="bad sample entry"):
+        compress.parse_sample(text)
+
+
 def test_realizable_samples():
     samples = compress.realizable_samples(PATH3, mask_of([1, 2]))
     assert len(samples) == 3

@@ -245,6 +245,20 @@ def test_class_file_round_trip(tmp_path):
     assert p.read_text() == CANONICAL
 
 
+@pytest.mark.parametrize("header", ["n=+1_0", "n=1_0", "n=٣", "n=-3", "n=", "n=3.0", "n=0x3"])
+def test_class_header_width_takes_only_ascii_digits(header):
+    with pytest.raises(ParseError, match="bad width"):
+        core.parse_class_text(f"{header}\n000\n")
+
+
+def test_parse_decimal():
+    assert core.parse_decimal(" 12 ") == 12
+    assert core.parse_decimal("007") == 7
+    for s in ("", " ", "+1", "-1", "1_0", "١٢", "٩", "1.0", "²", "0b1"):
+        with pytest.raises(ValueError):
+            core.parse_decimal(s)
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         core.parse_class_text("")

@@ -30,6 +30,18 @@ def test_hamming_ball_is_maximum():
         generate.hamming_ball(3, -1)
 
 
+def test_hamming_ball_matches_the_weight_scan():
+    for n in range(11):
+        for d in range(n + 1):
+            scan = ConceptClass(n, tuple(c for c in range(1 << n) if bin(c).count("1") <= d))
+            C = generate.hamming_ball(n, d)
+            assert C == scan
+            assert core.format_class(C) == core.format_class(scan)
+    C = generate.hamming_ball(24, 3)
+    assert C.size == shatter.phi(3, 24) == 2325
+    assert max(C.concepts) == 0b111 << 21
+
+
 def test_simplicial_bouquet():
     C = generate.simplicial_class(2, [mask_of([1, 2])])
     assert C == ConceptClass.of(2, range(4))

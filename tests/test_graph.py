@@ -49,6 +49,21 @@ def cubes_oracle(C):
     return out
 
 
+def cube_tags_levelwise_oracle(C):
+    """X(C) grown levelwise, as `graph.cube_tags` did before its cube walk:
+    each candidate support Z, proposed once its facets are all members,
+    takes the tags t of its smallest facet Z - {b} with t | b a tag of that
+    facet too."""
+    def grow(Z, tags):
+        if not Z:
+            return set(C.concepts)
+        base, split = min(((tags[Z ^ b], b) for b in core.bits_of(Z)),
+                          key=lambda p: len(p[0]))
+        return {t for t in base if not t & split and (t | split) in base}
+
+    return core.levelwise(core.bits_of(C.domain_mask), grow)
+
+
 def maximal_cubes_oracle(C):
     cubes = cubes_oracle(C)
 
@@ -112,6 +127,42 @@ def test_cube_tags_and_cubes_through_match_oracle_random_n5_n6():
             got = [(B.tag, B.support) for B in graph.cubes_through(C, c)]
             assert len(got) == len(set(got))
             assert set(got) == {(t, S) for t, S in cubes if c & ~S == t}
+
+
+def cube_tags_cases():
+    from amplekit import generate
+    for n in range(17):
+        for d in range(min(n, 3) + 1):
+            yield generate.hamming_ball(n, d)
+    yield generate.hamming_ball(24, 3)
+    yield core.complement(generate.hamming_ball(10, 3))
+    yield core.product(generate.hamming_ball(6, 2), generate.random_ample(6, 30, seed=3))
+    rng = random.Random(10)
+    # dense and not ample: many more shattered sets than cube supports
+    yield ConceptClass(10, tuple(c for c in range(1 << 10) if rng.random() < 0.8))
+    for seed in range(4):
+        yield generate.random_ample(8, 48, seed=seed)
+    yield from random_classes()
+
+
+def test_cube_tags_matches_the_levelwise_oracle_with_key_order():
+    for C in cube_tags_cases():
+        got, want = graph.cube_tags(C), cube_tags_levelwise_oracle(C)
+        assert got == want
+        assert list(got) == list(want)
+        assert all(type(ts) is set for ts in got.values())
+
+
+def test_cube_tags_on_balls_closed_form():
+    # the Y-cubes of B(n,d) are the tags of weight at most d - |Y| off Y
+    from amplekit import generate
+    for n, d in [(n, d) for n in range(1, 11) for d in range(n + 1)] + [(24, 3)]:
+        tags = graph.cube_tags(generate.hamming_ball(n, d))
+        assert len(tags) == shatter.phi(d, n)
+        for Y, ts in tags.items():
+            k = core.popcount(Y)
+            assert k <= d
+            assert len(ts) == shatter.phi(d - k, n - k)
 
 
 def test_corners_examples():
