@@ -224,78 +224,148 @@ def cmd_shelling(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="amplekit",
-                                description="tools for ample concept classes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10**6)
-    sub = p.add_subparsers(dest="command", required=True)
+def _decimal(text: str) -> int:
+    """argparse type of `--seed`: ASCII digits only (see
+    `core.parse_decimal`), where int() would also take a sign, '_' and
+    non-ASCII digits."""
+    return core.parse_decimal(text)
 
-    sp = sub.add_parser("check", help="shattering / ample / maximum summary")
+
+def _signed_decimal(text: str) -> int:
+    """argparse type of the integer options with a range check: `_decimal`
+    or '-' followed by ASCII digits, so that a negative value reaches the
+    range check and its message."""
+    t = text.strip()
+    if t.startswith("-") and t[1:].isascii() and t[1:].isdigit():
+        return -int(t[1:])
+    return core.parse_decimal(t)
+
+
+# argparse names the type in its error: "invalid int value: '...'"
+_decimal.__name__ = _signed_decimal.__name__ = "int"
+
+
+class _Subcommand:
+    """A subparser that is built only when the command line selects it.
+
+    `add_parser` makes one of these per command (the `parser_class` of the
+    subparsers action) and keeps the command's help line for the top-level
+    help; the argparse parser and its arguments are made by `build` on the
+    first parse, so a run builds one subparser, not all of them.
+    """
+
+    def __init__(self, *, prog: str, build):
+        self.prog = prog
+        self.build = build
+
+    def parse_known_args(self, args=None, namespace=None):
+        p = argparse.ArgumentParser(prog=self.prog)
+        self.build(p)
+        return p.parse_known_args(args, namespace)
+
+
+def _check_args(sp):
     sp.add_argument("file")
     sp.set_defaults(func=cmd_check)
 
-    sp = sub.add_parser("graph", help="one-inclusion graph")
+
+def _graph_args(sp):
     sp.add_argument("file")
     sp.add_argument("--dot", action="store_true")
     sp.set_defaults(func=cmd_graph)
 
-    sp = sub.add_parser("peel", help="corner peeling")
+
+def _peel_args(sp):
     sp.add_argument("file")
     sp.add_argument("--algorithm", choices=("greedy", "antimatroid", "twodim"),
                     default="greedy")
     sp.set_defaults(func=cmd_peel)
 
-    sp = sub.add_parser("repmap", help="representation maps")
+
+def _repmap_args(sp):
     sp.add_argument("action", choices=("build", "verify"))
     sp.add_argument("file")
     sp.add_argument("--repmap")
     sp.set_defaults(func=cmd_repmap)
 
-    sp = sub.add_parser("isr", help="independent system of representatives")
+
+def _isr_args(sp):
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_isr)
 
-    sp = sub.add_parser("tailmatch", help="tail/forbidden-label matching")
+
+def _tailmatch_args(sp):
     sp.add_argument("file")
-    sp.add_argument("-x", type=int, required=True)
+    sp.add_argument("-x", type=_signed_decimal, required=True)
     sp.set_defaults(func=cmd_tailmatch)
 
-    sp = sub.add_parser("compress", help="compress a sample to a coordinate set")
+
+def _compress_args(sp):
     sp.add_argument("file")
     sp.add_argument("--repmap", required=True)
     sp.add_argument("--sample", required=True)
     sp.set_defaults(func=cmd_compress)
 
-    sp = sub.add_parser("decompress", help="reconstruct a concept from a set")
+
+def _decompress_args(sp):
     sp.add_argument("--repmap", required=True)
     sp.add_argument("--set", required=True)
     sp.set_defaults(func=cmd_decompress)
 
-    sp = sub.add_parser("generate", help="generate a class file")
+
+def _generate_args(sp):
     sp.add_argument("--kind", required=True,
                     choices=("cube", "hamming_ball", "simplicial", "random_ample"))
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, default=0)
-    sp.add_argument("--size", type=int, default=0)
+    sp.add_argument("--n", type=_signed_decimal, required=True)
+    sp.add_argument("--d", type=_signed_decimal, default=0)
+    sp.add_argument("--size", type=_signed_decimal, default=0)
     sp.add_argument("--facets", default="")
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_generate)
 
-    sp = sub.add_parser("batch", help="summary CSV over class files")
+
+def _batch_args(sp):
     sp.add_argument("files", nargs="+")
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_batch)
 
-    sp = sub.add_parser("collapse", help="cubical collapse sequence")
+
+def _collapse_args(sp):
     sp.add_argument("file")
     sp.set_defaults(func=cmd_collapse)
 
-    sp = sub.add_parser("shelling", help="ordering (file line order) -> shelling")
+
+def _shelling_args(sp):
     sp.add_argument("file")
     sp.set_defaults(func=cmd_shelling)
 
+
+# name -> (help line, builder of the subparser's arguments), in help order
+COMMANDS = {
+    "check": ("shattering / ample / maximum summary", _check_args),
+    "graph": ("one-inclusion graph", _graph_args),
+    "peel": ("corner peeling", _peel_args),
+    "repmap": ("representation maps", _repmap_args),
+    "isr": ("independent system of representatives", _isr_args),
+    "tailmatch": ("tail/forbidden-label matching", _tailmatch_args),
+    "compress": ("compress a sample to a coordinate set", _compress_args),
+    "decompress": ("reconstruct a concept from a set", _decompress_args),
+    "generate": ("generate a class file", _generate_args),
+    "batch": ("summary CSV over class files", _batch_args),
+    "collapse": ("cubical collapse sequence", _collapse_args),
+    "shelling": ("ordering (file line order) -> shelling", _shelling_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="amplekit",
+                                description="tools for ample concept classes")
+    p.add_argument("--seed", type=_decimal, default=0)
+    p.add_argument("--budget", type=_signed_decimal, default=10**6)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, (help_line, build) in COMMANDS.items():
+        sub.add_parser(name, help=help_line, build=build)
     return p
 
 

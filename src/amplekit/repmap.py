@@ -96,18 +96,53 @@ def _check_c1(C: ConceptClass, r: RepMap) -> Check:
 
 
 def _check_c2(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Check:
-    """Unique sink on every cube of C, visiting each cube's own vertices (a
-    concept lies in at most one cube per support, so this is never more
-    than |X(C)|·|C| steps); `tags` is `graph.cube_tags(C)` when the caller
-    already has it.  The witness is the first failing cube by (support, tag)."""
+    """Unique sink on every cube of C, in O(1) per cube; `tags` is
+    `graph.cube_tags(C)` when the caller already has it.  The witness is
+    the first failing cube by (support, tag).
+
+    A sink of a cube (t, Y) is a vertex v with r(v) & Y = 0.  Let b be the
+    lowest coordinate of Y and Y' = Y - b.  The vertices of (t, Y) are
+    those of its two b-facets (t, Y') and (t | b, Y'), and v is a sink of
+    (t, Y) iff it is a sink of its facet and b is not in r(v).  So if each
+    facet has one sink, s1 and s2, C2 holds on (t, Y) iff exactly one of
+    r(s1), r(s2) holds b, and the sink is the other one.  The supports are
+    walked depth first from 0, each Y with children Y | b for b below its
+    lowest coordinate in ascending order; the subtree of Y is then the
+    integer range [Y, Y + lowest bit of Y), so the supports come in
+    ascending order and every facet support Y' comes before Y.  Until the
+    first failing support, every cube seen so far has one sink, so each
+    cube of that support is judged exactly; its smallest failing tag is the
+    witness.  Only the images r(s) of the sinks on the current path of
+    supports are kept.
+    """
     if tags is None:
         tags = graph.cube_tags(C)
-    for Y, ts in sorted(tags.items()):
-        for t in sorted(ts):
-            B = Cube(t, Y)
-            if sum(1 for v in B.vertices() if not r[v] & Y) != 1:
-                return Check(False, B)
-    return Check(True)
+
+    def down(Y: int, sink_r: dict) -> Optional[Cube]:
+        # sink_r: tag -> r(sink) of each Y-cube, every one with a unique sink
+        b = 1
+        low = Y & -Y or 1 << C.n
+        while b < low:
+            ts = tags.get(Y | b)
+            if ts is not None:
+                child, bad = {}, []
+                for t in ts:
+                    a, c = sink_r[t], sink_r[t | b]
+                    if (a ^ c) & b:
+                        child[t] = c if a & b else a
+                    else:
+                        bad.append(t)
+                if bad:
+                    return Cube(min(bad), Y | b)
+                failed = down(Y | b, child)
+                if failed is not None:
+                    return failed
+            b <<= 1
+        return None
+
+    # each 0-cube {c} is its own sink, so r itself serves for support 0
+    failed = down(0, r)
+    return Check(True) if failed is None else Check(False, failed)
 
 
 def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> RepMapReport:
@@ -558,11 +593,14 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     tail = core.tail(C, x)
     tails = tail.concepts if tail is not None else ()
     labels = tuple(sorted((sigma, p) for sigma, ps in
-                          shatter._missed_labels(red, red.domain_mask, d).items()
+                          shatter._missed_labels(red.concepts, red.domain_mask, d).items()
                           for p in ps))
     edges = tuple((t, i) for t in tails
                   for i, (sigma, pat) in enumerate(labels) if t & sigma == pat)
-    adj = {t: [i for tt, i in edges if tt == t] for t in tails}
+    # edges come grouped by tail, labels ascending within each tail
+    adj: dict = {t: [] for t in tails}
+    for t, i in edges:
+        adj[t].append(i)
     m = matching.hopcroft_karp(adj)
     if len(tails) != len(labels) or len(m) != len(tails):
         status = "no_perfect_matching"

@@ -1,12 +1,11 @@
 """Shattering, VC dimension, and recognition of ample / maximum classes."""
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
 
 from . import core, graph
-from .core import ConceptClass, Cube, bits_of, coords, mask_of, popcount
+from .core import ConceptClass, Cube, bits_of, coords, popcount
 from .errors import ContractError
 
 
@@ -30,20 +29,65 @@ class SetFamily(NamedTuple):
         return len(self.members)
 
 
+def _fibre_walk(concepts, alive: int, d: int, prune: bool, visit) -> None:
+    """Call visit(Y, fibres) on coordinate sets Y of the alive coordinates,
+    depth first in `combinations` order, from Y = 0 up to |Y| = d.
+
+    fibres[i] is the set of indices j with concepts[j] & Y = p_i, as an int
+    bitset, where p_0 < p_1 < ... are the 2^|Y| patterns over Y.  Each
+    concept's bits are kept as one column bitset per coordinate, and a set
+    Y | b (b above the top coordinate of Y) splits every fibre of Y by the
+    column of b: the part without b keeps index i, the part with b takes
+    index i + 2^|Y|, so the new patterns are the high half and the index
+    order stays the pattern order.  Only the fibres of the current path
+    are alive: on a path to a k-set, fewer than 2^(k+1) bitsets of
+    len(concepts) bits, besides the columns.
+
+    Y is shattered iff all its fibres are nonempty.  With prune, only
+    shattered sets are visited: shattered sets are closed under subsets, so
+    a child is dropped at its first empty fibre.  Without prune, only the
+    sets on a path to a d-set are visited, and each of those is, whatever
+    its fibres.
+    """
+    bs = bits_of(alive)
+    m = len(bs)
+    full = (1 << len(concepts)) - 1
+    cols = []
+    for b in bs:
+        col = int("".join(["1" if c & b else "0" for c in reversed(concepts)]) or "0", 2)
+        cols.append((col, full & ~col))
+
+    def down(Y: int, fibres: list, start: int, k: int) -> None:
+        visit(Y, fibres)
+        if k == d:
+            return
+        # without prune, leave enough coordinates above to reach a d-set
+        for i in range(start, m if prune else m - d + k + 1):
+            col, off = cols[i]
+            if prune:
+                lo, hi = [], []
+                for f in fibres:
+                    a, c = f & off, f & col
+                    if not (a and c):
+                        break
+                    lo.append(a)
+                    hi.append(c)
+                else:
+                    down(Y | bs[i], lo + hi, i + 1, k + 1)
+            else:
+                down(Y | bs[i], [f & off for f in fibres] + [f & col for f in fibres],
+                     i + 1, k + 1)
+
+    # the empty set is shattered iff there is a concept
+    if not prune or full:
+        down(0, [full], 0, 0)
+
+
 def _shattered_sets(C: ConceptClass) -> set:
-    """All shattered coordinate sets, grown levelwise by a shattering scan."""
-    return set(core.levelwise(bits_of(C.domain_mask),
-                              lambda Y, _: _is_shattered(C.concepts, Y)))
-
-
-def _is_shattered(concepts, Y: int) -> bool:
-    want = 1 << popcount(Y)
-    seen = set()
-    for c in concepts:
-        seen.add(c & Y)
-        if len(seen) == want:
-            return True
-    return False
+    """All shattered coordinate sets, by the fibre walk."""
+    out: set = set()
+    _fibre_walk(C.concepts, C.domain_mask, C.n, True, lambda Y, _: out.add(Y))
+    return out
 
 
 def _strongly_shattered_sets(C: ConceptClass) -> set:
@@ -167,22 +211,25 @@ def forbidden_labels(C: ConceptClass, Y: int) -> list[ForbiddenLabel]:
     d = vc_dim(C)
     if popcount(Y) != d + 1:
         raise ContractError(f"need a set of size vc_dim+1 = {d + 1}, got {popcount(Y)}")
-    return [ForbiddenLabel(Y, p) for p in _missing_patterns(C, Y)]
-
-
-def _missing_patterns(concepts, Y: int) -> list[int]:
-    """Ascending patterns over Y that the concepts (a class or any iterable
-    of concepts) miss."""
-    seen = {c & Y for c in concepts}
-    return sorted(p for p in Cube(0, Y).vertices() if p not in seen)
+    return [ForbiddenLabel(Y, p) for p in _missed_labels(C.concepts, Y, d + 1)[Y]]
 
 
 def _missed_labels(concepts, alive: int, d: int) -> dict:
-    """sigma -> `_missing_patterns(concepts, sigma)` for every d-subset sigma
-    of the alive coordinates, in `combinations` order: the one scan for the
-    labels a class of dimension d - 1 cannot realise."""
-    return {sigma: _missing_patterns(concepts, sigma)
-            for sigma in map(mask_of, combinations(coords(alive), d))}
+    """sigma -> the ascending patterns over sigma that no concept (of a
+    sequence of concepts) realises, for every d-subset sigma of the alive
+    coordinates in `combinations` order: the patterns of sigma's empty
+    fibres in the unpruned fibre walk, since a class of dimension d - 1
+    that misses a pattern on sigma may also miss one on a subset."""
+    out: dict = {}
+
+    def visit(Y: int, fibres: list) -> None:
+        if popcount(Y) == d:
+            ys = bits_of(Y)
+            out[Y] = [sum(b for j, b in enumerate(ys) if i >> j & 1)
+                      for i, f in enumerate(fibres) if not f]
+
+    _fibre_walk(concepts, alive, d, False, visit)
+    return out
 
 
 class AmpleReport(NamedTuple):
@@ -242,15 +289,15 @@ def _cube_intersections_ok(C: ConceptClass) -> bool:
     return True
 
 
-def _partition_exchange_ok(C: ConceptClass) -> bool:
-    """(C^Y)_Z = (C_Z)^Y for all partitions X = Y ∪̇ Z.
+def _partition_exchange_ok(C: ConceptClass, sh: set) -> bool:
+    """(C^Y)_Z = (C_Z)^Y for all partitions X = Y ∪̇ Z; `sh` is
+    `_shattered_sets(C)`.
 
     With Z the complement of Y both sides live on the empty domain, so the
     identity says: C contains a Y-cube  iff  C|Y is the full cube on Y.
     """
     for Y in range(0, C.domain_mask + 1):
-        has_cube = bool(core.reduction_tags(C.concepts, Y))
-        if has_cube != _is_shattered(C.concepts, Y):
+        if bool(core.reduction_tags(C.concepts, Y)) != (Y in sh):
             return False
     return True
 
@@ -295,7 +342,7 @@ def ample_characterization_report(C: ConceptClass) -> AmpleReport:
         reductions_connected = None
 
     if C.n <= _PARTITION_CAP:
-        partition_exchange = _partition_exchange_ok(C)
+        partition_exchange = _partition_exchange_ok(C, sh)
     else:
         partition_exchange = None
 

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import itertools
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,3 +334,82 @@ def test_zero_budget_is_accepted(capsys, ball_file):
     assert (code, out) == (1, "NOT_PEELABLE budget\n")
     code, out, _ = run(capsys, "--budget", "0", "isr", ball_file)
     assert (code, out) == (1, "NO_ASSIGNMENT budget\n")
+
+
+# ---------------------------------------------------------------- parser
+
+HELP_TEXT = json.loads((Path(__file__).parent / "cli_help_text.json").read_text(encoding="utf-8"))
+
+
+def run_exit(argv):
+    """(exit code, stdout, stderr) of cli.main, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}" != HELP_TEXT["python"],
+                    reason="argparse's help layout differs between Python versions")
+def test_help_usage_and_choice_errors_match_the_recorded_text(monkeypatch):
+    """Top-level and per-command help, the usage line and the invalid-choice
+    and missing-argument errors, byte for byte as printed when every
+    subparser was built up front (recorded at COLUMNS=80)."""
+    monkeypatch.setenv("COLUMNS", str(HELP_TEXT["columns"]))
+    for case in HELP_TEXT["cases"]:
+        assert run_exit(case["argv"]) == (case["code"], case["stdout"], case["stderr"]), \
+            case["argv"]
+
+
+def test_only_the_chosen_subparser_is_built(monkeypatch, ball_file):
+    built = []
+    for name, (help_line, build) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name, (
+            help_line, lambda sp, name=name, build=build: (built.append(name), build(sp))))
+    assert run_exit(["check", ball_file])[0] == 0
+    assert run_exit(["--seed", "3", "tailmatch", ball_file, "-x", "1"])[0] == 0
+    assert run_exit(["--help"])[0] == 0
+    assert built == ["check", "tailmatch"]
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--n", "\u0663"), ("--n", "1_0"), ("--n", "+3"),
+    ("--d", "+1"), ("--d", "\u0969"), ("--d", "-+1"),
+    ("--size", "\uff15"), ("--size", "2_0"),
+    ("--seed", "-1"), ("--seed", "+1"), ("--seed", "\u0969"), ("--seed", "1_0"),
+    ("--budget", "1_000"), ("--budget", "+5"), ("--budget", "-\u0661"),
+])
+def test_integer_options_take_only_ascii_digits(option, value):
+    """A sign, '_' or a non-ASCII digit is a usage error (exit 2) naming the
+    value; `generate --n \u0663 --d +1` printed B(3,1) with exit 0."""
+    opts = {"--n": "4", "--d": "1", "--size": "5", option: value}
+    # `--d=-+1`: as two words, argparse would take -+1 for an option
+    globals_ = [f"{o}={opts.pop(o)}" for o in ("--seed", "--budget") if o in opts]
+    argv = [*globals_, "generate", "--kind", "random_ample",
+            *(f"{o}={v}" for o, v in opts.items())]
+    code, out, err = run_exit(argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"argument {option}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("x", ["\u0662", "+1", "1_0", " +1"])
+def test_tailmatch_coordinate_takes_only_ascii_digits(ball_file, x):
+    code, out, err = run_exit(["tailmatch", ball_file, "-x", x])
+    assert code == 2 and out == ""
+    assert err.rstrip("\n").endswith(f"invalid int value: {x!r}")
+
+
+def test_integer_options_keep_their_range_checks(ball_file):
+    # a negative value still reaches the range check of its option
+    code, _, err = run_exit(["generate", "--kind", "hamming_ball", "--n", "4", "--d", "-1"])
+    assert code == 2 and err.startswith("error: radius -1 outside 0..4")
+    code, _, err = run_exit(["generate", "--kind", "random_ample", "--n", "4", "--size", "-2"])
+    assert code == 2 and err.startswith("error: size out of range")
+    code, _, err = run_exit(["--budget", "-1", "peel", ball_file])
+    assert code == 2 and err.endswith("argument --budget: must not be negative: -1\n")
+    # surrounding whitespace is taken, as int() took it
+    assert run_exit(["--seed", " 7 ", "generate", "--kind", "cube", "--n", " 2"]) == \
+        run_exit(["--seed", "7", "generate", "--kind", "cube", "--n", "2"])

@@ -137,6 +137,35 @@ def test_fuzz_check_refuses_a_header_width_with_odd_characters(paths, header):
     assert assert_contract(["check", str(rep)]) == 2, header
 
 
+def integer_option_argv(cls, option, value):
+    """A command reading the integer option, with its other arguments valid."""
+    return {
+        "--n": ["generate", "--kind", "hamming_ball", f"--n={value}", "--d=1"],
+        "--d": ["generate", "--kind", "hamming_ball", "--n=5", f"--d={value}"],
+        "--size": ["generate", "--kind", "random_ample", "--n=4", f"--size={value}"],
+        "--seed": [f"--seed={value}", "generate", "--kind", "random_ample", "--n=4",
+                   "--size=5"],
+        "--budget": [f"--budget={value}", "peel", cls],
+        "-x": ["tailmatch", cls, f"-x={value}"],
+    }[option]
+
+
+integer_options = st.sampled_from(("--n", "--d", "--size", "--seed", "--budget", "-x"))
+decimals = st.integers(-3, 30).map(str)
+
+
+@FUZZ
+@given(option=integer_options, value=st.one_of(decimals, with_odd(decimals)))
+def test_fuzz_integer_options(paths, option, value):
+    # with a sign, '_' or a non-ASCII digit the option's value is refused
+    # by argparse, before any range check
+    cls, _ = paths
+    code, err = run(integer_option_argv(cls, option, value))
+    assert code in (0, 1, 2) and "Traceback" not in err, (option, value, err)
+    if has_odd(value):
+        assert code == 2 and err.endswith(f"invalid int value: {value!r}\n"), (option, value)
+
+
 # ---------------------------------------------------------------- check
 
 def brute_check_lines(n, concepts):

@@ -584,6 +584,43 @@ def test_tail_matching_tails_are_the_restriction_less_the_reduction():
                     assert repmap.tail_matching_analysis(C, x).tails == want
 
 
+def test_tail_matching_report_matches_the_per_tail_edge_scan(monkeypatch):
+    """The adjacency built in one pass over the edges is the one the former
+    per-tail rescan of all edges built, lists in the same order, and gives
+    the same matching, status and degree-one sides."""
+    from amplekit import matching
+    given = []
+    hopcroft_karp = matching.hopcroft_karp
+    monkeypatch.setattr(matching, "hopcroft_karp",
+                        lambda adj: (given.append(adj), hopcroft_karp(adj))[1])
+    rng = random.Random(21)
+    # a ball's tails have one label each; the other maximum classes of
+    # n <= 3 and the products have tails with two or three
+    classes = [core.twist(generate.hamming_ball(n, d), rng.randrange(1 << n))
+               for n, d in ((4, 1), (5, 2), (6, 3), (7, 2), (8, 3))]
+    classes += [C for C in ample_classes(3) if shatter.is_maximum(C)]
+    classes += [core.product(generate.hamming_ball(2, 1), generate.hamming_ball(3, 1)),
+                core.product(generate.hamming_ball(3, 1), generate.hamming_ball(3, 2))]
+    longest = 0
+    for C in classes:
+        for x in range(1, C.n + 1):
+            given.clear()
+            try:
+                rep = repmap.tail_matching_analysis(C, x)
+            except ContractError:   # no x-edge, or a reduction of lower dimension
+                continue
+            adj = {t: [i for tt, i in rep.edges if tt == t] for t in rep.tails}
+            assert given == [adj] and all(v == sorted(v) for v in adj.values())
+            longest = max(longest, *map(len, adj.values()), 0)
+            m = matching.hopcroft_karp(adj)
+            assert rep.status != "no_perfect_matching" and len(m) == len(rep.tails)
+            assert rep.matching == m
+            unique = matching.is_unique_perfect_matching(adj, m)
+            assert rep.status == ("unique" if unique else "multiple")
+            assert rep.degree_one_tails == tuple(t for t in rep.tails if len(adj[t]) == 1)
+    assert longest >= 2
+
+
 def test_tail_matching_requires_maximum():
     with pytest.raises(ContractError):
         repmap.tail_matching_analysis(cc("00", "11"), 1)
@@ -640,6 +677,63 @@ def swapped(r, rng, k):
         s[a], s[b] = r[b], r[a]
         out.append(s)
     return out
+
+
+def test_check_c2_matches_the_sweep_oracle_on_perturbed_and_random_maps():
+    """The sink carried up the support walk against the per-support count,
+    witnesses included, on valid maps, on swapped ones, on maps with one
+    image changed in one coordinate, and on random maps."""
+    rng = random.Random(13)
+    classes = [generate.hamming_ball(n, d) for n, d in ((3, 1), (5, 2), (6, 3), (7, 2), (8, 4))]
+    classes += [generate.random_ample(n, rng.randrange(2, 1 << (n - 1)), seed)
+                for n in (4, 5, 6, 7) for seed in range(3)]
+    classes.append(core.product(generate.hamming_ball(3, 1), generate.hamming_ball(3, 2)))
+    depth = set()
+    for C in classes:
+        if shatter.is_maximum(C):
+            r = repmap.build_maximum_repmap(C)
+        else:
+            r = repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
+            assert repmap.check_uso(C, r).c2 == c2_sweep_oracle(C, r) == repmap.Check(True)
+        maps = [r, *swapped(r, rng, 6)]
+        for _ in range(6):
+            s = dict(r)
+            s[rng.choice(C.concepts)] ^= 1 << rng.randrange(C.n)
+            maps.append(s)
+        maps += [{c: rng.randrange(1 << C.n) for c in C} for _ in range(3)]
+        maps += [random_orientation(C, rng) for _ in range(3)]
+        for s in maps:
+            got = repmap._check_c2(C, s)
+            assert got == c2_sweep_oracle(C, s)
+            if not got.ok:
+                depth.add(bin(got.witness.support).count("1"))
+    assert {1, 2} <= depth
+
+
+def random_orientation(C, rng):
+    """An out-map orienting each edge of G(C) one random way: every edge has
+    one sink, so C2 can only fail on cubes of dimension 2 or more."""
+    o = dict.fromkeys(C, 0)
+    for c, w, x in graph.edges(C):
+        o[c if rng.random() < 0.5 else w] |= bit(x)
+    return o
+
+
+def test_check_c2_matches_the_sweep_oracle_on_every_orientation_of_the_3_cube():
+    Q3 = ConceptClass.of(3, range(8))
+    edges = graph.edges(Q3)
+    depth = {}
+    for k in range(1 << len(edges)):
+        o = dict.fromkeys(Q3, 0)
+        for j, (c, w, x) in enumerate(edges):
+            o[w if k >> j & 1 else c] |= bit(x)
+        got = repmap._check_c2(Q3, o)
+        assert got == c2_sweep_oracle(Q3, o) == repmap.check_uso(Q3, o).c2
+        key = bin(got.witness.support).count("1") if not got.ok else 0
+        depth[key] = depth.get(key, 0) + 1
+    # the 744 unique sink orientations of the 3-cube, and failures on
+    # squares and on the whole cube
+    assert depth[0] == 744 and depth[2] > 0 and depth[3] > 0
 
 
 def test_certify_every_bijection_n_le_2():

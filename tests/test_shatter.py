@@ -1,6 +1,7 @@
 import itertools
 import random
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -254,3 +255,132 @@ def test_forbidden_labels_unique_for_maximum():
     for sel in itertools.combinations(range(1, 6), 3):
         labels = shatter.forbidden_labels(C, mask_of(sel))
         assert len(labels) == 1
+
+
+# ---------------------------------------------------------------- fibre engine
+
+def is_shattered_scan(concepts, Y):
+    """The per-set scan `_shattered_sets` grew its complex with before the
+    fibre walk: stop as soon as all 2^|Y| patterns are seen."""
+    want = 1 << bin(Y).count("1")
+    seen = set()
+    for c in concepts:
+        seen.add(c & Y)
+        if len(seen) == want:
+            return True
+    return False
+
+
+def shattered_sets_scan(C):
+    """The shattered complex as it was grown before the fibre walk."""
+    return set(core.levelwise(core.bits_of(C.domain_mask),
+                              lambda Y, _: is_shattered_scan(C.concepts, Y)))
+
+
+def missing_patterns_scan(concepts, Y):
+    """Ascending patterns over Y that the concepts miss, by one scan: the
+    routine `forbidden_labels` and `_missed_labels` called once per set."""
+    seen = {c & Y for c in concepts}
+    return sorted(p for p in core.Cube(0, Y).vertices() if p not in seen)
+
+
+def missed_labels_scan(concepts, alive, d):
+    return {sigma: missing_patterns_scan(concepts, sigma)
+            for sigma in map(mask_of, itertools.combinations(core.coords(alive), d))}
+
+
+def partition_exchange_scan(C):
+    """`_partition_exchange_ok` as it was: one shattering scan per set."""
+    return all(bool(core.reduction_tags(C.concepts, Y)) == is_shattered_scan(C.concepts, Y)
+               for Y in range(C.domain_mask + 1))
+
+
+def seeded_non_ample_classes():
+    """Dense and sparse seeded classes for n = 4..10, every one not ample."""
+    rng = random.Random(77)
+    for n in range(4, 11):
+        for density in (0.9, 0.6, 0.25, 0.05):
+            cs = [c for c in range(1 << n) if rng.random() < density] or [0, (1 << n) - 1]
+            C = ConceptClass(n, tuple(cs))
+            if not shatter._is_ample_fast(C):
+                yield C
+
+
+def test_shattered_sets_match_the_scan():
+    classes = list(itertools.chain(*(all_classes(n) for n in range(4)),
+                                   random_classes(), seeded_non_ample_classes()))
+    assert sum(not shatter._is_ample_fast(C) for C in classes) > 100
+    assert sum(C.n == 10 for C in seeded_non_ample_classes()) == 4
+    for C in classes:
+        assert shatter._shattered_sets(C) == shattered_sets_scan(C), C
+
+
+def test_fibre_walk_on_the_empty_class():
+    # ConceptClass refuses an empty class; the walk itself takes one
+    empty = SimpleNamespace(n=3, concepts=(), domain_mask=0b111)
+    assert shatter._shattered_sets(empty) == set()
+    assert shatter._missed_labels((), 0b111, 2) == missed_labels_scan((), 0b111, 2)
+    assert shatter._missed_labels((), 0b101, 0) == {0: [0]}
+
+
+def test_fibre_walk_visits_sets_in_combinations_order_with_their_fibres():
+    rng = random.Random(5)
+    for n in (1, 3, 6):
+        concepts = rng.sample(range(1 << n), min(1 << n, 9))
+        for d in range(n + 1):
+            seen = []
+            shatter._fibre_walk(concepts, core.full_mask(n), d, False,
+                                lambda Y, fibres: seen.append((Y, fibres)))
+            leaves = [Y for Y, _ in seen if bin(Y).count("1") == d]
+            assert leaves == [mask_of(s) for s in itertools.combinations(range(1, n + 1), d)]
+            for Y, fibres in seen:
+                pats = list(core.Cube(0, Y).vertices())
+                want = [sum(1 << j for j, c in enumerate(concepts) if c & Y == p)
+                        for p in sorted(pats)]
+                assert fibres == want
+
+
+def non_maximum_label_cases():
+    """(concepts, alive, d) where some d-set sigma has a subset that is not
+    shattered: an unpruned walk must still report sigma."""
+    rng = random.Random(19)
+    for n in range(2, 9):
+        for density in (0.7, 0.3, 0.1):
+            concepts = [c for c in range(1 << n) if rng.random() < density] or [0]
+            for d in range(1, n + 1):
+                yield concepts, core.full_mask(n), d
+                alive = rng.randrange(1 << n)
+                yield concepts, alive, min(d, bin(alive).count("1"))
+
+
+def test_missed_labels_match_the_scan_where_subsets_are_not_shattered():
+    subset_gaps = 0
+    for concepts, alive, d in non_maximum_label_cases():
+        got = shatter._missed_labels(concepts, alive, d)
+        want = missed_labels_scan(concepts, alive, d)
+        assert list(got.items()) == list(want.items()), (concepts, alive, d)
+        subset_gaps += any(any(missing_patterns_scan(concepts, sigma & ~b)
+                               for b in core.bits_of(sigma)) for sigma in want)
+    assert subset_gaps > 50
+
+
+def test_forbidden_labels_match_the_scan():
+    for C in itertools.chain(all_classes(3), random_classes(), seeded_non_ample_classes()):
+        d = shatter.vc_dim(C)
+        if d == C.n:
+            continue
+        for sel in itertools.combinations(range(1, C.n + 1), d + 1):
+            Y = mask_of(sel)
+            got = shatter.forbidden_labels(C, Y)
+            assert got == [shatter.ForbiddenLabel(Y, p)
+                           for p in missing_patterns_scan(C.concepts, Y)]
+            assert got
+
+
+def test_partition_exchange_matches_the_scan():
+    seen = set()
+    for C in itertools.chain(all_classes(3), random_classes()):
+        got = shatter._partition_exchange_ok(C, shatter._shattered_sets(C))
+        assert got == partition_exchange_scan(C)
+        seen.add(got)
+    assert seen == {True, False}
