@@ -80,16 +80,6 @@ def levelwise(doms: list[int], grow) -> dict:
     return family
 
 
-def support_of(concepts) -> int:
-    """Mask of coordinates on which at least two of the (nonempty sequence
-    of) concepts differ."""
-    lo = concepts[0]
-    acc = 0
-    for c in concepts:
-        acc |= c ^ lo
-    return acc
-
-
 def concept_to_string(c: int, n: int) -> str:
     """n-character 0/1 string, leftmost char = coordinate 1."""
     # the leading 1 pads to n digits; the slice drops it and reverses
@@ -219,7 +209,11 @@ class ConceptClass(_Frozen):
 
     def support(self) -> int:
         """Mask of coordinates on which at least two concepts differ."""
-        return support_of(self.concepts)
+        lo = self.concepts[0]
+        acc = 0
+        for c in self.concepts:
+            acc |= c ^ lo
+        return acc
 
     def strings(self) -> list[str]:
         return [concept_to_string(c, self.n) for c in self.concepts]

@@ -69,6 +69,33 @@ def cube_tags(C: ConceptClass) -> dict:
     return tags
 
 
+def split_tags(tags: dict, xb: int) -> tuple[dict, dict]:
+    """The cube complexes of the reduction C^x and the restriction C_x of an
+    ample class C, over C's own coordinates, read off C's `tags`.
+
+    Reduction: the concepts of C^x are the c with x clear and c | x in C,
+    so a Y-cube with tag t lies in C^x iff the (Y | x)-cube with tag t lies
+    in C.  Restriction: every Y-cube of C with x ∉ Y projects to a Y-cube
+    of C_x.  Conversely, let B be a Y-cube of C_x with tag t, and B' the
+    (Y | x)-cube with tag t.  C ∩ B' is ample, since ample classes are
+    closed under intersection with cubes, and it shatters Y, since its
+    restriction dropping x is all of B.  An ample class strongly shatters
+    every set it shatters, so C ∩ B' holds a full Y-cube, with tag t or
+    t | x, which projects onto B.
+    """
+    reduction = {Y ^ xb: ts for Y, ts in tags.items() if Y & xb}
+    restriction = {Y: {t & ~xb for t in ts} for Y, ts in tags.items() if not Y & xb}
+    return reduction, restriction
+
+
+def support_concepts(tags: dict) -> dict:
+    """support Y -> ascending list of the concepts on the Y-cubes of the
+    complex `tags`, with the supports in ascending order.  Each cube's
+    vertices are walked once; distinct Y-cubes share no vertex."""
+    return {Y: sorted(v for t in tags[Y] for v in Cube(t, Y).vertices())
+            for Y in sorted(tags)}
+
+
 def all_cubes(C: ConceptClass) -> list[Cube]:
     out = []
     for Y, ts in cube_tags(C).items():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from . import core, graph, shatter
+from . import graph, shatter
 from .core import ConceptClass, Cube, bits_of, popcount
 from .errors import ContractError, IntegrityError, OrderingValidationError
 
@@ -164,25 +164,25 @@ def two_dim_peeling(C: ConceptClass) -> tuple:
 CollapseSequence = list[tuple[Cube, Cube]]
 
 
-def _collapse_rec(n: int, concepts: tuple) -> tuple[CollapseSequence, int]:
-    """Collapsing sequence of the cube complex plus the surviving vertex.
+def _collapse_rec(alive: int, tags: dict) -> tuple[CollapseSequence, int]:
+    """Collapsing sequence of the cube complex `tags` plus the surviving
+    vertex; `alive` holds the coordinates that vary.
 
-    Recursion on the highest support coordinate x: collapse the half C_x
-    first, then lift each pair through the x-direction.  A cube Q of C_x is
-    "thick" when both its side copies (x=0 and x=1) lie in C, in which case
-    its preimage is the (dim+1)-cube spanning the x-direction.
+    Recursion on the highest alive coordinate x: collapse the half C_x
+    first, its complex from `graph.split_tags`, then lift each pair through
+    the x-direction.  A cube Q of C_x is "thick" when both its side copies
+    (x=0 and x=1) lie in C, in which case its preimage is the
+    (dim+1)-cube spanning the x-direction.
     """
-    if len(concepts) == 1:
-        return [], concepts[0]
-    xb = 1 << (core.support_of(concepts).bit_length() - 1)  # highest varying
-    s = set(concepts)
-    below = tuple(sorted({c & ~xb for c in concepts}))
-    seq_x, survivor_x = _collapse_rec(n, below)
+    if alive == 0:
+        return [], next(iter(tags[0]))
+    xb = 1 << (alive.bit_length() - 1)
+    seq_x, survivor_x = _collapse_rec(alive & ~xb, graph.split_tags(tags, xb)[1])
 
     def side_cubes(Q: Cube) -> tuple[Optional[Cube], Optional[Cube]]:
-        Q1 = Cube(Q.tag | xb, Q.support)
-        return (Q if core.cube_in_class(Q, s) else None,
-                Q1 if core.cube_in_class(Q1, s) else None)
+        t, S = Q.tag, Q.support
+        return (Q if t in tags[S] else None,
+                Cube(t | xb, S) if t | xb in tags[S] else None)
 
     seq: CollapseSequence = []
     for Q, Qp in seq_x:
@@ -221,20 +221,15 @@ def _collapse_rec(n: int, concepts: tuple) -> tuple[CollapseSequence, int]:
     # the survivor vertex of C_x: collapse its x-edge if it exists
     v0 = survivor_x
     v1 = survivor_x | xb
-    if v0 in s and v1 in s:
+    if v0 in tags[xb]:
         seq.append((Cube(v1, 0), Cube(v0, xb)))
-        survivor = v0
-    elif v0 in s:
-        survivor = v0
-    else:
-        survivor = v1
-    return seq, survivor
+    return seq, v0 if v0 in tags[0] else v1
 
 
 def collapse_sequence(C: ConceptClass) -> CollapseSequence:
     """Collapsing sequence of Q(C) down to one vertex, validated by replay."""
-    shatter._ample_tags(C, "collapse sequences are built for ample classes only")
-    seq, survivor = _collapse_rec(C.n, C.concepts)
+    tags = shatter._ample_tags(C, "collapse sequences are built for ample classes only")
+    seq, survivor = _collapse_rec(C.support(), tags)
     replay_collapse(C, seq, survivor)
     return seq
 
@@ -249,7 +244,7 @@ def replay_collapse(C: ConceptClass, seq: CollapseSequence, survivor: Optional[i
     dimension up (two intermediate faces would survive under any higher
     containment).
     """
-    faces = {(B.tag, B.support) for B in graph.all_cubes(C)}
+    faces = {(t, S) for S, ts in graph.cube_tags(C).items() for t in ts}
     cofaces: dict = {f: set() for f in faces}
     for (t, S) in faces:
         for b in bits_of(S):

@@ -88,17 +88,19 @@ def _check_r3(C: ConceptClass, r: RepMap) -> Check:
     return Check(True)
 
 
-def _check_c1(C: ConceptClass, r: RepMap) -> Check:
+def _check_c1(C: ConceptClass, r: RepMap, tags: dict) -> Check:
+    """The r(c)-cube through c lies in C, that is its tag c & ~r(c) is in
+    tags[r(c)], with `tags` = `graph.cube_tags(C)`; the first failing c."""
     for c in C:
-        if not core.cube_in_class(Cube(c & ~r[c], r[c]), C.concept_set):
+        if c & ~r[c] not in tags.get(r[c], ()):
             return Check(False, c)
     return Check(True)
 
 
-def _check_c2(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Check:
-    """Unique sink on every cube of C, in O(1) per cube; `tags` is
-    `graph.cube_tags(C)` when the caller already has it.  The witness is
-    the first failing cube by (support, tag).
+def _check_c2(C: ConceptClass, r: RepMap, tags: dict) -> Check:
+    """Unique sink on every cube of C, in O(1) per cube, with `tags` =
+    `graph.cube_tags(C)`.  The witness is the first failing cube by
+    (support, tag).
 
     A sink of a cube (t, Y) is a vertex v with r(v) & Y = 0.  Let b be the
     lowest coordinate of Y and Y' = Y - b.  The vertices of (t, Y) are
@@ -115,8 +117,6 @@ def _check_c2(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Check:
     witness.  Only the images r(s) of the sinks on the current path of
     supports are kept.
     """
-    if tags is None:
-        tags = graph.cube_tags(C)
 
     def down(Y: int, sink_r: dict) -> Optional[Cube]:
         # sink_r: tag -> r(sink) of each Y-cube, every one with a unique sink
@@ -166,7 +166,7 @@ def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Re
         r3=_check_r3(C, r),
         r4=_check_pairwise(C, r, symmetric_diff=True),
         bijective=bij,
-        c1=_check_c1(C, r),
+        c1=_check_c1(C, r, tags),
         c2=_check_c2(C, r, tags),
     )
 
@@ -181,9 +181,8 @@ def certify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
     bijection, C1 and C2 hold, R1–R4 hold too; otherwise the exhaustive
     report is returned unchanged, witnesses included.
 
-    Once r is a bijection onto X(C), C1 is a lookup in the one cube complex
-    that C2 also reads: the r(c)-cube through c lies in C iff its tag
-    c & ~r(c) is in tags[r(c)].  For such a bijection C2 in fact implies
+    Once r is a bijection onto X(C), C1 is `_check_c1`'s lookup in the one
+    cube complex that C2 also reads.  For such a bijection C2 in fact implies
     C1.  C2 makes r a unique sink orientation on every cube of C, so every
     cube has one source, and c is the source of the Z-cube through c iff
     Z ⊆ r(c).  Hence the number of cubes of C is at most the sum over c of
@@ -197,8 +196,7 @@ def certify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
     tags = graph.cube_tags(C)
     image = set(r.values())
     if (len(image) == len(r) and image == tags.keys()
-            and all(c & ~r[c] in tags[r[c]] for c in C)
-            and _check_c2(C, r, tags).ok):
+            and _check_c1(C, r, tags).ok and _check_c2(C, r, tags).ok):
         return RepMapReport(*[Check(True)] * 7)
     return verify_repmap(C, r, tags)
 
@@ -231,25 +229,6 @@ def _sources_for_missed_simplices(tags: dict, sub: list, alive: int, d: int) -> 
     return out
 
 
-def _split_tags(tags: dict, xb: int) -> tuple[dict, dict]:
-    """The cube complexes of the reduction C^x and the restriction C_x of an
-    ample class C, over C's own coordinates, read off C's `tags`.
-
-    Reduction: the concepts of C^x are the c with x clear and c | x in C,
-    so a Y-cube with tag t lies in C^x iff the (Y | x)-cube with tag t lies
-    in C.  Restriction: every Y-cube of C with x ∉ Y projects to a Y-cube
-    of C_x.  Conversely, let B be a Y-cube of C_x with tag t, and B' the
-    (Y | x)-cube with tag t.  C ∩ B' is ample, since ample classes are
-    closed under intersection with cubes, and it shatters Y, since its
-    restriction dropping x is all of B.  An ample class strongly shatters
-    every set it shatters, so C ∩ B' holds a full Y-cube, with tag t or
-    t | x, which projects onto B.
-    """
-    reduction = {Y ^ xb: ts for Y, ts in tags.items() if Y & xb}
-    restriction = {Y: {t & ~xb for t in ts} for Y, ts in tags.items() if not Y & xb}
-    return reduction, restriction
-
-
 def _lift(concepts, xb: int, r_x: dict) -> dict:
     """A class's map from the map r_x of its restriction dropping x: c
     takes r_x(c - x), with x added when c has x set and its x-edge lies in
@@ -265,13 +244,13 @@ def _lift(concepts, xb: int, r_x: dict) -> dict:
 def _build_max_rec(alive: int, d: int, tags: dict) -> dict:
     """Representation map of a maximum class of dimension d on the alive
     coordinates with cube complex `tags`, whose concepts are `tags[0]`;
-    the complexes of its reduction and restriction come from `_split_tags`,
-    never from a rebuild."""
+    the complexes of its reduction and restriction come from
+    `graph.split_tags`, never from a rebuild."""
     if d == 0 or alive == 0:
         return dict.fromkeys(tags[0], 0)
     xb = 1 << (alive.bit_length() - 1)
     below = alive & ~xb
-    red_tags, res_tags = _split_tags(tags, xb)
+    red_tags, res_tags = graph.split_tags(tags, xb)
     r_red = _build_max_rec(below, d - 1, red_tags)
     extra = _sources_for_missed_simplices(res_tags, sorted(red_tags[0]), below, d)
     if extra.keys() != res_tags[0] - r_red.keys():
@@ -339,7 +318,8 @@ def check_uso(C: ConceptClass, o: RepMap) -> UsoReport:
         _check_orientation(C, o)
     except ContractError:
         return UsoReport(False, Check(False), Check(False))
-    return UsoReport(True, _check_c1(C, o), _check_c2(C, o))
+    tags = graph.cube_tags(C)
+    return UsoReport(True, _check_c1(C, o, tags), _check_c2(C, o, tags))
 
 
 def uso_to_peeling(C: ConceptClass, o: RepMap) -> tuple:
@@ -350,19 +330,20 @@ def uso_to_peeling(C: ConceptClass, o: RepMap) -> tuple:
     cyc = matching.find_cycle(C, {c: [c ^ b for b in bits_of(o[c])] for c in C})
     if cyc is not None:
         raise ContractError(f"orientation has a cycle through {cyc}")
-    remaining = set(C.concepts)
-    doms = bits_of(C.domain_mask)
+    import heapq
+    # in-edges from unpeeled concepts; a USO orients every edge of G(C)
+    indeg = {c: popcount(graph._neighbour_dirs(C.concept_set, c, C.n) & ~o[c])
+             for c in C}
+    sources = [c for c in C if not indeg[c]]   # ascending: already a heap
     peeled = []
-    while remaining:
-        source = None
-        for c in sorted(remaining):
-            if all(c ^ b not in remaining or o[c] & b for b in doms):
-                source = c
-                break
-        if source is None:
-            raise IntegrityError("acyclic orientation without a source")
-        remaining.discard(source)
-        peeled.append(source)
+    while sources:
+        # the heap holds exactly the unpeeled sources: the smallest comes first
+        v = heapq.heappop(sources)
+        peeled.append(v)
+        for b in bits_of(o[v]):
+            indeg[v ^ b] -= 1
+            if not indeg[v ^ b]:
+                heapq.heappush(sources, v ^ b)
     return tuple(reversed(peeled))
 
 
@@ -444,12 +425,12 @@ def pre_rep_c1(C: ConceptClass) -> RepMap:
     """Bijection r': C -> X(C) with every r'(c)-cube through c inside C,
     via a perfect matching in the carrier incidence graph."""
     tags = shatter._ample_tags(C, "pre-representation maps require an ample class")
-    adj = {Y: [c for c in C if c & ~Y in tags[Y]] for Y in sorted(tags)}
+    adj = graph.support_concepts(tags)
     m = matching.hopcroft_karp(adj)
     if len(m) != len(adj):
         raise IntegrityError("carrier graph has no perfect matching")
     r = {c: Y for Y, c in m.items()}
-    chk = _check_c1(C, r)
+    chk = _check_c1(C, r, tags)
     if not chk.ok:
         raise IntegrityError(f"matching produced a non-C1 map at {chk.witness}")
     return r
@@ -459,7 +440,7 @@ def pre_rep_c2(C: ConceptClass) -> RepMap:
     """Injection r'': C -> 2^X with a unique sink on every cube of C, by
     orienting each x-level's edges downward on top of the recursion for C_x."""
     tags = shatter._ample_tags(C, "pre-representation maps require an ample class")
-    r = _pre_rep_c2_rec(C.concepts)
+    r = _pre_rep_c2_rec(C.support(), C.concepts)
     vals = list(r.values())
     if len(set(vals)) != len(vals):
         raise IntegrityError("recursion produced a non-injective map")
@@ -469,13 +450,12 @@ def pre_rep_c2(C: ConceptClass) -> RepMap:
     return r
 
 
-def _pre_rep_c2_rec(concepts: tuple) -> dict:
-    support = core.support_of(concepts)
-    if support == 0:
+def _pre_rep_c2_rec(alive: int, concepts: tuple) -> dict:
+    if alive == 0:
         return {c: 0 for c in concepts}
-    xb = 1 << (support.bit_length() - 1)
+    xb = 1 << (alive.bit_length() - 1)
     below = tuple(sorted({c & ~xb for c in concepts}))
-    return _lift(concepts, xb, _pre_rep_c2_rec(below))
+    return _lift(concepts, xb, _pre_rep_c2_rec(alive & ~xb, below))
 
 
 # -- ISR instances ----------------------------------------------------------------
@@ -499,8 +479,10 @@ def isr_instance(C: ConceptClass) -> ISRInstance:
     each edge comes from one antipodal pair (c, c ^ S) of one cube of X(C).
     """
     tags = shatter._ample_tags(C, "ISR instances are defined for ample classes")
-    ys = sorted(tags)
-    supports = {c: [Y for Y in ys if c & ~Y in tags[Y]] for c in C}
+    supports: dict = {c: [] for c in C}
+    for Y, cs in graph.support_concepts(tags).items():
+        for c in cs:
+            supports[c].append(Y)
     vertices = [(c, Y) for c in C for Y in supports[c]]
     index = {v: i for i, v in enumerate(vertices)}
     parts = {c: tuple(index[(c, Y)] for Y in supports[c]) for c in C}

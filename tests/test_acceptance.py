@@ -262,12 +262,12 @@ def test_08_pre_rep_maps():
         size = rng.randint(1, min(40, 1 << n))
         C = generate.random_ample(n, size, seed=2000 + i)
         r1 = repmap.pre_rep_c1(C)
-        if not repmap._check_c1(C, r1).ok:
+        if not repmap._check_c1(C, r1, graph.cube_tags(C)).ok:
             failures += 1
         if sorted(r1.values()) != sorted(shatter.shattered_complex(C).members):
             failures += 1
         r2 = repmap.pre_rep_c2(C)
-        if not repmap._check_c2(C, r2).ok:
+        if not repmap._check_c2(C, r2, graph.cube_tags(C)).ok:
             failures += 1
         if len(set(r2.values())) != C.size:
             failures += 1

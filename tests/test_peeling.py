@@ -299,6 +299,84 @@ def test_collapse_replay_validates_n3():
         peeling.replay_collapse(C, seq)
 
 
+def collapse_rec_oracle(concepts):
+    """The collapse recursion on concept sets: each restriction C_x rebuilt
+    from the concepts, and side cubes tested by their vertices."""
+    if len(concepts) == 1:
+        return [], concepts[0]
+    support = 0
+    for c in concepts:
+        support |= c ^ concepts[0]
+    xb = 1 << (support.bit_length() - 1)
+    s = set(concepts)
+    seq_x, survivor_x = collapse_rec_oracle(tuple(sorted({c & ~xb for c in concepts})))
+
+    def side_cubes(Q):
+        Q1 = Cube(Q.tag | xb, Q.support)
+        return (Q if core.cube_in_class(Q, s) else None,
+                Q1 if core.cube_in_class(Q1, s) else None)
+
+    seq = []
+    for Q, Qp in seq_x:
+        q0, q1 = side_cubes(Q)
+        p0, p1 = side_cubes(Qp)
+        q_thick = q0 is not None and q1 is not None
+        p_thick = p0 is not None and p1 is not None
+        if q_thick and p_thick:
+            seq.append((Cube(Q.tag, Q.support | xb), Cube(Qp.tag, Qp.support | xb)))
+            seq.append((q0, p0))
+            seq.append((q1, p1))
+        elif q_thick:
+            thickQ = Cube(Q.tag, Q.support | xb)
+            if p0 is not None:
+                seq.extend([(q1, thickQ), (q0, p0)])
+            else:
+                seq.extend([(q0, thickQ), (q1, p1)])
+        elif p_thick:
+            raise AssertionError("thin face, thick coface")
+        elif q0 is not None and p0 is not None:
+            seq.append((q0, p0))
+        else:
+            assert q1 is not None and p1 is not None
+            seq.append((q1, p1))
+    v0, v1 = survivor_x, survivor_x | xb
+    if v0 in s and v1 in s:
+        seq.append((Cube(v1, 0), Cube(v0, xb)))
+    return seq, v0 if v0 in s else v1
+
+
+def collapse_cases():
+    for n in (1, 2, 3):
+        yield from ample_classes(n)
+    for n in range(4, 9):
+        for seed in range(4):
+            yield generate.random_ample(n, min(1 << n, 5 + 4 * seed * n), seed)
+    for n in range(1, 11):
+        for d in range(n + 1):
+            yield generate.hamming_ball(n, d)
+    yield core.product(generate.hamming_ball(3, 1), generate.hamming_ball(3, 2))
+    yield core.twist(generate.hamming_ball(6, 2), 0b101101)
+    # coordinates 1 and 6 are constant
+    yield ConceptClass(6, tuple(c << 1 | 0b100000 for c in generate.hamming_ball(4, 2)))
+
+
+def pairs(seq):
+    return [((q.tag, q.support), (p.tag, p.support)) for q, p in seq]
+
+
+def test_collapse_reads_the_complex_like_the_concept_recursion():
+    """The collapse over `graph.split_tags` and tag lookups gives the same
+    sequence, in order, and the same survivor as the recursion that
+    rebuilds each restriction from its concepts."""
+    classes = 0
+    for C in collapse_cases():
+        seq, survivor = peeling._collapse_rec(C.support(), graph.cube_tags(C))
+        want_seq, want_survivor = collapse_rec_oracle(C.concepts)
+        assert (pairs(seq), survivor) == (pairs(want_seq), want_survivor)
+        classes += 1
+    assert classes > 100
+
+
 def test_replay_rejects_bad_sequence():
     Q2 = ConceptClass.of(2, range(4))
     seq = peeling.collapse_sequence(Q2)

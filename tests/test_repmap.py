@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from amplekit import core, generate, graph, peeling, repmap, shatter
+from amplekit import core, generate, graph, matching, peeling, repmap, shatter
 from amplekit.core import ConceptClass, Cube, bit, mask_of
 from amplekit.errors import ContractError, IntegrityError, ParseError
 
@@ -25,6 +25,15 @@ def ample_classes(n, max_size=None):
         C = ConceptClass(n, concepts)
         if shatter.is_ample(C)[0]:
             yield C
+
+
+def check_c1_oracle(C, r):
+    """C1 by vertex walk: every vertex of the r(c)-cube through c is in C;
+    the witness is the first failing concept."""
+    for c in C:
+        if not core.cube_in_class(Cube(c & ~r[c], r[c]), C.concept_set):
+            return repmap.Check(False, c)
+    return repmap.Check(True)
 
 
 def non_clashing_oracle(C, r):
@@ -157,7 +166,7 @@ def test_split_tags_match_rebuilt_complexes():
             xb = bit(x)
             reduction = [c for c in C if not c & xb and c | xb in C.concept_set]
             restriction = {c & ~xb for c in C}
-            red, res = repmap._split_tags(tags, xb)
+            red, res = graph.split_tags(tags, xb)
             assert red == (graph.cube_tags(ConceptClass(C.n, tuple(reduction)))
                            if reduction else {})
             assert res == graph.cube_tags(ConceptClass(C.n, tuple(restriction)))
@@ -191,6 +200,11 @@ def test_cube_tags_built_once_per_call(monkeypatch):
     for A in (C, generate.random_ample(7, 50, 3)):
         assert builds(repmap.pre_rep_c1, A) == [A]
         assert builds(repmap.pre_rep_c2, A) == [A]
+        # the guard's complex, then the replay's own, built independently
+        assert builds(peeling.collapse_sequence, A) == [A, A]
+    for A in (generate.hamming_ball(6, 2), generate.random_ample(7, 50, 3)):
+        o = repmap.peeling_to_uso(A, peeling.corner_peeling_search(A).ordering)
+        assert builds(repmap.check_uso, A, o) == [A]
 
 
 def test_certify_fallback_builds_the_complex_once(monkeypatch):
@@ -337,6 +351,14 @@ def test_uso_directed_cycle_fails_c2():
         repmap.uso_to_peeling(Q2, o)
 
 
+def test_check_uso_reports_the_c1_witness():
+    # 00 points out to both neighbours, but the square through them is
+    # missing 11: an orientation whose edges each have one sink, failing C1
+    o = {0: bit(1) | bit(2), bit(1): 0, bit(2): 0}
+    assert repmap.check_uso(PATH3, o) == repmap.UsoReport(
+        True, repmap.Check(False, 0), repmap.Check(True))
+
+
 def test_peeling_to_uso_path():
     res = peeling.corner_peeling_search(PATH3)
     o = repmap.peeling_to_uso(PATH3, res.ordering)
@@ -352,6 +374,43 @@ def test_uso_round_trip_exhaustive_n3():
         assert repmap.check_uso(C, o).ok
         back = repmap.uso_to_peeling(C, o)
         assert peeling.classify_ordering(C, back).corner_peeling
+
+
+def uso_to_peeling_oracle(C, o):
+    """Peel the smallest source of the unpeeled concepts, found by
+    re-scanning them all at each step; reverse."""
+    remaining = set(C.concepts)
+    doms = core.bits_of(C.domain_mask)
+    peeled = []
+    while remaining:
+        source = next(c for c in sorted(remaining)
+                      if all(c ^ b not in remaining or o[c] & b for b in doms))
+        remaining.discard(source)
+        peeled.append(source)
+    return tuple(reversed(peeled))
+
+
+def uso_cases():
+    for C in ample_classes(3, max_size=6):
+        yield C, repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
+    for n in (3, 4, 5):
+        Q = ConceptClass.of(n, range(1 << n))
+        for Y in (0, 0b101, (1 << n) - 1):
+            # every edge points toward Y: a USO of the cube with sink Y
+            yield Q, {c: c ^ Y for c in Q}
+    for C in (generate.hamming_ball(6, 2), generate.random_ample(7, 45, 4),
+              core.twist(generate.hamming_ball(5, 2), 0b10011)):
+        yield C, repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
+
+
+def test_uso_to_peeling_peels_the_smallest_source_first():
+    several = 0
+    for C, o in uso_cases():
+        assert repmap.uso_to_peeling(C, o) == uso_to_peeling_oracle(C, o)
+        # more than one first source: the order among sources is tested
+        several += sum(1 for c in C if not graph._neighbour_dirs(C.concept_set, c, C.n)
+                       & ~o[c]) > 1
+    assert several > 10
 
 
 def test_peeling_to_uso_rejects_bad_ordering():
@@ -413,7 +472,7 @@ def test_sub_repmaps_verify_on_random_inputs():
 def test_pre_rep_path():
     r1 = repmap.pre_rep_c1(PATH3)
     assert sorted(r1.values()) == [0, bit(1), bit(2)]
-    assert repmap._check_c1(PATH3, r1).ok
+    assert repmap._check_c1(PATH3, r1, graph.cube_tags(PATH3)).ok
 
 
 def test_pre_rep_singleton():
@@ -425,7 +484,7 @@ def test_pre_rep_c2_square():
     Q2 = ConceptClass.of(2, range(4))
     r2 = repmap.pre_rep_c2(Q2)
     assert len(set(r2.values())) == 4          # injective
-    assert repmap._check_c2(Q2, r2).ok
+    assert repmap._check_c2(Q2, r2, graph.cube_tags(Q2)).ok
 
 
 def test_pre_rep_requires_ample():
@@ -438,10 +497,10 @@ def test_pre_rep_requires_ample():
 def test_pre_rep_exhaustive_n3():
     for C in ample_classes(3):
         r1 = repmap.pre_rep_c1(C)
-        assert repmap._check_c1(C, r1).ok
+        assert repmap._check_c1(C, r1, graph.cube_tags(C)).ok
         assert sorted(r1.values()) == sorted(shatter.shattered_complex(C).members)
         r2 = repmap.pre_rep_c2(C)
-        assert repmap._check_c2(C, r2).ok
+        assert repmap._check_c2(C, r2, graph.cube_tags(C)).ok
         assert len(set(r2.values())) == C.size
 
 
@@ -457,6 +516,71 @@ def test_matching_neighborhood_condition():
             for sel in itertools.combinations(fams, k):
                 union = set().union(*(nbrs[Y] for Y in sel))
                 assert len(union) >= k
+
+
+def carrier_scan(C, tags):
+    """support -> the concepts c of C with c & ~Y in tags[Y], by scanning
+    all of C for each support."""
+    return {Y: [c for c in C if c & ~Y in tags[Y]] for Y in sorted(tags)}
+
+
+def pre_rep_c1_scan_oracle(C):
+    """`pre_rep_c1` with its carrier graph from `carrier_scan`."""
+    m = matching.hopcroft_karp(carrier_scan(C, graph.cube_tags(C)))
+    return {c: Y for Y, c in m.items()}
+
+
+def incidence_cases():
+    yield from isr_cases()
+    yield from split_tags_cases()
+    yield core.product(generate.hamming_ball(3, 1), generate.hamming_ball(3, 2))
+    yield ConceptClass(6, tuple(c | 0b100000 for c in generate.hamming_ball(5, 2)))
+
+
+def test_support_concepts_match_the_scan():
+    for C in incidence_cases():
+        tags = graph.cube_tags(C)
+        got = graph.support_concepts(tags)
+        assert list(got.items()) == list(carrier_scan(C, tags).items())
+
+
+def test_pre_rep_c1_matches_the_scan_build():
+    for C in incidence_cases():
+        got, want = repmap.pre_rep_c1(C), pre_rep_c1_scan_oracle(C)
+        assert list(got.items()) == list(want.items())
+
+
+def test_check_c1_lookup_matches_the_vertex_walk():
+    """Same verdict and witness as the vertex walk on every map of every
+    class with n <= 2, ample or not, and on perturbed maps of larger
+    classes."""
+    verdicts = {True: 0, False: 0}
+    for n in (1, 2):
+        for mask in range(1, 1 << (1 << n)):
+            C = ConceptClass(n, tuple(c for c in range(1 << n) if mask >> c & 1))
+            tags = graph.cube_tags(C)
+            for images in itertools.product(range(1 << n), repeat=C.size):
+                r = dict(zip(C.concepts, images))
+                got = repmap._check_c1(C, r, tags)
+                assert got == check_c1_oracle(C, r)
+                verdicts[got.ok] += 1
+    rng = random.Random(11)
+    for C in (generate.hamming_ball(6, 2), generate.random_ample(7, 40, 1),
+              core.twist(generate.hamming_ball(5, 3), 0b10101), cc("000", "011", "101", "110")):
+        tags = graph.cube_tags(C)
+        base = dict(zip(C.concepts, sorted(tags) + [0] * C.size))
+        for r in (base, *(f(C) for f in (repmap.pre_rep_c1, repmap.pre_rep_c2)
+                          if shatter.is_ample(C)[0])):
+            for _ in range(30):
+                bad = dict(r)
+                a, b = rng.sample(C.concepts, 2)
+                bad[a], bad[b] = bad[b], bad[a]
+                if rng.random() < 0.5:
+                    bad[a] ^= 1 << rng.randrange(C.n)
+                got = repmap._check_c1(C, bad, tags)
+                assert got == check_c1_oracle(C, bad)
+                verdicts[got.ok] += 1
+    assert min(verdicts.values()) > 100
 
 
 # ---------------------------------------------------------------- isr
@@ -663,7 +787,7 @@ def assert_certify_agrees(C, r):
     # every field, witnesses included
     full = repmap.verify_repmap(C, r)
     assert repmap.certify_repmap(C, r) == full
-    assert repmap._check_c2(C, r) == c2_sweep_oracle(C, r) == full.c2
+    assert repmap._check_c2(C, r, graph.cube_tags(C)) == c2_sweep_oracle(C, r) == full.c2
     return full
 
 
@@ -703,7 +827,7 @@ def test_check_c2_matches_the_sweep_oracle_on_perturbed_and_random_maps():
         maps += [{c: rng.randrange(1 << C.n) for c in C} for _ in range(3)]
         maps += [random_orientation(C, rng) for _ in range(3)]
         for s in maps:
-            got = repmap._check_c2(C, s)
+            got = repmap._check_c2(C, s, graph.cube_tags(C))
             assert got == c2_sweep_oracle(C, s)
             if not got.ok:
                 depth.add(bin(got.witness.support).count("1"))
@@ -727,7 +851,7 @@ def test_check_c2_matches_the_sweep_oracle_on_every_orientation_of_the_3_cube():
         o = dict.fromkeys(Q3, 0)
         for j, (c, w, x) in enumerate(edges):
             o[w if k >> j & 1 else c] |= bit(x)
-        got = repmap._check_c2(Q3, o)
+        got = repmap._check_c2(Q3, o, graph.cube_tags(Q3))
         assert got == c2_sweep_oracle(Q3, o) == repmap.check_uso(Q3, o).c2
         key = bin(got.witness.support).count("1") if not got.ok else 0
         depth[key] = depth.get(key, 0) + 1
@@ -799,7 +923,8 @@ def test_certify_on_a_non_ample_class():
 
 def test_certify_c1_lookup_every_bijection_n_le_3(monkeypatch):
     """With C2 forced to pass and the R1–R4 fallback stubbed, certify_repmap
-    accepts a bijection onto X(C) exactly when `_check_c1` does.  The real
+    accepts a bijection onto X(C) exactly when the vertex-walk C1 oracle
+    does.  The real
     C2 never holds where C1 fails: for a bijection onto X(C) of an ample
     class, C2 implies C1 (see `certify_repmap`)."""
     check_c2 = repmap._check_c2
@@ -814,7 +939,7 @@ def test_certify_c1_lookup_every_bijection_n_le_3(monkeypatch):
             tags = graph.cube_tags(C)
             for images in itertools.permutations(sorted(tags)):
                 r = dict(zip(C.concepts, images))
-                c1 = repmap._check_c1(C, r).ok
+                c1 = check_c1_oracle(C, r).ok
                 assert repmap.certify_repmap(C, r).valid == c1
                 if not c1:
                     assert not check_c2(C, r, tags).ok
