@@ -472,6 +472,8 @@ def _parse_repmap(text: str, n: Optional[int] = None) -> tuple[dict, int]:
         left, right = parts[0].strip(), parts[1].strip()
         if n is None:
             n = len(left)
+            if not 1 <= n <= MAX_WIDTH:
+                raise ParseError(f"width {n} outside 1..{MAX_WIDTH}", line=lineno)
         if len(left) != n or len(right) != n:
             raise ParseError(f"expected two bitstrings of width {n}", line=lineno)
         c = concept_from_string(left)

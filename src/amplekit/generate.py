@@ -6,7 +6,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from . import core, graph, shatter
-from .core import ConceptClass, bits_of, full_mask
+from .core import ConceptClass, bits_of, full_mask, popcount
 from .errors import ContractError, DomainError
 
 
@@ -39,7 +39,12 @@ def random_ample(n: int, size: int, seed: int,
                  max_dim: Optional[int] = None) -> ConceptClass:
     """Grow an ample class one concept at a time, keeping each stage isometric
     (which keeps it ample and makes the construction order a corner peeling
-    in reverse).  max_dim additionally caps the VC dimension."""
+    in reverse).  max_dim additionally caps the VC dimension.
+
+    The VC dimension of an ample class is the largest dimension of its
+    cubes, and the cubes gained by adding t all pass through t; so with the
+    class so far within the cap, adding t keeps it there iff no cube through
+    t is larger than max_dim."""
     if size < 1 or size > 1 << n:
         raise ContractError("size out of range")
     rng = random.Random(seed)
@@ -54,8 +59,8 @@ def random_ample(n: int, size: int, seed: int,
         for t in frontier:
             if not graph.extends_isometric(cset, t, n):
                 continue
-            if (max_dim is not None
-                    and shatter.vc_dim(ConceptClass(n, tuple(chosen) + (t,))) > max_dim):
+            if max_dim is not None and max(map(popcount, graph._local_supports(
+                    cset, t, graph._neighbour_dirs(cset, t, n)))) > max_dim:
                 continue
             chosen.append(t)
             cset.add(t)

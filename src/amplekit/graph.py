@@ -124,15 +124,22 @@ def maximal_cubes(C: ConceptClass) -> list[Cube]:
 
 
 def cubes_through(C: ConceptClass, c: int) -> list[Cube]:
-    """All cubes of C containing the concept c, found by growing supports locally.
-
-    When the Z-cube through c has all its facets through c in C, its one
-    vertex left unchecked is c ^ Z.
-    """
+    """All cubes of C containing the concept c, found by growing supports locally."""
     s = C.concept_set
-    nbr = [b for b in bits_of(C.domain_mask) if c ^ b in s]
-    good = core.levelwise(nbr, lambda Z, _: c ^ Z in s)
+    if c not in s:
+        return []
+    good = _local_supports(s, c, _neighbour_dirs(s, c, C.n))
     return [Cube(c & ~Y, Y) for Y in sorted(good)]
+
+
+def _local_supports(s, c: int, N: int) -> dict:
+    """Supports of the cubes through c of the set s ∪ {c}, with N the mask of
+    the directions b such that c ^ b is in s; as a dict Z -> True.
+
+    Every such support lies in N.  When the Z-cube through c has all its
+    facets through c in s ∪ {c}, its one vertex left unchecked is c ^ Z.
+    """
+    return core.levelwise(bits_of(N), lambda Z, _: not Z or c ^ Z in s)
 
 
 # single-bit masks of coordinates 1..MAX_WIDTH, ascending

@@ -2,10 +2,11 @@
 collapsing sequences, and the shelling correspondence."""
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from . import graph, shatter
-from .core import ConceptClass, Cube, bits_of, popcount
+from .core import ConceptClass, Cube, bits_of, cube_in_class, popcount
 from .errors import ContractError, IntegrityError, OrderingValidationError
 
 
@@ -28,23 +29,57 @@ def _check_permutation(C: ConceptClass, ordering) -> list[int]:
     return order
 
 
+def _out_map(order, n: int) -> dict:
+    """v -> o(v) for the concepts v of an ordering, in that order, where
+    o(v) is the mask of the directions b such that v ^ b comes before v."""
+    earlier: set = set()
+    o = {}
+    for v in order:
+        o[v] = graph._neighbour_dirs(earlier, v, n)
+        earlier.add(v)
+    return o
+
+
 def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
-    """Evaluate the four level-set properties of an ordering, each directly."""
+    """Evaluate the four level-set properties of an ordering, each on its own
+    path, judging each level from its newest concept.
+
+    Level P = P' ∪ {v} follows the level P' with v, and N = o(v) is the mask
+    of v's neighbours in P', which are all its neighbours in P.  A property
+    holds for the ordering when it holds on every level, so P is judged only
+    while P' passed, and then only the pairs and cubes through v are new:
+
+    - corner: the supports of the cubes of P through v are closed under
+      subsets and their union is N, so v lies in a unique maximal cube iff
+      the N-cube through v lies in P (the proof of `graph.is_corner`);
+    - isometric: P is isometric iff every u in P' has (u ^ v) & N nonzero,
+      since a shortest path from v to u must start along a coordinate where
+      they differ and P' carries it on from there (as
+      `graph.extends_isometric`);
+    - weakly isometric: a pair v, v ^ a ^ b at Hamming distance 2 has a
+      common neighbour in P iff v ^ a or v ^ b is in P, that is iff a or b
+      lies in N; so P fails iff v ^ a ^ b is in P' for two directions a, b
+      outside N;
+    - ample: a cube of P lies in P' or passes through v, so X(P) is X(P')
+      together with the supports of the cubes of P through v, and P is
+      ample iff |X(P)| = |P|.
+    """
     order = _check_permutation(C, ordering)
     ample = corner = isometric = weak = True
     prefix: set = set()
-    for i in range(1, len(order) + 1):
-        level = ConceptClass(C.n, tuple(order[:i]))
-        if ample and not shatter._is_ample_fast(level):
-            ample = False
-        if corner and not graph.is_corner(level, order[i - 1]):
-            corner = False
-        # while it stays isometric, each level extends the previous one
-        if isometric and not graph.extends_isometric(prefix, order[i - 1], C.n):
-            isometric = False
-        prefix.add(order[i - 1])
-        if weak and not graph.is_isometric(level, "weak"):
-            weak = False
+    X: set = set()
+    for v, N in _out_map(order, C.n).items():
+        if isometric:
+            isometric = all((u ^ v) & N for u in prefix)
+        if weak:
+            free = bits_of(C.domain_mask & ~N)
+            weak = not any(v ^ a ^ b in prefix for a, b in combinations(free, 2))
+        prefix.add(v)
+        if corner:
+            corner = cube_in_class(Cube(v & ~N, N), prefix)
+        if ample:
+            X.update(graph._local_supports(prefix, v, N))
+            ample = len(X) == len(prefix)
         if not (ample or corner or isometric or weak):
             break
     return OrderingReport(ample, corner, isometric, weak)
@@ -242,28 +277,24 @@ def replay_collapse(C: ConceptClass, seq: CollapseSequence, survivor: Optional[i
     Since the face set stays closed under subcubes throughout a collapse,
     a face is free exactly when it has a single remaining coface one
     dimension up (two intermediate faces would survive under any higher
-    containment).
+    containment).  The cofaces one dimension up of the face (t, S) are the
+    faces (t & ~b, S | b) with b not in S, looked up in the remaining faces.
     """
     faces = {(t, S) for S, ts in graph.cube_tags(C).items() for t in ts}
-    cofaces: dict = {f: set() for f in faces}
-    for (t, S) in faces:
-        for b in bits_of(S):
-            for facet in ((t, S ^ b), (t | b, S ^ b)):
-                cofaces[facet].add((t, S))
+    dirs = graph._DIRS[:C.n]
     for i, (Q, Qp) in enumerate(seq):
         fq, fp = (Q.tag, Q.support), (Qp.tag, Qp.support)
         if not Qp.contains_cube(Q) or Qp.dim != Q.dim + 1:
             raise IntegrityError(f"pair {i}: not a facet/coface pair")
         if fq not in faces or fp not in faces:
             raise IntegrityError(f"pair {i}: face already removed or absent")
-        if cofaces[fq] != {fp}:
+        t, S = fq
+        cofaces = [f for b in dirs if not b & S and (f := (t & ~b, S | b)) in faces]
+        if cofaces != [fp]:
             raise IntegrityError(
-                f"pair {i}: face is not free ({len(cofaces[fq])} cofaces)")
-        for f in (fq, fp):
-            faces.discard(f)
-            for b in bits_of(f[1]):
-                for facet in ((f[0], f[1] ^ b), (f[0] | b, f[1] ^ b)):
-                    cofaces[facet].discard(f)
+                f"pair {i}: face is not free ({len(cofaces)} cofaces)")
+        faces.discard(fq)
+        faces.discard(fp)
     if len(faces) != 1:
         raise IntegrityError(f"{len(faces)} faces remain after replay")
     (tag, sup), = faces

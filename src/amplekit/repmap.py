@@ -15,15 +15,9 @@ from .errors import ContractError, DomainError, IntegrityError
 
 # The map file format and the map contracts are defined in `core`, next to
 # the class file format, so that `compress` and `decompress` can read a map
-# without importing this module and its dependencies.  They stay importable
-# from here for existing callers.
-from .core import (  # noqa: F401
-    _check_total,
-    _inverse,
-    _parse_repmap,
-    format_repmap,
-    parse_repmap_text,
-)
+# without importing this module and its dependencies.  The two public names
+# of the format stay importable from here.
+from .core import _check_total, format_repmap, parse_repmap_text  # noqa: F401
 
 RepMap = dict
 
@@ -351,16 +345,10 @@ def peeling_to_uso(C: ConceptClass, ordering) -> RepMap:
     """Out-map orienting every edge from the later concept to the earlier."""
     from . import peeling as peeling_mod
 
-    report = peeling_mod.classify_ordering(C, ordering)
-    if not report.corner_peeling:
+    if not peeling_mod.classify_ordering(C, ordering).corner_peeling:
         raise ContractError("ordering is not a corner peeling")
-    index = {c: i for i, c in enumerate(ordering)}
-    s = C.concept_set
-    o = {}
-    for c in C:
-        o[c] = sum(b for b in bits_of(C.domain_mask)
-                   if c ^ b in s and index[c ^ b] < index[c])
-    return o
+    o = peeling_mod._out_map(ordering, C.n)
+    return {c: o[c] for c in C}
 
 
 # -- substructure maps ---------------------------------------------------------

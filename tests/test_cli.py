@@ -159,6 +159,16 @@ def test_decompress_rejects_a_map_that_is_not_injective(capsys, tmp_path):
     assert err == "error: map is not injective\n"
 
 
+@pytest.mark.parametrize("width", [0, 25, 30])
+def test_decompress_rejects_a_map_width_outside_the_domain(capsys, tmp_path, width):
+    # the map's first line sets the width, which class files bound to 1..24
+    rp = tmp_path / "wide.rep"
+    rp.write_text(f"{'0' * width} -> {'0' * width}\n")
+    code, out, err = run(capsys, "decompress", "--repmap", str(rp), "--set", "{}")
+    assert code == 2 and out == ""
+    assert err == f"error: line 1: width {width} outside 1..24\n"
+
+
 def test_compress_rejects_a_map_that_is_not_injective(capsys, tmp_path):
     cls, rp = tmp_path / "pair.txt", tmp_path / "dup.rep"
     core.write_class_file(str(cls), ConceptClass.from_strings(["000", "100"]))

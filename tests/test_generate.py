@@ -102,6 +102,40 @@ def test_random_ample_dim_cap():
         assert shatter.is_ample(C)[0]
 
 
+def random_ample_vc_dim_oracle(n, size, seed, max_dim):
+    """random_ample with the dimension cap tested by rebuilding each
+    candidate class and taking its VC dimension."""
+    rng = random.Random(seed)
+    start = rng.randrange(1 << n)
+    chosen = [start]
+    cset = {start}
+    while len(chosen) < size:
+        frontier = sorted({c ^ 1 << i for c in chosen for i in range(n)} - cset)
+        rng.shuffle(frontier)
+        for t in frontier:
+            if (graph.extends_isometric(cset, t, n)
+                    and shatter.vc_dim(ConceptClass(n, (*chosen, t))) <= max_dim):
+                chosen.append(t)
+                cset.add(t)
+                break
+        else:
+            break
+    return ConceptClass(n, tuple(chosen))
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2, 3])
+def test_random_ample_dim_cap_matches_vc_dim_oracle(max_dim):
+    saturated = 0
+    for n in (3, 4, 5, 6, 7):
+        for seed in range(8):
+            size = min(1 << n, 6 + 5 * seed)
+            C = generate.random_ample(n, size, seed, max_dim=max_dim)
+            assert C == random_ample_vc_dim_oracle(n, size, seed, max_dim)
+            saturated += C.size < size
+    # the cap stopped the growth early at least once
+    assert saturated
+
+
 def test_random_downset_is_conditional_antimatroid():
     for seed in range(15):
         C = generate.random_downset_class(5, seed)

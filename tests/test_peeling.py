@@ -54,6 +54,95 @@ def test_four_properties_equivalent_small_exhaustive():
             assert peeling.classify_ordering(C, perm).all_equal
 
 
+def classify_ordering_oracle(C, ordering):
+    """The classifier that rebuilds every prefix as a class and runs the
+    whole-class tests on it, kept as the reference for the out-map walk."""
+    order = list(ordering)
+    ample = corner = isometric = weak = True
+    prefix = set()
+    for i in range(1, len(order) + 1):
+        level = ConceptClass(C.n, tuple(order[:i]))
+        if ample and not shatter._is_ample_fast(level):
+            ample = False
+        if corner and not graph.is_corner(level, order[i - 1]):
+            corner = False
+        if isometric and not graph.extends_isometric(prefix, order[i - 1], C.n):
+            isometric = False
+        prefix.add(order[i - 1])
+        if weak and not graph.is_isometric(level, "weak"):
+            weak = False
+        if not (ample or corner or isometric or weak):
+            break
+    return peeling.OrderingReport(ample, corner, isometric, weak)
+
+
+def random_orderings(rng, C, k):
+    """k shuffles of C, then k orderings grown through random neighbours,
+    whose flags hold for longer and drop at different levels."""
+    for _ in range(k):
+        order = list(C.concepts)
+        rng.shuffle(order)
+        yield order
+    s = C.concept_set
+    for _ in range(k):
+        order = [rng.choice(C.concepts)]
+        while len(order) < C.size:
+            seen = set(order)
+            nbrs = sorted({c ^ 1 << x for c in order for x in range(C.n)} & s - seen)
+            order.append(rng.choice(nbrs or sorted(s - seen)))
+        yield order
+
+
+def drop_levels(reports):
+    """Per flag, the first level whose report has it false, or None."""
+    return tuple(next((i for i, rep in enumerate(reports) if not rep[f]), None)
+                 for f in range(4))
+
+
+def test_classify_ordering_matches_per_prefix_oracle():
+    rng = random.Random(14)
+    finals, staggered = set(), 0
+    for n in range(1, 7):
+        for seed in range(8):
+            size = rng.randint(1, min(1 << n, 20))
+            cases = [ConceptClass(n, tuple(rng.sample(range(1 << n), size))),
+                     generate.random_ample(n, size, seed)]
+            for C in cases:
+                orders = list(random_orderings(rng, C, 3))
+                if shatter.is_ample(C)[0]:
+                    orders.append(peeling.corner_peeling_search(C).ordering)
+                for order in orders:
+                    # every prefix is itself an ordering of its own class
+                    got, want = [], []
+                    for i in range(1, len(order) + 1):
+                        P = ConceptClass(n, tuple(order[:i]))
+                        got.append(peeling.classify_ordering(P, order[:i]))
+                        want.append(classify_ordering_oracle(P, order[:i]))
+                    assert got == want, (C, order)
+                    finals.add(want[-1])
+                    dropped = {i for i in drop_levels(want) if i is not None}
+                    staggered += len(dropped) > 1
+    assert (True,) * 4 in finals and (False,) * 4 in finals
+    assert sum(not rep.all_equal for rep in finals) >= 2
+    assert staggered > 50
+
+
+def test_classify_ordering_rebuilds_no_level(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("whole-class test called on a level")
+
+    C = generate.hamming_ball(5, 2)
+    peel = peeling.corner_peeling_search(C).ordering
+    monkeypatch.setattr(shatter, "_is_ample_fast", refuse)
+    monkeypatch.setattr(graph, "is_isometric", refuse)
+    monkeypatch.setattr(graph, "is_corner", refuse)
+    assert peeling.classify_ordering(C, peel) == (True,) * 4
+    rng = random.Random(3)
+    for D in (C, generate.random_ample(6, 30, 1), ConceptClass(4, (0, 3, 5, 6, 9, 15))):
+        for order in random_orderings(rng, D, 4):
+            peeling.classify_ordering(D, order)
+
+
 # ---------------------------------------------------------------- search
 
 def test_search_three_vertex_path():
@@ -375,6 +464,68 @@ def test_collapse_reads_the_complex_like_the_concept_recursion():
         assert (pairs(seq), survivor) == (pairs(want_seq), want_survivor)
         classes += 1
     assert classes > 100
+
+
+def replay_collapse_oracle(C, seq, survivor=None):
+    """The replay that keeps a coface set per face of X(C), kept as the
+    reference for the replay by lookups."""
+    faces = {(t, S) for S, ts in graph.cube_tags(C).items() for t in ts}
+    cofaces = {f: set() for f in faces}
+    for (t, S) in faces:
+        for b in core.bits_of(S):
+            for facet in ((t, S ^ b), (t | b, S ^ b)):
+                cofaces[facet].add((t, S))
+    for i, (Q, Qp) in enumerate(seq):
+        fq, fp = (Q.tag, Q.support), (Qp.tag, Qp.support)
+        if not Qp.contains_cube(Q) or Qp.dim != Q.dim + 1:
+            raise IntegrityError(f"pair {i}: not a facet/coface pair")
+        if fq not in faces or fp not in faces:
+            raise IntegrityError(f"pair {i}: face already removed or absent")
+        if cofaces[fq] != {fp}:
+            raise IntegrityError(
+                f"pair {i}: face is not free ({len(cofaces[fq])} cofaces)")
+        for f in (fq, fp):
+            faces.discard(f)
+            for b in core.bits_of(f[1]):
+                for facet in ((f[0], f[1] ^ b), (f[0] | b, f[1] ^ b)):
+                    cofaces[facet].discard(f)
+    if len(faces) != 1:
+        raise IntegrityError(f"{len(faces)} faces remain after replay")
+    (tag, sup), = faces
+    if sup != 0 or (survivor is not None and tag != survivor):
+        raise IntegrityError("replay did not end at the expected vertex")
+
+
+def replay_message(replay, C, seq, survivor=None):
+    try:
+        replay(C, seq, survivor)
+    except IntegrityError as exc:
+        return str(exc)
+    return None
+
+
+def test_replay_by_lookups_raises_like_the_coface_sets():
+    rng = random.Random(31)
+    messages = set()
+    for C in [C for C in collapse_cases() if C.size <= 64][::2]:
+        seq, survivor = peeling._collapse_rec(C.support(), graph.cube_tags(C))
+        bad = [list(reversed(seq)), seq + seq[-1:], [(p, q) for q, p in seq]]
+        for _ in range(3):
+            if len(seq) > 1:
+                i, j = sorted(rng.sample(range(len(seq)), 2))
+                swapped = list(seq)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                bad.append(swapped)
+                bad.append(seq[:i] + seq[i + 1:])
+                bad.append(seq[:j] + [seq[i]] + seq[j:])
+        for s in [seq] + bad:
+            for end in (None, survivor, survivor ^ 1):
+                want = replay_message(replay_collapse_oracle, C, s, end)
+                assert replay_message(peeling.replay_collapse, C, s, end) == want
+                messages.add(want and want.split(": ")[-1].split(" (")[0])
+    assert {None, "face is not free", "face already removed or absent",
+            "not a facet/coface pair", "3 faces remain after replay",
+            "replay did not end at the expected vertex"} <= messages
 
 
 def test_replay_rejects_bad_sequence():

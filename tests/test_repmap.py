@@ -413,6 +413,27 @@ def test_uso_to_peeling_peels_the_smallest_source_first():
     assert several > 10
 
 
+def peeling_to_uso_index_oracle(C, ordering):
+    """The out-map by an index scan: each edge points from the concept that
+    comes later in the ordering to the earlier one."""
+    index = {c: i for i, c in enumerate(ordering)}
+    s = C.concept_set
+    return {c: sum(b for b in core.bits_of(C.domain_mask)
+                   if c ^ b in s and index[c ^ b] < index[c]) for c in C}
+
+
+def test_peeling_to_uso_matches_the_index_scan():
+    cases = 0
+    for C, o in uso_cases():
+        for order in (peeling.corner_peeling_search(C).ordering,
+                      repmap.uso_to_peeling(C, o)):
+            got = repmap.peeling_to_uso(C, order)
+            # equal with the keys in the same ascending order
+            assert list(got.items()) == list(peeling_to_uso_index_oracle(C, order).items())
+            cases += 1
+    assert cases > 20
+
+
 def test_peeling_to_uso_rejects_bad_ordering():
     Q2 = ConceptClass.of(2, range(4))
     with pytest.raises(ContractError):
