@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from . import core, graph, shatter
+from . import core, graph
 from .core import ConceptClass, bits_of, full_mask, popcount
 from .errors import ContractError, DomainError
 
@@ -48,25 +49,38 @@ def random_ample(n: int, size: int, seed: int,
     if size < 1 or size > 1 << n:
         raise ContractError("size out of range")
     rng = random.Random(seed)
+    dirs = graph._DIRS[:n]
     start = rng.randrange(1 << n)
     chosen = [start]
     cset = {start}
+    # the non-members next to a member, ascending, kept up to date as t joins
+    frontier = sorted(start ^ b for b in dirs)
+    # frontier concepts refused since they last gained a neighbour: until
+    # then a refusal stands, since the class only grows, so the member that
+    # broke isometry stays and the cubes through t only multiply
+    refused: set = set()
     while len(chosen) < size:
-        frontier = sorted({c ^ b for c in chosen for b in bits_of(full_mask(n))
-                           if c ^ b not in cset})
-        rng.shuffle(frontier)
-        placed = False
-        for t in frontier:
-            if not graph.extends_isometric(cset, t, n):
+        order = frontier[:]
+        rng.shuffle(order)
+        for t in order:
+            if t in refused:
                 continue
-            if max_dim is not None and max(map(popcount, graph._local_supports(
-                    cset, t, graph._neighbour_dirs(cset, t, n)))) > max_dim:
+            if not graph.extends_isometric(cset, t, n) or (
+                    max_dim is not None and max(map(popcount, graph._local_supports(
+                        cset, t, graph._neighbour_dirs(cset, t, n)))) > max_dim):
+                refused.add(t)
                 continue
             chosen.append(t)
             cset.add(t)
-            placed = True
+            del frontier[bisect_left(frontier, t)]
+            for b in dirs:
+                u = t ^ b
+                refused.discard(u)
+                i = bisect_left(frontier, u)
+                if u not in cset and (i == len(frontier) or frontier[i] != u):
+                    frontier.insert(i, u)
             break
-        if not placed:
+        else:
             break  # saturated under the dimension cap
     return ConceptClass(n, tuple(chosen))
 
@@ -128,6 +142,8 @@ BATCH_COLUMNS = ("file", "n", "size", "vc_dim", "shattered",
 
 
 def batch_row(name: str, C: ConceptClass) -> tuple:
+    # imported here, so that the generators alone do not load `shatter`
+    from . import shatter
     return (name, *shatter.summary(C).printed().values())
 
 

@@ -69,6 +69,16 @@ def cube_tags(C: ConceptClass) -> dict:
     return tags
 
 
+def _ample_tags(C: ConceptClass, message: str) -> dict:
+    """`cube_tags(C)` for an ample C, tested as |X(C)| = |C|; raises
+    ContractError(message) otherwise.  Guards hand the tags on, so their
+    callers read X(C) without building it again."""
+    tags = cube_tags(C)
+    if len(tags) != C.size:
+        raise ContractError(message)
+    return tags
+
+
 def split_tags(tags: dict, xb: int) -> tuple[dict, dict]:
     """The cube complexes of the reduction C^x and the restriction C_x of an
     ample class C, over C's own coordinates, read off C's `tags`.
@@ -165,8 +175,14 @@ def is_corner(C: ConceptClass, c: int) -> bool:
     maximal among them is also maximal in C, since any larger cube would
     again pass through c).
     """
-    N = _neighbour_dirs(C.concept_set, c, C.n)
-    return core.cube_in_class(Cube(c & ~N, N), C.concept_set)
+    s = C.concept_set
+    return _is_corner_in(s, c, _neighbour_dirs(s, c, C.n))
+
+
+def _is_corner_in(s, c: int, N: int) -> bool:
+    """`is_corner` for c in the set s, with N the mask of the directions b
+    such that c ^ b is in s."""
+    return core.cube_in_class(Cube(c & ~N, N), s)
 
 
 def corners(C: ConceptClass) -> list[int]:

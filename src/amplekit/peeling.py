@@ -5,8 +5,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from . import graph, shatter
-from .core import ConceptClass, Cube, bits_of, cube_in_class, popcount
+from . import graph
+from .core import ConceptClass, Cube, bits_of, popcount
 from .errors import ContractError, IntegrityError, OrderingValidationError
 
 
@@ -76,7 +76,7 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
             weak = not any(v ^ a ^ b in prefix for a, b in combinations(free, 2))
         prefix.add(v)
         if corner:
-            corner = cube_in_class(Cube(v & ~N, N), prefix)
+            corner = graph._is_corner_in(prefix, v, N)
         if ample:
             X.update(graph._local_supports(prefix, v, N))
             ample = len(X) == len(prefix)
@@ -103,12 +103,41 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
     proven=True means the exhaustive search finished without success;
     proven=False means the expansion budget ran out first.  The search keeps
     its own stack, so its depth is not bounded by the recursion limit.
+
+    The corners of the current level are kept as a set.  Before c is
+    removed from the level s, the concepts c ^ Z for the supports Z of
+    `graph._local_supports(s, c, N(c))` are collected: these are exactly the
+    concepts u that share a cube of s with c, since the interval between u
+    and c is then a cube through c.  After the removal only they are
+    rechecked.  Any other concept u keeps its cornerhood: u is not next to
+    c, so its neighbour mask N(u) is unchanged; if u was a corner, its
+    N(u)-cube lay in s without c (else u would share it with c), so it
+    still lies in s minus c; if u was not a corner, its N(u)-cube was
+    already missing a vertex.  Putting c back is the same argument read
+    backwards on s, so a backtrack rechecks the same concepts, c included.
     """
-    shatter._ample_tags(C, "corner peeling search requires an ample class")
+    graph._ample_tags(C, "corner peeling search requires an ample class")
+    n = C.n
     expansions = 0
     failed: set = set()
     peeled: list[int] = []
+    # touched[i]: the concepts that shared a cube with peeled[i] when it went
+    touched: list = []
     remaining = set(C.concepts)
+    corners = set(graph.corners(C))
+
+    def recheck(us) -> None:
+        for u in us:
+            if u in remaining and graph._is_corner_in(
+                    remaining, u, graph._neighbour_dirs(remaining, u, n)):
+                corners.add(u)
+            else:
+                corners.discard(u)
+
+    def unpeel() -> None:
+        remaining.add(peeled.pop())
+        recheck(touched.pop())
+
     # one frame per peeled level: its state and its corners not yet tried
     stack: list = []
     while True:
@@ -117,10 +146,9 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
             return PeelingResult(tuple(reversed(peeled)), True, expansions)
         state = frozenset(remaining)
         if state in failed:
-            remaining.add(peeled.pop())
+            unpeel()
         else:
-            level = ConceptClass(C.n, tuple(remaining))
-            stack.append((state, iter(sorted(graph.corners(level)))))
+            stack.append((state, iter(sorted(corners))))
         # next untried corner, dropping exhausted levels as failed
         while True:
             if not stack:
@@ -132,12 +160,16 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
             failed.add(state)
             stack.pop()
             if stack:
-                remaining.add(peeled.pop())
+                unpeel()
         expansions += 1
         if expansions > budget:
             return PeelingResult(None, False, expansions)
+        shared = [c ^ Z for Z in graph._local_supports(
+            remaining, c, graph._neighbour_dirs(remaining, c, n))]
         remaining.remove(c)
         peeled.append(c)
+        touched.append(shared)
+        recheck(shared)
 
 
 def _closure(C: ConceptClass, s: int) -> Optional[int]:
@@ -175,7 +207,7 @@ def antimatroid_peeling(C: ConceptClass) -> tuple:
 def two_dim_peeling(C: ConceptClass) -> tuple:
     """Max-adjacency growth ordering; a corner peeling for ample classes of
     VC-dimension at most 2."""
-    tags = shatter._ample_tags(C, "two-dimensional peeling requires an ample class")
+    tags = graph._ample_tags(C, "two-dimensional peeling requires an ample class")
     if max(popcount(Y) for Y in tags) > 2:
         raise ContractError("two-dimensional peeling requires VC-dimension <= 2")
     order = [C.concepts[0]]
@@ -263,7 +295,7 @@ def _collapse_rec(alive: int, tags: dict) -> tuple[CollapseSequence, int]:
 
 def collapse_sequence(C: ConceptClass) -> CollapseSequence:
     """Collapsing sequence of Q(C) down to one vertex, validated by replay."""
-    tags = shatter._ample_tags(C, "collapse sequences are built for ample classes only")
+    tags = graph._ample_tags(C, "collapse sequences are built for ample classes only")
     seq, survivor = _collapse_rec(C.support(), tags)
     replay_collapse(C, seq, survivor)
     return seq

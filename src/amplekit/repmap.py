@@ -412,7 +412,7 @@ def sub_repmap_restriction(C: ConceptClass, r: RepMap, Y: int,
 def pre_rep_c1(C: ConceptClass) -> RepMap:
     """Bijection r': C -> X(C) with every r'(c)-cube through c inside C,
     via a perfect matching in the carrier incidence graph."""
-    tags = shatter._ample_tags(C, "pre-representation maps require an ample class")
+    tags = graph._ample_tags(C, "pre-representation maps require an ample class")
     adj = graph.support_concepts(tags)
     m = matching.hopcroft_karp(adj)
     if len(m) != len(adj):
@@ -427,7 +427,7 @@ def pre_rep_c1(C: ConceptClass) -> RepMap:
 def pre_rep_c2(C: ConceptClass) -> RepMap:
     """Injection r'': C -> 2^X with a unique sink on every cube of C, by
     orienting each x-level's edges downward on top of the recursion for C_x."""
-    tags = shatter._ample_tags(C, "pre-representation maps require an ample class")
+    tags = graph._ample_tags(C, "pre-representation maps require an ample class")
     r = _pre_rep_c2_rec(C.support(), C.concepts)
     vals = list(r.values())
     if len(set(vals)) != len(vals):
@@ -466,7 +466,7 @@ def isr_instance(C: ConceptClass) -> ISRInstance:
     rule holds iff the interval cube lies in C and (Y1 ^ Y2) & (c ^ w) = 0:
     each edge comes from one antipodal pair (c, c ^ S) of one cube of X(C).
     """
-    tags = shatter._ample_tags(C, "ISR instances are defined for ample classes")
+    tags = graph._ample_tags(C, "ISR instances are defined for ample classes")
     supports: dict = {c: [] for c in C}
     for Y, cs in graph.support_concepts(tags).items():
         for c in cs:
@@ -562,15 +562,29 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
         raise ContractError(f"need a set of size vc_dim+1 = {red_d + 1}, got {d}")
     tail = core.tail(C, x)
     tails = tail.concepts if tail is not None else ()
-    labels = tuple(sorted((sigma, p) for sigma, ps in
-                          shatter._missed_labels(red.concepts, red.domain_mask, d).items()
-                          for p in ps))
-    edges = tuple((t, i) for t in tails
-                  for i, (sigma, pat) in enumerate(labels) if t & sigma == pat)
-    # edges come grouped by tail, labels ascending within each tail
+    missed = shatter._missed_labels(red.concepts, red.domain_mask, d)
+    labels = tuple(sorted((sigma, p) for sigma, ps in missed.items() for p in ps))
+    # the tails t with t & sigma = p are the fibre of p over sigma, so one
+    # fibre walk over the tails gives every label its tails
+    fibre: dict = {}
+
+    def visit(Y: int, fibres: list) -> None:
+        ps = missed.get(Y)
+        if ps:
+            ys = bits_of(Y)
+            for p in ps:
+                fibre[Y, p] = fibres[sum(1 << j for j, b in enumerate(ys) if p & b)]
+
+    shatter._fibre_walk(tails, red.domain_mask, d, False, visit)
     adj: dict = {t: [] for t in tails}
-    for t, i in edges:
-        adj[t].append(i)
+    for i, label in enumerate(labels):
+        f = fibre[label]
+        while f:
+            low = f & -f
+            adj[tails[low.bit_length() - 1]].append(i)
+            f ^= low
+    # edges come grouped by tail, labels ascending within each tail
+    edges = tuple((t, i) for t in tails for i in adj[t])
     m = matching.hopcroft_karp(adj)
     if len(tails) != len(labels) or len(m) != len(tails):
         status = "no_perfect_matching"

@@ -131,21 +131,11 @@ def _is_ample_fast(C: ConceptClass) -> bool:
     return len(graph.cube_tags(C)) == C.size
 
 
-def _ample_tags(C: ConceptClass, message: str) -> dict:
-    """`graph.cube_tags(C)` for an ample C, by the test of `_is_ample_fast`;
-    raises ContractError(message) otherwise.  Guards hand the tags on, so
-    their callers read X(C) without building it again."""
-    tags = graph.cube_tags(C)
-    if len(tags) != C.size:
-        raise ContractError(message)
-    return tags
-
-
 def _maximum_tags(C: ConceptClass, message: str) -> tuple[dict, int]:
     """(`graph.cube_tags(C)`, vc_dim(C)) for a maximum C; raises
     ContractError(message) otherwise.  A maximum class is ample, so its
     VC-dimension is the largest cube support."""
-    tags = _ample_tags(C, message)
+    tags = graph._ample_tags(C, message)
     d = max(popcount(Y) for Y in tags)
     if C.size != phi(d, C.n):
         raise ContractError(message)

@@ -44,6 +44,17 @@ def _classes() -> dict:
     }
 
 
+def _peel_classes() -> dict:
+    """file name -> class for the larger peel and collapse records, appended
+    after the others: two n = 10 random ample classes, one of them capped at
+    VC dimension 2 so that the two-dimensional peeling runs, and ball(10,3)."""
+    return {
+        "ample_10a.txt": generate.random_ample(10, 150, 5),
+        "ample_10b.txt": generate.random_ample(10, 120, 6, max_dim=2),
+        "ball_10_3.txt": generate.hamming_ball(10, 3),
+    }
+
+
 MAXIMUM = ("ball_3_1.txt", "ball_4_1.txt", "ball_5_2.txt", "ball_6_3.txt",
            "twist_5_2.txt")
 SAMPLES = ("", "x1=0", "x1=1,x3=0", "x2=1,x4=1,x5=0", "x1=0,x2=0,x3=1,x5=1")
@@ -109,6 +120,11 @@ def replay() -> list:
             run("compress", name, "--repmap", f"{name}.rep", "--sample", sample)
         for alpha in SETS:
             run("decompress", "--repmap", f"{name}.rep", "--set", alpha)
+    for name, C in _peel_classes().items():
+        core.write_class_file(name, C)
+        for algorithm in ("greedy", "twodim"):
+            run("peel", name, "--algorithm", algorithm)
+        run("collapse", name)
     return runs
 
 

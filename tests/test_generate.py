@@ -95,6 +95,43 @@ def test_random_ample_pinned_digests(seed, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+def random_ample_rebuilt_frontier(n, size, seed, max_dim=None):
+    """random_ample as it was written before its frontier was kept up to
+    date: the frontier rebuilt from every chosen concept at every step."""
+    rng = random.Random(seed)
+    start = rng.randrange(1 << n)
+    chosen = [start]
+    cset = {start}
+    while len(chosen) < size:
+        frontier = sorted({c ^ b for c in chosen for b in core.bits_of(core.full_mask(n))
+                           if c ^ b not in cset})
+        rng.shuffle(frontier)
+        placed = False
+        for t in frontier:
+            if not graph.extends_isometric(cset, t, n):
+                continue
+            if max_dim is not None and max(map(core.popcount, graph._local_supports(
+                    cset, t, graph._neighbour_dirs(cset, t, n)))) > max_dim:
+                continue
+            chosen.append(t)
+            cset.add(t)
+            placed = True
+            break
+        if not placed:
+            break
+    return ConceptClass(n, tuple(chosen))
+
+
+@pytest.mark.parametrize("max_dim", [None, 1, 2, 3])
+def test_random_ample_matches_the_rebuilt_frontier(max_dim):
+    for n in range(4, 11):
+        for size in sorted({3, 1 << (n - 2), min(1 << n, 90)}):
+            for seed in range(3):
+                C = generate.random_ample(n, size, seed, max_dim=max_dim)
+                assert C.concepts == random_ample_rebuilt_frontier(n, size, seed, max_dim).concepts
+                assert C.size <= size
+
+
 def test_random_ample_dim_cap():
     for seed in range(10):
         C = generate.random_ample(6, 20, seed=seed, max_dim=2)

@@ -133,6 +133,30 @@ def test_commands_load_no_heavy_standard_modules(ball_files):
         assert not (loaded - bare) & START_UP_HEAVY, (name, (loaded - bare) & START_UP_HEAVY)
 
 
+def test_peel_side_commands_load_neither_shatter_nor_repmap(ball_files, tmp_path):
+    cls, _, _ = ball_files
+    out, code, loaded = cli_run("peel", cls)
+    assert code == 0 and out
+    order = tmp_path / "ball.order"
+    order.write_text("n=5\n" + out, encoding="utf-8")
+    runs = {
+        "peel": (out, code, loaded),
+        "peel twodim": cli_run("peel", cls, "--algorithm", "twodim"),
+        "shelling": cli_run("shelling", str(order)),
+        "collapse": cli_run("collapse", cls),
+        "generate": cli_run("--seed", "3", "generate", "--kind", "random_ample",
+                            "--n", "6", "--size", "20"),
+    }
+    for name, (out, code, loaded) in runs.items():
+        assert code == 0 and out, name
+        assert not loaded & {"amplekit.shatter", "amplekit.repmap"}, (name, loaded)
+    # `batch` loads `shatter` where it needs it
+    out, code, loaded = cli_run("batch", cls)
+    assert (out, code) == (generate.batch_csv([generate.batch_row(
+        cls, generate.hamming_ball(5, 2))]), 0)
+    assert "amplekit.shatter" in loaded
+
+
 def test_old_exports_resolve_lazily_to_their_module_objects():
     code = """
 import importlib, json, sys

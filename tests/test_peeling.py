@@ -227,14 +227,19 @@ def _small_ample_classes():
 
 def test_search_matches_recursive_reference(monkeypatch):
     classes = list(_small_ample_classes())
-    for C in classes:
+    larger = [generate.random_ample(n, min(1 << n, 40 + 50 * seed), seed)
+              for n in range(7, 11) for seed in range(3)]
+    for C in classes + larger:
         for budget in (0, 1, 3, 10**6):
             assert (peeling.corner_peeling_search(C, budget)
                     == _recursive_search(C, budget))
-    # withholding some corners forces dead ends, backtracking and memo hits
-    real = graph.corners
-    monkeypatch.setattr(graph, "corners", lambda level: [
-        c for c in real(level) if (c * 7 + level.size) % 3])
+    # withholding some corners forces dead ends, backtracking and memo hits;
+    # the thinning reads only c and its neighbour mask N, so that cornerhood
+    # stays local, as the search's recheck of the concepts sharing a cube
+    # with the peeled one requires
+    real = graph._is_corner_in
+    monkeypatch.setattr(graph, "_is_corner_in", lambda s, c, N: bool(
+        real(s, c, N) and (c + 5 * core.popcount(N)) % 3))
     backtracked = 0
     for C in classes:
         for budget in (5, 10**6):

@@ -730,9 +730,11 @@ def test_tail_matching_tails_are_the_restriction_less_the_reduction():
 
 
 def test_tail_matching_report_matches_the_per_tail_edge_scan(monkeypatch):
-    """The adjacency built in one pass over the edges is the one the former
-    per-tail rescan of all edges built, lists in the same order, and gives
-    the same matching, status and degree-one sides."""
+    """The edges read off the fibre walk over the tails are those of testing
+    every tail against every label, in the same order; the adjacency built
+    in one pass over the edges is the one the former per-tail rescan of all
+    edges built, lists in the same order, and gives the same matching,
+    status and degree-one sides."""
     from amplekit import matching
     given = []
     hopcroft_karp = matching.hopcroft_karp
@@ -742,7 +744,7 @@ def test_tail_matching_report_matches_the_per_tail_edge_scan(monkeypatch):
     # a ball's tails have one label each; the other maximum classes of
     # n <= 3 and the products have tails with two or three
     classes = [core.twist(generate.hamming_ball(n, d), rng.randrange(1 << n))
-               for n, d in ((4, 1), (5, 2), (6, 3), (7, 2), (8, 3))]
+               for n, d in ((4, 1), (5, 2), (6, 3), (7, 2), (8, 3), (9, 4))]
     classes += [C for C in ample_classes(3) if shatter.is_maximum(C)]
     classes += [core.product(generate.hamming_ball(2, 1), generate.hamming_ball(3, 1)),
                 core.product(generate.hamming_ball(3, 1), generate.hamming_ball(3, 2))]
@@ -754,6 +756,9 @@ def test_tail_matching_report_matches_the_per_tail_edge_scan(monkeypatch):
                 rep = repmap.tail_matching_analysis(C, x)
             except ContractError:   # no x-edge, or a reduction of lower dimension
                 continue
+            assert rep.edges == tuple(
+                (t, i) for t in rep.tails
+                for i, (sigma, pat) in enumerate(rep.labels) if t & sigma == pat)
             adj = {t: [i for tt, i in rep.edges if tt == t] for t in rep.tails}
             assert given == [adj] and all(v == sorted(v) for v in adj.values())
             longest = max(longest, *map(len, adj.values()), 0)
