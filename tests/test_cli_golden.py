@@ -78,6 +78,13 @@ def _swap_first_last(map_text: str) -> str:
     return "\n".join([f"{c0} -> {r1}", *lines[1:-1], f"{c1} -> {r0}"]) + "\n"
 
 
+def _with_image(map_text: str, i: int, image: str) -> str:
+    """The map with the image of its i-th concept replaced."""
+    lines = map_text.splitlines()
+    lines[i] = lines[i].split(" -> ")[0] + " -> " + image
+    return "\n".join(lines) + "\n"
+
+
 def replay() -> list:
     """Every golden command, run in the current directory, with its exit
     code and output; later commands read files made from earlier outputs."""
@@ -125,6 +132,20 @@ def replay() -> list:
         for algorithm in ("greedy", "twodim"):
             run("peel", name, "--algorithm", algorithm)
         run("collapse", name)
+    # maps that fail: not injective (the last concept takes the first image),
+    # an image outside X(C), a class that is not ample, and an injective map
+    # with two reconstructions of the sample x2=0
+    good = Path("ball_5_2.txt.rep").read_text(encoding="utf-8")
+    first = good.splitlines()[0].split(" -> ")[1]
+    Path("dup.rep").write_text(_with_image(good, -1, first), encoding="utf-8")
+    Path("off.rep").write_text(_with_image(good, 0, "11100"), encoding="utf-8")
+    Path("nonample.rep").write_text(
+        "000 -> 000\n011 -> 100\n101 -> 010\n110 -> 001\n", encoding="utf-8")
+    Path("ambiguous.rep").write_text("00 -> 00\n01 -> 10\n10 -> 01\n", encoding="utf-8")
+    run("repmap", "verify", "ball_5_2.txt", "--repmap", "dup.rep")
+    run("repmap", "verify", "ball_5_2.txt", "--repmap", "off.rep")
+    run("repmap", "verify", "nonample.txt", "--repmap", "nonample.rep")
+    run("compress", "path.txt", "--repmap", "ambiguous.rep", "--sample", "x2=0")
     return runs
 
 
