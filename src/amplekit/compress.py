@@ -73,9 +73,9 @@ def realizable_samples(C: ConceptClass, dom: int) -> list[Sample]:
 
 def reconstruct_unique(C: ConceptClass, r: dict, s: Sample) -> int:
     """γ(s): the unique consistent concept with r(c) ⊆ dom(s)."""
-    if not any(s.consistent(c) for c in C):
+    hits = core._decodings(C.concepts, r, s.dom).get(s.bits)
+    if hits is None:
         raise ContractError("sample is not realizable by the class")
-    hits = [c for c in C if s.consistent(c) and r[c] & ~s.dom == 0]
     if len(hits) != 1:
         raise IntegrityError(
             f"{len(hits)} reconstruction candidates, expected 1 "
@@ -122,19 +122,20 @@ _SAMPLED_DOMAINS = 2048   # draws, with the full and the empty domain added
 
 
 def verify_scheme(C: ConceptClass, scheme: CompressionScheme) -> SchemeReport:
-    """Round-trip every realizable sample: α(s) ⊆ dom(s), |α(s)| ≤ vc_dim,
-    and β(α(s)) consistent with s.  All domains are enumerated for n ≤ 12,
-    a seeded selection above (the report's `sampled` flag says which).
+    """Round-trip every realizable sample: γ(s) exists and is unique, and
+    |α(s)| ≤ vc_dim.  All domains are enumerated for n ≤ 12, a seeded
+    selection above (the report's `sampled` flag says which).
 
-    Equivalent to the definition but evaluated per domain: bucket concepts by
-    r(c) ⊆ dom, then each realized pattern must hit exactly one bucket entry.
+    The rest of the round trip holds by construction: γ(s) = g has
+    r(g) ⊆ dom(s), so α(s) = r(g) ⊆ dom(s); and the scheme's inverse is the
+    exact inverse of r, so β(α(s)) = g, which is consistent with s.
     """
     import random
 
     from . import shatter
 
     d = shatter.vc_dim(C)
-    r, inv = scheme.r, scheme.inv
+    r = scheme.r
     sampled = C.n > _FULL_ENUM_CAP
     if not sampled:
         domains = range(1 << C.n)
@@ -150,24 +151,13 @@ def verify_scheme(C: ConceptClass, scheme: CompressionScheme) -> SchemeReport:
         return SchemeReport(False, max_size, checked, Sample(dom, pat), reason, sampled)
 
     for dom in domains:
-        candidates: dict = {}
-        for c in C:
-            if r[c] & ~dom == 0:
-                key = c & dom
-                if key in candidates:
-                    return fail(dom, key, "ambiguous reconstruction")
-                candidates[key] = c
-        for pat in {c & dom for c in C}:
+        for pat, hits in core._decodings(C.concepts, r, dom).items():
             checked += 1
-            g = candidates.get(pat)
-            if g is None:
-                return fail(dom, pat, "no reconstruction")
-            a = r[g]
-            if a & ~dom:
-                return fail(dom, pat, "compressed set leaves dom")
-            if popcount(a) > d:
+            if len(hits) != 1:
+                return fail(dom, pat, "ambiguous reconstruction" if hits
+                            else "no reconstruction")
+            size = popcount(r[hits[0]])
+            if size > d:
                 return fail(dom, pat, "compressed set too large")
-            if inv[a] & dom != pat:
-                return fail(dom, pat, "round trip mismatch")
-            max_size = max(max_size, popcount(a))
+            max_size = max(max_size, size)
     return SchemeReport(True, max_size, checked, sampled=sampled)

@@ -453,6 +453,23 @@ def _inverse(r: dict) -> dict:
     return inv
 
 
+def _decodings(concepts, r: dict, Y: int) -> dict:
+    """pattern -> the concepts c with c & Y = pattern and r(c) ⊆ Y, for
+    every pattern the concepts take on Y, in the order each first occurs.
+
+    This is the decoder γ on the samples with domain Y: r decodes a
+    sample uniquely iff the list at its pattern has one entry."""
+    hits: dict = {}
+    outside = ~Y
+    for c in concepts:
+        p = c & Y
+        if p not in hits:
+            hits[p] = []
+        if not r[c] & outside:
+            hits[p].append(c)
+    return hits
+
+
 def parse_repmap_text(text: str, n: Optional[int] = None) -> dict:
     """Parse '<concept-bitstring> -> <coordset-bitstring>' lines; the width is
     taken from the first line when not given."""

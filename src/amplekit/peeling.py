@@ -138,26 +138,25 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
         remaining.add(peeled.pop())
         recheck(touched.pop())
 
-    # one frame per peeled level: its state and its corners not yet tried
+    # one frame per peeled level: its corners not yet tried
     stack: list = []
     while True:
         if len(remaining) == 1:
             peeled.extend(remaining)
             return PeelingResult(tuple(reversed(peeled)), True, expansions)
-        state = frozenset(remaining)
-        if state in failed:
+        if failed and frozenset(remaining) in failed:
             unpeel()
         else:
-            stack.append((state, iter(sorted(corners))))
+            stack.append(iter(sorted(corners)))
         # next untried corner, dropping exhausted levels as failed
         while True:
             if not stack:
                 return PeelingResult(None, True, expansions)
-            state, untried = stack[-1]
-            c = next(untried, None)
+            c = next(stack[-1], None)
             if c is not None:
                 break
-            failed.add(state)
+            # every child this level peeled is back, so remaining is its state
+            failed.add(frozenset(remaining))
             stack.pop()
             if stack:
                 unpeel()

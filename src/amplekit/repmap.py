@@ -55,31 +55,27 @@ def _check_pairwise(C: ConceptClass, r: RepMap, symmetric_diff: bool) -> Check:
 
 def _check_r2(C: ConceptClass, r: RepMap) -> Check:
     """Unique reconstruction: for every sample domain Y, each realized pattern
-    has exactly one consistent concept with r(c) ⊆ Y."""
+    has exactly one consistent concept with r(c) ⊆ Y (`core._decodings`)."""
     for Y in range(1 << C.n):
-        hits: dict = {}
-        for c in C:
-            hits.setdefault(c & Y, 0)
-            if r[c] & ~Y == 0:
-                hits[c & Y] += 1
-        for pat, k in hits.items():
-            if k != 1:
+        for pat, hits in core._decodings(C.concepts, r, Y).items():
+            if len(hits) != 1:
                 return Check(False, (Y, pat))
     return Check(True)
 
 
-def _check_r3(C: ConceptClass, r: RepMap) -> Check:
-    """Cube injectivity, grouped per support: two concepts in a common cube of
-    support S share the tag c & ~S, so collisions of (tag, r(c) & S) are
-    exactly the injectivity failures over all cubes with that support."""
-    for S in range(1 << C.n):
-        seen: dict = {}
-        for c in C:
-            key = (c & ~S, r[c] & S)
-            if key in seen:
-                return Check(False, (Cube(c & ~S, S), seen[key], c))
-            seen[key] = c
-    return Check(True)
+def _check_r3(r4: Check) -> Check:
+    """Cube injectivity, read off R4's verdict.
+
+    If c ≠ d lie in one cube of support S and r(c) & S = r(d) & S, then
+    c ^ d ⊆ S and r(c) ^ r(d) misses S, hence misses c ^ d: the pair fails
+    R4.  Conversely, if r(c) ^ r(d) misses c ^ d, then c and d collide on
+    their interval cube, of support c ^ d.  So R3 holds iff R4 does, and
+    R4's first failing pair (c, d) gives the witness (interval cube, c, d).
+    """
+    if r4.ok:
+        return r4
+    c, d = r4.witness
+    return Check(False, (core.interval(c, d), c, d))
 
 
 def _check_c1(C: ConceptClass, r: RepMap, tags: dict) -> Check:
@@ -145,20 +141,23 @@ def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Re
     _check_total(C, r)
     if tags is None:
         tags = graph.cube_tags(C)
-    image = list(r.values())
-    if len(set(image)) != len(image):
-        dup = next(v for v in image if image.count(v) > 1)
+    counts: dict = {}
+    for v in r.values():
+        counts[v] = counts.get(v, 0) + 1
+    # the witness is the first image in r's order that occurs twice
+    dup = next((v for v in r.values() if counts[v] > 1), None)
+    if dup is not None:
         bij = Check(False, dup)
-    elif set(image) != tags.keys():
-        off = min(set(image) ^ tags.keys())
-        bij = Check(False, off)
+    elif counts.keys() != tags.keys():
+        bij = Check(False, min(counts.keys() ^ tags.keys()))
     else:
         bij = Check(True)
+    r4 = _check_pairwise(C, r, symmetric_diff=True)
     return RepMapReport(
         r1=_check_pairwise(C, r, symmetric_diff=False),
         r2=_check_r2(C, r),
-        r3=_check_r3(C, r),
-        r4=_check_pairwise(C, r, symmetric_diff=True),
+        r3=_check_r3(r4),
+        r4=r4,
         bijective=bij,
         c1=_check_c1(C, r, tags),
         c2=_check_c2(C, r, tags),
@@ -188,11 +187,19 @@ def certify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
     """
     _check_total(C, r)
     tags = graph.cube_tags(C)
-    image = set(r.values())
-    if (len(image) == len(r) and image == tags.keys()
-            and _check_c1(C, r, tags).ok and _check_c2(C, r, tags).ok):
+    if _certified(C, r, tags):
         return RepMapReport(*[Check(True)] * 7)
     return verify_repmap(C, r, tags)
+
+
+def _certified(C: ConceptClass, r: RepMap, tags: dict) -> bool:
+    """Whether r is a representation map of C: a bijection onto X(C) with C1
+    and C2, with `tags` = `graph.cube_tags(C)` and r total on C.  It equals
+    `certify_repmap(C, r).valid`, which needs the bijection, C1 and C2, and
+    costs no R1–R4 sweep when the answer is no."""
+    image = set(r.values())
+    return (len(image) == len(r) and image == tags.keys()
+            and _check_c1(C, r, tags).ok and _check_c2(C, r, tags).ok)
 
 
 # -- construction for maximum classes -----------------------------------------
@@ -321,9 +328,6 @@ def uso_to_peeling(C: ConceptClass, o: RepMap) -> tuple:
     rep = check_uso(C, o)
     if not rep.ok:
         raise ContractError(f"not a unique sink orientation: {rep}")
-    cyc = matching.find_cycle(C, {c: [c ^ b for b in bits_of(o[c])] for c in C})
-    if cyc is not None:
-        raise ContractError(f"orientation has a cycle through {cyc}")
     import heapq
     # in-edges from unpeeled concepts; a USO orients every edge of G(C)
     indeg = {c: popcount(graph._neighbour_dirs(C.concept_set, c, C.n) & ~o[c])
@@ -338,6 +342,10 @@ def uso_to_peeling(C: ConceptClass, o: RepMap) -> tuple:
             indeg[v ^ b] -= 1
             if not indeg[v ^ b]:
                 heapq.heappush(sources, v ^ b)
+    # the sources run out early exactly when the orientation has a cycle
+    if len(peeled) < len(C):
+        cyc = matching.find_cycle(C, {c: [c ^ b for b in bits_of(o[c])] for c in C})
+        raise ContractError(f"orientation has a cycle through {cyc}")
     return tuple(reversed(peeled))
 
 
@@ -354,8 +362,10 @@ def peeling_to_uso(C: ConceptClass, ordering) -> RepMap:
 # -- substructure maps ---------------------------------------------------------
 
 def _require_valid(C: ConceptClass, r: RepMap, check: bool) -> None:
-    if check and not certify_repmap(C, r).valid:
-        raise ContractError("not a valid representation map")
+    if check:
+        _check_total(C, r)
+        if not _certified(C, r, graph.cube_tags(C)):
+            raise ContractError("not a valid representation map")
 
 
 def sub_repmap_cube(C: ConceptClass, r: RepMap, B: Cube,
@@ -396,11 +406,8 @@ def sub_repmap_restriction(C: ConceptClass, r: RepMap, Y: int,
     _require_valid(C, r, check)
     res = core.drop(C, Y)
     out: dict = {}
-    for c in C:
-        t = c & ~Y
-        if t in out:
-            continue
-        sinks = [v for v in C if v & ~Y == t and r[v] & Y == 0]
+    # the sinks v of c's cylinder, r(v) & Y = 0, are γ of c's sample on X \ Y
+    for t, sinks in core._decodings(C.concepts, r, ~Y).items():
         if len(sinks) != 1:
             raise IntegrityError(f"{len(sinks)} sinks in a cylinder, expected 1")
         out[t] = r[sinks[0]]
@@ -526,7 +533,7 @@ def isr_solve(inst: ISRInstance, budget: int = 10**6) -> ISRResult:
 
     if dfs(0):
         assignment = {inst.vertices[i][0]: inst.vertices[i][1] for i in chosen}
-        if not certify_repmap(inst.C, assignment).valid:
+        if not _certified(inst.C, assignment, graph.cube_tags(inst.C)):
             raise IntegrityError("ISR did not convert to a representation map")
         return ISRResult(assignment, True, expansions)
     return ISRResult(None, expansions <= budget, expansions)

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from amplekit import compress, core, generate, repmap, shatter
+from amplekit import compress, core, generate, graph, peeling, repmap, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError, DecodeError, IntegrityError, ParseError
 
@@ -140,6 +141,124 @@ def test_verify_scheme_says_when_domains_were_sampled(n, sampled):
     bad[bit(1)], bad[bit(2)] = r[bit(2)], r[bit(1)]
     report = compress.verify_scheme(C, compress.CompressionScheme(C, bad))
     assert not report.ok and report.sampled is sampled
+
+
+def verify_scheme_oracle(C, scheme):
+    """verify_scheme as first written, for n ≤ 12: bucket the concepts with
+    r(c) ⊆ dom by pattern, then round-trip each realized pattern."""
+    d = shatter.vc_dim(C)
+    r, inv = scheme.r, scheme.inv
+    max_size = checked = 0
+
+    def fail(dom, pat, reason):
+        return compress.SchemeReport(False, max_size, checked,
+                                     compress.Sample(dom, pat), reason, False)
+
+    for dom in range(1 << C.n):
+        candidates: dict = {}
+        for c in C:
+            if r[c] & ~dom == 0:
+                key = c & dom
+                if key in candidates:
+                    return fail(dom, key, "ambiguous reconstruction")
+                candidates[key] = c
+        for pat in {c & dom for c in C}:
+            checked += 1
+            g = candidates.get(pat)
+            if g is None:
+                return fail(dom, pat, "no reconstruction")
+            a = r[g]
+            if a & ~dom:
+                return fail(dom, pat, "compressed set leaves dom")
+            if core.popcount(a) > d:
+                return fail(dom, pat, "compressed set too large")
+            if inv[a] & dom != pat:
+                return fail(dom, pat, "round trip mismatch")
+            max_size = max(max_size, core.popcount(a))
+    return compress.SchemeReport(True, max_size, checked)
+
+
+def reconstruct_unique_oracle(C, r, s):
+    """γ(s) as first written: a realizability scan, then a candidate scan."""
+    if not any(s.consistent(c) for c in C):
+        raise ContractError("sample is not realizable by the class")
+    hits = [c for c in C if s.consistent(c) and r[c] & ~s.dom == 0]
+    if len(hits) != 1:
+        raise IntegrityError(
+            f"{len(hits)} reconstruction candidates, expected 1 "
+            "(not a valid representation map)")
+    return hits[0]
+
+
+def injective_map_cases(seed):
+    """(class, injective map) pairs with n ≤ 7: representation maps of
+    random ample classes and of balls, random bijections onto X(C), maps
+    with two images swapped, and random injective maps, on ample classes
+    and on classes that are not ample."""
+    rng = random.Random(seed)
+    for n in range(2, 8):
+        classes = [generate.random_ample(n, rng.randrange(2, min(1 << n, 50)), s)
+                   for s in range(3)]
+        classes.append(generate.hamming_ball(n, rng.randrange(1, n)))
+        while True:
+            D = ConceptClass(n, tuple(rng.sample(range(1 << n), rng.randrange(2, 1 << n))))
+            if not shatter.is_ample(D)[0]:
+                break
+        for C in classes:
+            o = repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
+            yield C, o
+            for _ in range(2):
+                t = dict(o)
+                a, b = rng.sample(C.concepts, 2)
+                t[a], t[b] = o[b], o[a]
+                yield C, t
+            images = sorted(graph.cube_tags(C))
+            rng.shuffle(images)
+            yield C, dict(zip(C.concepts, images))
+        for A in (classes[0], D, D):
+            yield A, dict(zip(A.concepts, rng.sample(range(1 << n), A.size)))
+
+
+def test_verify_scheme_matches_the_round_trip_loop():
+    """The same verdict as the loop it replaces on every map, and the same
+    report whenever the scheme is sound."""
+    verdicts = {True: 0, False: 0}
+    for C, r in injective_map_cases(37):
+        scheme = compress.CompressionScheme(C, r)
+        got, want = compress.verify_scheme(C, scheme), verify_scheme_oracle(C, scheme)
+        assert got.ok == want.ok
+        if want.ok:
+            assert got == want
+        else:
+            assert got.reason in ("ambiguous reconstruction", "no reconstruction",
+                                  "compressed set too large")
+        verdicts[got.ok] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 10
+
+
+def test_reconstruct_unique_matches_the_two_scans():
+    """Results and errors, messages included, on every sample of every
+    domain, realizable or not."""
+    outcomes = set()
+    for C, r in injective_map_cases(41):
+        if C.n > 4:
+            continue
+        for dom in range(1 << C.n):
+            for bits in range(1 << C.n):
+                if bits & ~dom:
+                    continue
+                s = compress.Sample(dom, bits)
+                try:
+                    want = reconstruct_unique_oracle(C, r, s)
+                except (ContractError, IntegrityError) as exc:
+                    with pytest.raises(type(exc)) as got:
+                        compress.reconstruct_unique(C, r, s)
+                    assert str(got.value) == str(exc)
+                    outcomes.add(str(exc))
+                    continue
+                assert compress.reconstruct_unique(C, r, s) == want
+                outcomes.add("ok")
+    assert len(outcomes) >= 4
 
 
 def test_scheme_rejects_a_map_that_is_not_total():

@@ -112,6 +112,96 @@ def test_edge_symmetric_difference_identity():
             assert r[c] ^ r[cp] == bit(x)
 
 
+def check_r2_oracle(C, r):
+    """R2 as first written: per domain Y, count the concepts of each pattern
+    with r(c) ⊆ Y; the witness is the first (Y, pattern) not counted once."""
+    for Y in range(1 << C.n):
+        hits: dict = {}
+        for c in C:
+            hits.setdefault(c & Y, 0)
+            if r[c] & ~Y == 0:
+                hits[c & Y] += 1
+        for pat, k in hits.items():
+            if k != 1:
+                return repmap.Check(False, (Y, pat))
+    return repmap.Check(True)
+
+
+def check_r3_oracle(C, r):
+    """R3 by the sweep over every support S: two concepts with the same tag
+    c & ~S and the same r(c) & S collide on a cube of support S."""
+    for S in range(1 << C.n):
+        seen: dict = {}
+        for c in C:
+            key = (c & ~S, r[c] & S)
+            if key in seen:
+                return repmap.Check(False, (Cube(c & ~S, S), seen[key], c))
+            seen[key] = c
+    return repmap.Check(True)
+
+
+def non_ample_class(n, rng):
+    while True:
+        C = ConceptClass(n, tuple(rng.sample(range(1 << n), rng.randrange(2, 1 << n))))
+        if not shatter.is_ample(C)[0]:
+            return C
+
+
+def map_cases(seed):
+    """(class, map) pairs with n ≤ 7: representation maps of random ample
+    classes, random bijections onto their X(C), those maps made not injective,
+    and random maps, injective or not, on classes that are not ample."""
+    rng = random.Random(seed)
+    for n in range(2, 8):
+        for s in range(3):
+            C = generate.random_ample(n, rng.randrange(2, min(1 << n, 50)), s)
+            o = repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
+            yield C, o
+            images = sorted(graph.cube_tags(C))
+            for _ in range(3):
+                rng.shuffle(images)
+                yield C, dict(zip(C.concepts, images))
+            for _ in range(2):
+                t = dict(o)
+                a, b = rng.sample(C.concepts, 2)
+                t[a] = o[b]
+                yield C, t
+        D = non_ample_class(n, rng)
+        for _ in range(2):
+            yield D, {c: rng.randrange(1 << n) for c in D}
+            yield D, dict(zip(D.concepts, rng.sample(range(1 << n), D.size)))
+
+
+def test_r2_and_r3_match_their_sweeps():
+    """R2 with its witness, and R3's verdict, against the sweeps they
+    replace; each R3 witness is a real collision on its cube."""
+    seen = set()
+    for C, r in map_cases(23):
+        rep = repmap.verify_repmap(C, r)
+        assert rep.r2 == check_r2_oracle(C, r)
+        assert rep.r3.ok == check_r3_oracle(C, r).ok == rep.r4.ok
+        if not rep.r3.ok:
+            B, c, d = rep.r3.witness
+            assert c != d and c in C and d in C
+            assert B.contains(c) and B.contains(d)
+            assert r[c] & B.support == r[d] & B.support
+        seen.add((rep.valid, rep.bijective.ok, rep.r2.ok, rep.r3.ok))
+    # valid maps, failing bijections, and bijections failing R1–R4
+    assert {(True, True, True, True), (False, False, False, False),
+            (False, True, False, False)} <= seen
+
+
+def test_bijection_witness_is_the_first_repeated_image():
+    repeated = 0
+    for C, r in map_cases(29):
+        image = list(r.values())
+        if len(set(image)) != len(image):
+            want = next(v for v in image if image.count(v) > 1)
+            assert repmap.verify_repmap(C, r).bijective == repmap.Check(False, want)
+            repeated += 1
+    assert repeated > 20
+
+
 # ---------------------------------------------------------------- build
 
 def test_build_path():
@@ -351,6 +441,39 @@ def test_uso_directed_cycle_fails_c2():
         repmap.uso_to_peeling(Q2, o)
 
 
+def test_uso_to_peeling_refuses_a_cyclic_uso():
+    Q3 = ConceptClass.of(3, range(8))
+    o = {0: 0, 1: 3, 2: 6, 3: 1, 4: 5, 5: 4, 6: 2, 7: 7}
+    assert repmap.check_uso(Q3, o).ok
+    with pytest.raises(ContractError) as err:
+        repmap.uso_to_peeling(Q3, o)
+    assert str(err.value) == "orientation has a cycle through [1, 3, 2, 6, 4, 5]"
+
+
+def test_uso_to_peeling_on_every_uso_of_the_3_cube():
+    """The 744 USOs of the 3-cube: the 16 with a cycle are refused, naming
+    the cycle `matching.find_cycle` finds; the rest peel as the oracle."""
+    Q3 = ConceptClass.of(3, range(8))
+    edges = graph.edges(Q3)
+    usos = cyclic = 0
+    for k in range(1 << len(edges)):
+        o = dict.fromkeys(Q3, 0)
+        for j, (c, w, x) in enumerate(edges):
+            o[w if k >> j & 1 else c] |= bit(x)
+        if not repmap.check_uso(Q3, o).ok:
+            continue
+        usos += 1
+        cyc = matching.find_cycle(Q3, {c: [c ^ b for b in core.bits_of(o[c])] for c in Q3})
+        if cyc is None:
+            assert repmap.uso_to_peeling(Q3, o) == uso_to_peeling_oracle(Q3, o)
+        else:
+            cyclic += 1
+            with pytest.raises(ContractError) as err:
+                repmap.uso_to_peeling(Q3, o)
+            assert str(err.value) == f"orientation has a cycle through {cyc}"
+    assert (usos, cyclic) == (744, 16)
+
+
 def test_check_uso_reports_the_c1_witness():
     # 00 points out to both neighbours, but the square through them is
     # missing 11: an orientation whose edges each have one sink, failing C1
@@ -486,6 +609,38 @@ def test_sub_repmaps_verify_on_random_inputs():
                 assert repmap.verify_repmap(D, rY).valid
             D, r_Y = repmap.sub_repmap_restriction(C, r, Y)
             assert repmap.verify_repmap(D, r_Y).valid
+
+
+def sub_repmap_restriction_oracle(C, r, Y):
+    """The restricted map as first written: one scan of C per cylinder."""
+    res = core.drop(C, Y)
+    out: dict = {}
+    for c in C:
+        t = c & ~Y
+        if t in out:
+            continue
+        sinks = [v for v in C if v & ~Y == t and r[v] & Y == 0]
+        if len(sinks) != 1:
+            raise IntegrityError(f"{len(sinks)} sinks in a cylinder, expected 1")
+        out[t] = r[sinks[0]]
+    return res, repmap._translate(out, Y, C.n)
+
+
+def test_sub_repmap_restriction_matches_the_per_cylinder_scan():
+    errors = 0
+    for C, r in map_cases(31):
+        for Y in range(1 << C.n):
+            try:
+                want = sub_repmap_restriction_oracle(C, r, Y)
+            except IntegrityError as exc:
+                with pytest.raises(IntegrityError) as got:
+                    repmap.sub_repmap_restriction(C, r, Y, check=False)
+                assert str(got.value) == str(exc)
+                errors += 1
+                continue
+            D, r_Y = repmap.sub_repmap_restriction(C, r, Y, check=False)
+            assert D == want[0] and list(r_Y.items()) == list(want[1].items())
+    assert errors > 0
 
 
 # ---------------------------------------------------------------- pre-rep
