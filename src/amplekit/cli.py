@@ -249,112 +249,60 @@ class _Subcommand:
     """A subparser that is built only when the command line selects it.
 
     `add_parser` makes one of these per command (the `parser_class` of the
-    subparsers action) and keeps the command's help line for the top-level
-    help; the argparse parser and its arguments are made by `build` on the
-    first parse, so a run builds one subparser, not all of them.
+    subparsers action) from the command's row of `COMMANDS` and keeps its
+    help line for the top-level help; the argparse parser and its arguments
+    are made on the first parse, so a run builds one subparser, not all of
+    them.
     """
 
-    def __init__(self, *, prog: str, build):
+    def __init__(self, *, prog: str, handler, arguments):
         self.prog = prog
-        self.build = build
+        self.handler = handler
+        self.arguments = arguments
 
     def parse_known_args(self, args=None, namespace=None):
         p = argparse.ArgumentParser(prog=self.prog)
-        self.build(p)
+        for flags, keywords in self.arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=self.handler)
         return p.parse_known_args(args, namespace)
 
 
-def _check_args(sp):
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_check)
+_FILE = (("file",), {})
+_OUTPUT = (("-o", "--output"), {})
 
-
-def _graph_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("--dot", action="store_true")
-    sp.set_defaults(func=cmd_graph)
-
-
-def _peel_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("--algorithm", choices=("greedy", "antimatroid", "twodim"),
-                    default="greedy")
-    sp.set_defaults(func=cmd_peel)
-
-
-def _repmap_args(sp):
-    sp.add_argument("action", choices=("build", "verify"))
-    sp.add_argument("file")
-    sp.add_argument("--repmap")
-    sp.set_defaults(func=cmd_repmap)
-
-
-def _isr_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_isr)
-
-
-def _tailmatch_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("-x", type=_signed_decimal, required=True)
-    sp.set_defaults(func=cmd_tailmatch)
-
-
-def _compress_args(sp):
-    sp.add_argument("file")
-    sp.add_argument("--repmap", required=True)
-    sp.add_argument("--sample", required=True)
-    sp.set_defaults(func=cmd_compress)
-
-
-def _decompress_args(sp):
-    sp.add_argument("--repmap", required=True)
-    sp.add_argument("--set", required=True)
-    sp.set_defaults(func=cmd_decompress)
-
-
-def _generate_args(sp):
-    sp.add_argument("--kind", required=True,
-                    choices=("cube", "hamming_ball", "simplicial", "random_ample"))
-    sp.add_argument("--n", type=_signed_decimal, required=True)
-    sp.add_argument("--d", type=_signed_decimal, default=0)
-    sp.add_argument("--size", type=_signed_decimal, default=0)
-    sp.add_argument("--facets", default="")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_generate)
-
-
-def _batch_args(sp):
-    sp.add_argument("files", nargs="+")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_batch)
-
-
-def _collapse_args(sp):
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_collapse)
-
-
-def _shelling_args(sp):
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_shelling)
-
-
-# name -> (help line, builder of the subparser's arguments), in help order
+# name -> (help line, handler, arguments as (flags, add_argument keywords)
+# pairs in usage order), in help order
 COMMANDS = {
-    "check": ("shattering / ample / maximum summary", _check_args),
-    "graph": ("one-inclusion graph", _graph_args),
-    "peel": ("corner peeling", _peel_args),
-    "repmap": ("representation maps", _repmap_args),
-    "isr": ("independent system of representatives", _isr_args),
-    "tailmatch": ("tail/forbidden-label matching", _tailmatch_args),
-    "compress": ("compress a sample to a coordinate set", _compress_args),
-    "decompress": ("reconstruct a concept from a set", _decompress_args),
-    "generate": ("generate a class file", _generate_args),
-    "batch": ("summary CSV over class files", _batch_args),
-    "collapse": ("cubical collapse sequence", _collapse_args),
-    "shelling": ("ordering (file line order) -> shelling", _shelling_args),
+    "check": ("shattering / ample / maximum summary", cmd_check, (_FILE,)),
+    "graph": ("one-inclusion graph", cmd_graph,
+              (_FILE, (("--dot",), dict(action="store_true")))),
+    "peel": ("corner peeling", cmd_peel, (
+        _FILE,
+        (("--algorithm",), dict(choices=("greedy", "antimatroid", "twodim"),
+                                default="greedy")))),
+    "repmap": ("representation maps", cmd_repmap, (
+        (("action",), dict(choices=("build", "verify"))), _FILE, (("--repmap",), {}))),
+    "isr": ("independent system of representatives", cmd_isr,
+            (_FILE, (("--json",), dict(action="store_true")))),
+    "tailmatch": ("tail/forbidden-label matching", cmd_tailmatch,
+                  (_FILE, (("-x",), dict(type=_signed_decimal, required=True)))),
+    "compress": ("compress a sample to a coordinate set", cmd_compress, (
+        _FILE, (("--repmap",), dict(required=True)), (("--sample",), dict(required=True)))),
+    "decompress": ("reconstruct a concept from a set", cmd_decompress, (
+        (("--repmap",), dict(required=True)), (("--set",), dict(required=True)))),
+    "generate": ("generate a class file", cmd_generate, (
+        (("--kind",), dict(required=True, choices=(
+            "cube", "hamming_ball", "simplicial", "random_ample"))),
+        (("--n",), dict(type=_signed_decimal, required=True)),
+        (("--d",), dict(type=_signed_decimal, default=0)),
+        (("--size",), dict(type=_signed_decimal, default=0)),
+        (("--facets",), dict(default="")),
+        _OUTPUT)),
+    "batch": ("summary CSV over class files", cmd_batch,
+              ((("files",), dict(nargs="+")), _OUTPUT)),
+    "collapse": ("cubical collapse sequence", cmd_collapse, (_FILE,)),
+    "shelling": ("ordering (file line order) -> shelling", cmd_shelling, (_FILE,)),
 }
 
 
@@ -364,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--budget", type=_signed_decimal, default=10**6)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for name, (help_line, build) in COMMANDS.items():
-        sub.add_parser(name, help=help_line, build=build)
+    for name, (help_line, handler, arguments) in COMMANDS.items():
+        sub.add_parser(name, help=help_line, handler=handler, arguments=arguments)
     return p
 
 

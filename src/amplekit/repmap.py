@@ -53,10 +53,40 @@ def _check_pairwise(C: ConceptClass, r: RepMap, symmetric_diff: bool) -> Check:
     return Check(True)
 
 
-def _check_r2(C: ConceptClass, r: RepMap) -> Check:
+def _check_r2(C: ConceptClass, r: RepMap, bijective: bool = False) -> Check:
     """Unique reconstruction: for every sample domain Y, each realized pattern
-    has exactly one consistent concept with r(c) ⊆ Y (`core._decodings`)."""
-    for Y in range(1 << C.n):
+    has exactly one consistent concept with r(c) ⊆ Y (`core._decodings`).
+    The witness is the first (Y, pattern) in a sweep of the domains in
+    numeric order, patterns in `_decodings` order.
+
+    `bijective` says that r is a bijection onto X(C); then the sweep is not
+    run.  Such a bijection makes C ample, so for every Y the concepts with
+    r(c) ⊆ Y are |X(C) ∩ 2^Y| many, and that is the number of patterns C
+    realizes on Y, since the restriction of C to Y is ample with shattered
+    sets X(C) ∩ 2^Y.  A pattern with no decoding thus exists at Y exactly
+    when a pattern with two does, that is when Y contains r(c) | r(d) and
+    misses c ^ d for some pair c ≠ d.  Such a pair clashes in R1's sense,
+    (c ^ d) & (r(c) | r(d)) = 0, and conversely a clashing pair fails at
+    Y = r(c) | r(d).  Every failing Y contains such a union, so the first
+    failing Y is the least union over the clashing pairs, and its witness is
+    read at that Y alone.  The least union is found scanning the concepts in
+    ascending r(d) against the ones before, up to the first r(d) at or above
+    the best union so far, since every later union is at least r(d).
+    """
+    domains = range(1 << C.n)
+    if bijective:
+        best = 1 << C.n   # above every union
+        order = sorted(C.concepts, key=r.__getitem__)
+        for i, d in enumerate(order):
+            rd = r[d]
+            if rd >= best:
+                break
+            for c in order[:i]:
+                u = r[c] | rd
+                if u < best and not (c ^ d) & u:
+                    best = u
+        domains = domains[best:best + 1]
+    for Y in domains:
         for pat, hits in core._decodings(C.concepts, r, Y).items():
             if len(hits) != 1:
                 return Check(False, (Y, pat))
@@ -155,7 +185,7 @@ def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Re
     r4 = _check_pairwise(C, r, symmetric_diff=True)
     return RepMapReport(
         r1=_check_pairwise(C, r, symmetric_diff=False),
-        r2=_check_r2(C, r),
+        r2=_check_r2(C, r, bij.ok),
         r3=_check_r3(r4),
         r4=r4,
         bijective=bij,

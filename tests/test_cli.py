@@ -376,13 +376,38 @@ def test_help_usage_and_choice_errors_match_the_recorded_text(monkeypatch):
 
 def test_only_the_chosen_subparser_is_built(monkeypatch, ball_file):
     built = []
-    for name, (help_line, build) in list(cli.COMMANDS.items()):
-        monkeypatch.setitem(cli.COMMANDS, name, (
-            help_line, lambda sp, name=name, build=build: (built.append(name), build(sp))))
+
+    class Arguments(tuple):
+        """A row's arguments, noting their command each time they are read."""
+
+        def __iter__(self):
+            built.append(self.name)
+            return super().__iter__()
+
+    for name, (help_line, handler, arguments) in list(cli.COMMANDS.items()):
+        noted = Arguments(arguments)
+        noted.name = name
+        monkeypatch.setitem(cli.COMMANDS, name, (help_line, handler, noted))
     assert run_exit(["check", ball_file])[0] == 0
     assert run_exit(["--seed", "3", "tailmatch", ball_file, "-x", "1"])[0] == 0
     assert run_exit(["--help"])[0] == 0
     assert built == ["check", "tailmatch"]
+
+
+def _command(argv) -> str:
+    """The command word of a command line, after its global options."""
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return argv[i]
+
+
+def test_every_command_has_recorded_help_and_output():
+    # a command cannot be added to the table without its help text and outputs
+    helped = {case["argv"][0] for case in HELP_TEXT["cases"] if case["argv"][1:] == ["--help"]}
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+    assert set(cli.COMMANDS) == helped
+    assert set(cli.COMMANDS) <= {_command(record["argv"]) for record in golden}
 
 
 @pytest.mark.parametrize("option,value", [

@@ -1,6 +1,7 @@
 """Golden CLI outputs: every command on small fixed classes, replayed
 in-process through `cli.main` and compared by exit code and the sha256 of
-stdout and stderr against `cli_golden.json`.
+stdout and stderr, and of the file written by a `-o` run, against
+`cli_golden.json`.
 
 The file was recorded once from a known-good tree and is never rewritten to
 make a change pass; a change that alters any output must say so.  To record
@@ -146,13 +147,29 @@ def replay() -> list:
     run("repmap", "verify", "ball_5_2.txt", "--repmap", "off.rep")
     run("repmap", "verify", "nonample.txt", "--repmap", "nonample.rep")
     run("compress", "path.txt", "--repmap", "ambiguous.rep", "--sample", "x2=0")
+    # generate, each kind, and batch over golden classes; a run with -o also
+    # records the file it wrote
+    run("generate", "--kind", "cube", "--n", "3")
+    run("generate", "--kind", "hamming_ball", "--n", "5", "--d", "2")
+    run("generate", "--kind", "simplicial", "--n", "4", "--facets", "1,2;2,3,4")
+    run("--seed", "3", "generate", "--kind", "random_ample", "--n", "6", "--size", "20")
+    run("generate", "--kind", "hamming_ball", "--n", "4", "--d", "1", "-o", "gen.txt")
+    runs[-1]["file"] = Path("gen.txt").read_text(encoding="utf-8")
+    run("batch", "ball_3_1.txt", "ball_5_2.txt", "ample_6.txt", "const.txt", "nonample.txt")
+    run("batch", "-o", "batch.csv", "ball_6_3.txt", "twist_5_2.txt", "gen.txt")
+    runs[-1]["file"] = Path("batch.csv").read_text(encoding="utf-8")
+    run("generate", "--kind", "cube", "--n", "25")
+    run("batch", "ball_3_1.txt", "missing.txt")
     return runs
 
 
 def _digest(run: dict) -> dict:
     sha = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return {"argv": run["argv"], "exit": run["exit"],
-            "stdout": sha(run["stdout"]), "stderr": sha(run["stderr"])}
+    digest = {"argv": run["argv"], "exit": run["exit"],
+              "stdout": sha(run["stdout"]), "stderr": sha(run["stderr"])}
+    if "file" in run:
+        digest["file"] = sha(run["file"])
+    return digest
 
 
 def _replay_in(directory) -> list:

@@ -172,13 +172,33 @@ def map_cases(seed):
             yield D, dict(zip(D.concepts, rng.sample(range(1 << n), D.size)))
 
 
+def bijection_cases(seed):
+    """Bijections onto X(C) of random ample classes with n ≤ 7: the
+    peeling's orientation and `pre_rep_c1`'s map, each also with two images
+    swapped, and shuffled images."""
+    rng = random.Random(seed)
+    for n in range(2, 8):
+        for s in range(4):
+            C = generate.random_ample(n, rng.randrange(2, min(1 << n, 50)), s)
+            for base in (repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering),
+                         repmap.pre_rep_c1(C)):
+                yield C, base
+                a, b = rng.sample(C.concepts, 2)
+                yield C, {**base, a: base[b], b: base[a]}
+            images = sorted(graph.cube_tags(C))
+            rng.shuffle(images)
+            yield C, dict(zip(C.concepts, images))
+
+
 def test_r2_and_r3_match_their_sweeps():
     """R2 with its witness, and R3's verdict, against the sweeps they
-    replace; each R3 witness is a real collision on its cube."""
-    seen = set()
-    for C, r in map_cases(23):
+    replace; each R3 witness is a real collision on its cube.  A bijection
+    onto X(C) takes R2 from its clashing pairs, any other map the sweep."""
+    seen, failing_bijections = set(), 0
+    for C, r in itertools.chain(map_cases(23), bijection_cases(31)):
         rep = repmap.verify_repmap(C, r)
         assert rep.r2 == check_r2_oracle(C, r)
+        failing_bijections += rep.bijective.ok and not rep.r2.ok
         assert rep.r3.ok == check_r3_oracle(C, r).ok == rep.r4.ok
         if not rep.r3.ok:
             B, c, d = rep.r3.witness
@@ -189,6 +209,19 @@ def test_r2_and_r3_match_their_sweeps():
     # valid maps, failing bijections, and bijections failing R1–R4
     assert {(True, True, True, True), (False, False, False, False),
             (False, True, False, False)} <= seen
+    assert failing_bijections > 50
+
+
+def test_r2_witness_of_a_swapped_ball_18_3_map():
+    # the sweep took about 19 s to reach this witness, at Y = 98308
+    C = generate.hamming_ball(18, 3)
+    r = repmap.build_maximum_repmap(C)
+    rng = random.Random(1)
+    rng.sample(C.concepts, 2)
+    a, b = rng.sample(C.concepts, 2)
+    rep = repmap.certify_repmap(C, {**r, a: r[b], b: r[a]})
+    assert rep.r2 == repmap.Check(False, (98308, 0))
+    assert rep.bijective.ok and not rep.r1.ok
 
 
 def test_bijection_witness_is_the_first_repeated_image():
