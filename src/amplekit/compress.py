@@ -63,14 +63,6 @@ def parse_sample(text: str, n: int = core.MAX_WIDTH) -> Sample:
     return Sample(dom, bits)
 
 
-def realizable_samples(C: ConceptClass, dom: int) -> list[Sample]:
-    """All samples with the given domain realized by the class, in ascending
-    pattern order."""
-    if dom & ~C.domain_mask:
-        raise ContractError("sample domain outside the class domain")
-    return [Sample(dom, p) for p in sorted({c & dom for c in C})]
-
-
 def reconstruct_unique(C: ConceptClass, r: dict, s: Sample) -> int:
     """γ(s): the unique consistent concept with r(c) ⊆ dom(s)."""
     hits = core._decodings(C.concepts, r, s.dom).get(s.bits)

@@ -349,18 +349,6 @@ def intersect_cube(C: ConceptClass, B: Cube) -> Optional[ConceptClass]:
     return ConceptClass(C.n, cs, C.coord_labels)
 
 
-def carrier(C: ConceptClass, x: int) -> Optional[ConceptClass]:
-    """N_x(C): union of all cubes of C having x in their support."""
-    if not 1 <= x <= C.n:
-        raise DomainError(f"coordinate {x} outside domain")
-    b = bit(x)
-    s = C.concept_set
-    cs = tuple(c for c in C if c ^ b in s)
-    if not cs:
-        return None
-    return ConceptClass(C.n, cs, C.coord_labels)
-
-
 def tail(C: ConceptClass, x: int) -> Optional[ConceptClass]:
     """tail_x(C) as concepts of C_x \\ C^x, over the re-indexed domain X\\{x}."""
     if not 1 <= x <= C.n:

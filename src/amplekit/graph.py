@@ -1,10 +1,10 @@
-"""One-inclusion graph structure: edges, cubes, corners, isometry, galleries, convexity."""
+"""One-inclusion graph structure: edges, cubes, corners, isometry, galleries."""
 from __future__ import annotations
 
 from collections import deque
 
 from . import core
-from .core import ConceptClass, Cube, bits_of, concept_to_string, interval, popcount
+from .core import ConceptClass, Cube, bits_of, concept_to_string, popcount
 from .errors import ContractError, NotConnectedError
 
 
@@ -104,13 +104,6 @@ def support_concepts(tags: dict) -> dict:
     vertices are walked once; distinct Y-cubes share no vertex."""
     return {Y: sorted(v for t in tags[Y] for v in Cube(t, Y).vertices())
             for Y in sorted(tags)}
-
-
-def all_cubes(C: ConceptClass) -> list[Cube]:
-    out = []
-    for Y, ts in cube_tags(C).items():
-        out.extend(Cube(t, Y) for t in ts)
-    return sorted(out, key=lambda B: (popcount(B.support), B.support, B.tag))
 
 
 def maximal_cubes(C: ConceptClass) -> list[Cube]:
@@ -272,43 +265,6 @@ def gallery(C: ConceptClass, Q1: Cube, Q2: Cube) -> list[Cube]:
                     return [Cube(t, Y) for t in reversed(path)]
                 q.append(u)
     raise NotConnectedError("no gallery connects the two cubes")
-
-
-def _sub_concepts(C: ConceptClass, sub) -> list[int]:
-    subset = set(sub)
-    if not subset <= C.concept_set:
-        raise ContractError("subclass concepts must belong to the class")
-    return sorted(subset)
-
-
-def is_locally_convex(C: ConceptClass, sub) -> bool:
-    """Every pair of subclass concepts at Hamming distance 2 has its interval's
-    C-concepts inside the subclass."""
-    cs = _sub_concepts(C, sub)
-    subset = set(cs)
-    s = C.concept_set
-    for i, c in enumerate(cs):
-        for d in cs[i + 1:]:
-            diff = c ^ d
-            if popcount(diff) == 2:
-                b = diff & -diff
-                for mid in (c ^ b, c ^ b ^ diff):
-                    if mid in s and mid not in subset:
-                        return False
-    return True
-
-
-def is_convex(C: ConceptClass, sub) -> bool:
-    """interval(c, d) ∩ C ⊆ subclass for every pair of subclass concepts."""
-    cs = _sub_concepts(C, sub)
-    subset = set(cs)
-    for i, c in enumerate(cs):
-        for d in cs[i + 1:]:
-            B = interval(c, d)
-            for v in B.vertices():
-                if v in C.concept_set and v not in subset:
-                    return False
-    return True
 
 
 def to_dot(C: ConceptClass) -> str:

@@ -296,14 +296,19 @@ def collapse_sequence(C: ConceptClass) -> CollapseSequence:
     """Collapsing sequence of Q(C) down to one vertex, validated by replay."""
     tags = graph._ample_tags(C, "collapse sequences are built for ample classes only")
     seq, survivor = _collapse_rec(C.support(), tags)
-    replay_collapse(C, seq, survivor)
+    _replay(tags, C.n, seq, survivor)
     return seq
 
 
 def replay_collapse(C: ConceptClass, seq: CollapseSequence, survivor: Optional[int] = None):
     """Check that seq is a valid collapsing sequence of Q(C): every pair is a
     (free face, unique proper coface) in the current complex, and one vertex
-    remains at the end.
+    remains at the end."""
+    _replay(graph.cube_tags(C), C.n, seq, survivor)
+
+
+def _replay(tags: dict, n: int, seq: CollapseSequence, survivor: Optional[int]):
+    """`replay_collapse` on the cube complex `tags` over n coordinates.
 
     Since the face set stays closed under subcubes throughout a collapse,
     a face is free exactly when it has a single remaining coface one
@@ -311,8 +316,8 @@ def replay_collapse(C: ConceptClass, seq: CollapseSequence, survivor: Optional[i
     containment).  The cofaces one dimension up of the face (t, S) are the
     faces (t & ~b, S | b) with b not in S, looked up in the remaining faces.
     """
-    faces = {(t, S) for S, ts in graph.cube_tags(C).items() for t in ts}
-    dirs = graph._DIRS[:C.n]
+    faces = {(t, S) for S, ts in tags.items() for t in ts}
+    dirs = graph._DIRS[:n]
     for i, (Q, Qp) in enumerate(seq):
         fq, fp = (Q.tag, Q.support), (Qp.tag, Qp.support)
         if not Qp.contains_cube(Q) or Qp.dim != Q.dim + 1:

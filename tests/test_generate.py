@@ -7,6 +7,8 @@ from amplekit import core, generate, graph, peeling, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError
 
+from downsets import random_downset_class
+
 
 def test_cube():
     assert generate.cube_class(2) == ConceptClass.of(2, range(4))
@@ -175,7 +177,7 @@ def test_random_ample_dim_cap_matches_vc_dim_oracle(max_dim):
 
 def test_random_downset_is_conditional_antimatroid():
     for seed in range(15):
-        C = generate.random_downset_class(5, seed)
+        C = random_downset_class(5, seed)
         # the three axioms that antimatroid_peeling checks
         order = peeling.antimatroid_peeling(C)
         assert peeling.classify_ordering(C, order).corner_peeling

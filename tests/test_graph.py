@@ -4,7 +4,7 @@ import random
 import pytest
 
 from amplekit import core, graph, peeling, shatter
-from amplekit.core import ConceptClass, Cube, bit, mask_of
+from amplekit.core import ConceptClass, Cube, bit, interval, mask_of, popcount
 from amplekit.errors import ContractError, NotConnectedError, OrderingValidationError
 
 
@@ -112,7 +112,7 @@ def test_maximal_cubes_examples():
 
 def test_cubes_and_maximal_cubes_match_oracle_n3():
     for C in all_classes(3):
-        got = {(B.tag, B.support) for B in graph.all_cubes(C)}
+        got = {(t, Y) for Y, ts in graph.cube_tags(C).items() for t in ts}
         assert got == cubes_oracle(C)
         gotm = {(B.tag, B.support) for B in graph.maximal_cubes(C)}
         assert gotm == maximal_cubes_oracle(C)
@@ -311,36 +311,78 @@ def test_gallery_errors():
 
 
 def test_gallery_length_is_reduction_distance():
-    import random
+    """For every two parallel cubes of C, the gallery has as many hops as
+    the BFS distance between their tags in G(C^Y), and each two consecutive
+    cubes span a cube of C."""
     from amplekit import generate
     rng = random.Random(5)
+    pairs = 0
     for i in range(20):
-        C = generate.random_ample(4, rng.randint(2, 12), seed=100 + i)
-        cubes = graph.all_cubes(C)
-        edges = [B for B in cubes if B.dim == 1]
-        if len(edges) < 2:
-            continue
-        a, b = rng.sample(edges, 2)
-        if a.support != b.support:
-            continue
-        gal = graph.gallery(C, a, b)
-        R = core.reduce(C, a.support)
-        assert R is not None
-        # gallery hops = graph distance between the tags in the reduction
-        assert len(gal) - 1 >= 1 or a == b
+        C = generate.random_ample(5, rng.randint(2, 24), seed=100 + i)
+        for Y, ts in graph.cube_tags(C).items():
+            R = core.reduce(C, Y)
+            keep = core.coords(C.domain_mask & ~Y)
+            for a, b in itertools.combinations(sorted(ts), 2):
+                gal = graph.gallery(C, Cube(a, Y), Cube(b, Y))
+                dist = graph._bfs_dist(R, core._project(a, keep))
+                assert len(gal) - 1 == dist[core._project(b, keep)]
+                assert gal[0] == Cube(a, Y) and gal[-1] == Cube(b, Y)
+                for P, Q in zip(gal, gal[1:]):
+                    step = P.tag ^ Q.tag
+                    assert popcount(step) == 1
+                    assert core.cube_in_class(Cube(P.tag & Q.tag, Y | step), C.concept_set)
+                pairs += 1
+    assert pairs > 1000
 
 
 # ---------------------------------------------------------------- convexity
 
+def _sub_concepts(C: ConceptClass, sub) -> list[int]:
+    subset = set(sub)
+    if not subset <= C.concept_set:
+        raise ContractError("subclass concepts must belong to the class")
+    return sorted(subset)
+
+
+def is_locally_convex(C: ConceptClass, sub) -> bool:
+    """Every pair of subclass concepts at Hamming distance 2 has its interval's
+    C-concepts inside the subclass."""
+    cs = _sub_concepts(C, sub)
+    subset = set(cs)
+    s = C.concept_set
+    for i, c in enumerate(cs):
+        for d in cs[i + 1:]:
+            diff = c ^ d
+            if popcount(diff) == 2:
+                b = diff & -diff
+                for mid in (c ^ b, c ^ b ^ diff):
+                    if mid in s and mid not in subset:
+                        return False
+    return True
+
+
+def is_convex(C: ConceptClass, sub) -> bool:
+    """interval(c, d) ∩ C ⊆ subclass for every pair of subclass concepts."""
+    cs = _sub_concepts(C, sub)
+    subset = set(cs)
+    for i, c in enumerate(cs):
+        for d in cs[i + 1:]:
+            B = interval(c, d)
+            for v in B.vertices():
+                if v in C.concept_set and v not in subset:
+                    return False
+    return True
+
+
 def test_convexity_examples():
     Q2 = ConceptClass.of(2, range(4))
     single = cc("00")
-    assert graph.is_locally_convex(Q2, single)
-    assert graph.is_convex(Q2, single)
+    assert is_locally_convex(Q2, single)
+    assert is_convex(Q2, single)
     sub = cc("00", "11")
-    assert not graph.is_locally_convex(Q2, sub)
+    assert not is_locally_convex(Q2, sub)
     with pytest.raises(ContractError):
-        graph.is_convex(cc("00", "01", "10"), cc("11"))   # not a subclass
+        is_convex(cc("00", "01", "10"), cc("11"))   # not a subclass
 
 
 def test_local_convexity_equals_convexity_for_connected_in_ample():
@@ -353,7 +395,7 @@ def test_local_convexity_equals_convexity_for_connected_in_ample():
                 sub = ConceptClass.of(3, sel)
                 if not graph.is_connected(sub):
                     continue
-                assert graph.is_locally_convex(C, sub) == graph.is_convex(C, sub)
+                assert is_locally_convex(C, sub) == is_convex(C, sub)
 
 
 # ---------------------------------------------------------------- dot

@@ -1,8 +1,13 @@
-"""Every name a module of the package imports is read in that module."""
+"""Every name a module of the package imports is read in that module, and
+every function and class a module defines is read somewhere in the package
+or exported."""
 import ast
 import os
+from collections import Counter
 
 import pytest
+
+from amplekit import _EXPORTS
 
 PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "amplekit")
@@ -13,9 +18,16 @@ MODULES = sorted(f[:-3] for f in os.listdir(PKG) if f.endswith(".py"))
 REEXPORTS = {("repmap", name) for name in ("format_repmap", "parse_repmap_text")}
 
 
-def unread_imports(module):
+def _tree(module):
     with open(os.path.join(PKG, module + ".py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+        return ast.parse(fh.read())
+
+
+TREES = {module: _tree(module) for module in MODULES}
+
+
+def unread_imports(module):
+    tree = TREES[module]
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -29,3 +41,31 @@ def unread_imports(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     assert unread_imports(module) == []
+
+
+def _reads(tree):
+    """How often each name is read in the tree, as a name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+                   or isinstance(node, ast.Attribute))
+
+
+READS = sum(map(_reads, TREES.values()), Counter())
+EXPORTED = {name for names in _EXPORTS.values() for name in names}
+
+
+def unread_definitions(module):
+    """The module-level functions and classes that the package reads nowhere
+    outside their own definition and does not export: code that only the
+    tests use.  Dunder hooks such as `__getattr__` are read by Python."""
+    return [node.name for node in TREES[module].body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in EXPORTED
+            and READS[node.name] == _reads(node)[node.name]]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_definition_is_read_or_exported(module):
+    assert unread_definitions(module) == []

@@ -323,8 +323,8 @@ def test_cube_tags_built_once_per_call(monkeypatch):
     for A in (C, generate.random_ample(7, 50, 3)):
         assert builds(repmap.pre_rep_c1, A) == [A]
         assert builds(repmap.pre_rep_c2, A) == [A]
-        # the guard's complex, then the replay's own, built independently
-        assert builds(peeling.collapse_sequence, A) == [A, A]
+        # the replay reads the complex the guard built
+        assert builds(peeling.collapse_sequence, A) == [A]
     for A in (generate.hamming_ball(6, 2), generate.random_ample(7, 50, 3)):
         o = repmap.peeling_to_uso(A, peeling.corner_peeling_search(A).ordering)
         assert builds(repmap.check_uso, A, o) == [A]
