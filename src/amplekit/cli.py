@@ -182,9 +182,8 @@ def cmd_generate(args) -> int:
         facets = tuple(
             core.mask_of(_coords([x for x in grp.split(",") if x], args.n))
             for grp in args.facets.split(";") if grp.strip())
-    spec = generate.GeneratorSpec(kind=args.kind, n=args.n, d=args.d,
-                                  size=args.size, seed=args.seed, facets=facets)
-    _write_or_print(core.format_class(generate.generate(spec)), args.output)
+    C = generate.generate(args.kind, args.n, args.d, args.size, args.seed, facets)
+    _write_or_print(core.format_class(C), args.output)
     return 0
 
 

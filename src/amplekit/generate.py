@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import core, graph
 from .core import ConceptClass, bits_of, full_mask, popcount
@@ -85,37 +85,20 @@ def random_ample(n: int, size: int, seed: int,
     return ConceptClass(n, tuple(chosen))
 
 
-class GeneratorSpec(NamedTuple):
-    kind: str
-    n: int = 0
-    d: int = 0
-    size: int = 0
-    seed: int = 0
-    facets: tuple = ()
-    factors: tuple = ()   # for kind="product": two GeneratorSpecs
-
-
-# the kinds built directly over a domain of width spec.n
-_BUILDERS = {
-    "cube": lambda spec: cube_class(spec.n),
-    "hamming_ball": lambda spec: hamming_ball(spec.n, spec.d),
-    "simplicial": lambda spec: simplicial_class(spec.n, spec.facets),
-    "random_ample": lambda spec: random_ample(spec.n, spec.size, spec.seed),
-}
-
-
-def generate(spec: GeneratorSpec) -> ConceptClass:
-    if spec.kind == "product":
-        if len(spec.factors) != 2:
-            raise ContractError("product takes exactly two factor specs")
-        return core.product(generate(spec.factors[0]), generate(spec.factors[1]))
-    build = _BUILDERS.get(spec.kind)
-    if build is None:
-        raise ContractError(f"unknown generator kind {spec.kind!r}")
+def generate(kind: str, n: int, d: int, size: int, seed: int,
+             facets: tuple) -> ConceptClass:
     # checked before any of the 2^n masks is enumerated
-    if not 1 <= spec.n <= core.MAX_WIDTH:
-        raise DomainError(f"width {spec.n} outside 1..{core.MAX_WIDTH}")
-    return build(spec)
+    if not 1 <= n <= core.MAX_WIDTH:
+        raise DomainError(f"width {n} outside 1..{core.MAX_WIDTH}")
+    if kind == "cube":
+        return cube_class(n)
+    if kind == "hamming_ball":
+        return hamming_ball(n, d)
+    if kind == "simplicial":
+        return simplicial_class(n, facets)
+    if kind == "random_ample":
+        return random_ample(n, size, seed)
+    raise ContractError(f"unknown generator kind {kind!r}")
 
 
 BATCH_COLUMNS = ("file", "n", "size", "vc_dim", "shattered",

@@ -586,33 +586,30 @@ class TailMatchingReport(NamedTuple):
 def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     if not 1 <= x <= C.n:
         raise DomainError(f"coordinate {x} outside 1..{C.n}")
-    tags, d = shatter._maximum_tags(C, "tail matching is defined for maximum classes")
-    xb = bit(x)
-    red = core.reduce(C, xb)
+    _, d = shatter._maximum_tags(C, "tail matching is defined for maximum classes")
+    red = core.reduce(C, bit(x))
     if red is None:
         raise ContractError("reduction is empty; the class has no x-edge")
-    # the labels are forbidden_labels(red, sigma) over all d-sets sigma,
-    # which needs vc_dim(red) = d - 1; red is ample, with the supports
-    # through x of C's cubes, less x, for its cube supports
-    red_d = max(popcount(Y) for Y in tags if Y & xb) - 1
-    if red_d != d - 1:
-        raise ContractError(f"need a set of size vc_dim+1 = {red_d + 1}, got {d}")
     tail = core.tail(C, x)
     tails = tail.concepts if tail is not None else ()
-    missed = shatter._missed_labels(red.concepts, red.domain_mask, d)
-    labels = tuple(sorted((sigma, p) for sigma, ps in missed.items() for p in ps))
-    # the tails t with t & sigma = p are the fibre of p over sigma, so one
-    # fibre walk over the tails gives every label its tails
+    # the labels are forbidden_labels(red, sigma) over all d-sets sigma, as
+    # red is maximum of dimension d - 1 (Welzl 1987): the patterns whose
+    # fibre over sigma holds no concept of red.  The tails t with
+    # t & sigma = p are the fibre of p over sigma, so one unpruned walk over
+    # red's concepts followed by the tails gives every label its tails.
+    nred = len(red.concepts)
+    in_red = (1 << nred) - 1
     fibre: dict = {}
 
     def visit(Y: int, fibres: list) -> None:
-        ps = missed.get(Y)
-        if ps:
+        if popcount(Y) == d:
             ys = bits_of(Y)
-            for p in ps:
-                fibre[Y, p] = fibres[sum(1 << j for j, b in enumerate(ys) if p & b)]
+            for i, f in enumerate(fibres):
+                if not f & in_red:
+                    fibre[Y, sum(b for j, b in enumerate(ys) if i >> j & 1)] = f >> nred
 
-    shatter._fibre_walk(tails, red.domain_mask, d, False, visit)
+    shatter._fibre_walk(red.concepts + tails, red.domain_mask, d, False, visit)
+    labels = tuple(sorted(fibre))
     adj: dict = {t: [] for t in tails}
     for i, label in enumerate(labels):
         f = fibre[label]

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -7,9 +6,7 @@ from amplekit import compress, core, generate, graph, peeling, repmap, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError, DecodeError, IntegrityError, ParseError
 
-
-def cc(*strings):
-    return ConceptClass.from_strings(list(strings))
+from classes import cc
 
 
 PATH3 = cc("00", "01", "10")

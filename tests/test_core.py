@@ -1,4 +1,3 @@
-import itertools
 from typing import Optional
 
 import pytest
@@ -7,9 +6,7 @@ from amplekit import core
 from amplekit.core import ConceptClass, Cube, bit, mask_of
 from amplekit.errors import DomainError, EmptyClassError, ParseError
 
-
-def cc(*strings):
-    return ConceptClass.from_strings(list(strings))
+from classes import cc
 
 
 # ---------------------------------------------------------------- oracles

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from amplekit import core, generate, graph, peeling, shatter
-from amplekit.core import ConceptClass, bit, mask_of
-from amplekit.errors import ContractError
+from amplekit.core import ConceptClass, mask_of
+from amplekit.errors import ContractError, DomainError
 
 from downsets import random_downset_class
 
@@ -183,15 +183,18 @@ def test_random_downset_is_conditional_antimatroid():
         assert peeling.classify_ordering(C, order).corner_peeling
 
 
-def test_generator_spec_dispatch():
-    spec = generate.GeneratorSpec(kind="hamming_ball", n=4, d=2)
-    assert generate.generate(spec) == generate.hamming_ball(4, 2)
-    spec = generate.GeneratorSpec(kind="product", factors=(
-        generate.GeneratorSpec(kind="cube", n=1),
-        generate.GeneratorSpec(kind="cube", n=1)))
-    assert generate.generate(spec) == ConceptClass.of(2, range(4))
-    with pytest.raises(ContractError):
-        generate.generate(generate.GeneratorSpec(kind="nope"))
+def test_generate_dispatches_on_kind():
+    assert generate.generate("hamming_ball", 4, 2, 0, 0, ()) == generate.hamming_ball(4, 2)
+    assert generate.generate("cube", 2, 0, 0, 0, ()) == generate.cube_class(2)
+    assert generate.generate("simplicial", 3, 0, 0, 0, (3,)) == \
+        generate.simplicial_class(3, (3,))
+    assert generate.generate("random_ample", 5, 0, 9, 4, ()) == \
+        generate.random_ample(5, 9, 4)
+    with pytest.raises(ContractError, match="unknown generator kind 'nope'"):
+        generate.generate("nope", 3, 0, 0, 0, ())
+    for n in (0, core.MAX_WIDTH + 1):
+        with pytest.raises(DomainError, match=f"width {n} outside"):
+            generate.generate("cube", n, 0, 0, 0, ())
 
 
 def test_batch_row_and_csv():

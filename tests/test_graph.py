@@ -4,17 +4,10 @@ import random
 import pytest
 
 from amplekit import core, graph, peeling, shatter
-from amplekit.core import ConceptClass, Cube, bit, interval, mask_of, popcount
+from amplekit.core import ConceptClass, Cube, bit, interval, popcount
 from amplekit.errors import ContractError, NotConnectedError, OrderingValidationError
 
-
-def cc(*strings):
-    return ConceptClass.from_strings(list(strings))
-
-
-def all_classes(n):
-    for mask in range(1, 1 << (1 << n)):
-        yield ConceptClass(n, tuple(c for c in range(1 << n) if mask >> c & 1))
+from classes import all_classes, cc
 
 
 def random_classes():

@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is read in that module, and
-every function and class a module defines is read somewhere in the package
-or exported."""
+"""Every name a module of the package or of the tests imports is read in
+that module, and every function and class a module of the package defines
+is read somewhere in the package or exported."""
 import ast
 import os
 from collections import Counter
@@ -9,25 +9,25 @@ import pytest
 
 from amplekit import _EXPORTS
 
-PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "amplekit")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PKG = os.path.join(os.path.dirname(TESTS), "src", "amplekit")
 MODULES = sorted(f[:-3] for f in os.listdir(PKG) if f.endswith(".py"))
+TEST_MODULES = sorted(f[:-3] for f in os.listdir(TESTS) if f.endswith(".py"))
 
 # `repmap` re-exports the two public names of the map file format that moved
 # to `core`; `perfbench/tracing.py` and the CLI read them from there
 REEXPORTS = {("repmap", name) for name in ("format_repmap", "parse_repmap_text")}
 
 
-def _tree(module):
-    with open(os.path.join(PKG, module + ".py"), encoding="utf-8") as fh:
+def _tree(directory, module):
+    with open(os.path.join(directory, module + ".py"), encoding="utf-8") as fh:
         return ast.parse(fh.read())
 
 
-TREES = {module: _tree(module) for module in MODULES}
+TREES = {module: _tree(PKG, module) for module in MODULES}
 
 
-def unread_imports(module):
-    tree = TREES[module]
+def unread_imports(module, tree):
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -38,9 +38,11 @@ def unread_imports(module):
     return sorted(name for name in imported - read if (module, name) not in REEXPORTS)
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_every_import_is_read(module):
-    assert unread_imports(module) == []
+@pytest.mark.parametrize("directory, module", [
+    *(pytest.param(PKG, module, id=module) for module in MODULES),
+    *(pytest.param(TESTS, module, id=f"tests.{module}") for module in TEST_MODULES)])
+def test_every_import_is_read(directory, module):
+    assert unread_imports(module, _tree(directory, module)) == []
 
 
 def _reads(tree):

@@ -8,21 +8,8 @@ from amplekit import core, generate, graph, peeling, shatter
 from amplekit.core import ConceptClass, Cube, bit, mask_of
 from amplekit.errors import ContractError, IntegrityError, OrderingValidationError
 
+from classes import ample_classes, cc
 from downsets import random_downset_class
-
-
-def cc(*strings):
-    return ConceptClass.from_strings(list(strings))
-
-
-def ample_classes(n, max_size=None):
-    for mask in range(1, 1 << (1 << n)):
-        concepts = tuple(c for c in range(1 << n) if mask >> c & 1)
-        if max_size is not None and len(concepts) > max_size:
-            continue
-        C = ConceptClass(n, concepts)
-        if shatter.is_ample(C)[0]:
-            yield C
 
 
 # ---------------------------------------------------------------- classify

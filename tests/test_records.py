@@ -47,8 +47,6 @@ def test_repr_text():
     assert repr(scheme) == ("CompressionScheme(C=ConceptClass(n=1, concepts=(0, 1)), "
                             "r={0: 0, 1: 1})")
     assert repr(repmap.Check(True)) == "Check(ok=True, witness=None)"
-    assert repr(generate.GeneratorSpec("cube", 3)) == (
-        "GeneratorSpec(kind='cube', n=3, d=0, size=0, seed=0, facets=(), factors=())")
 
 
 @pytest.mark.parametrize("value, name", values() + [
@@ -121,7 +119,6 @@ def test_records_keep_their_properties_and_equality():
     assert compress.SchemeReport(True, 1, 5).sampled is False
     assert compress.SchemeReport(True, 1, 5) == compress.SchemeReport(True, 1, 5, None, "", False)
     assert repmap.Check(True, (1, 2)) == repmap.Check(True, (1, 2)) != repmap.Check(True, (2, 1))
-    assert generate.GeneratorSpec("cube", 3) == generate.GeneratorSpec(kind="cube", n=3)
     sf = shatter.SetFamily(2, frozenset({0, 1}))
     assert len(sf) == sf.size == 2 and 1 in sf and 2 not in sf and sf.dim() == 1
     C = generate.hamming_ball(4, 2)
@@ -135,7 +132,6 @@ def test_records_keep_their_properties_and_equality():
     repmap.Check(False, Cube(0, 1)),
     peeling.PeelingResult((1, 0), True, 2),
     compress.SchemeReport(False, 1, 3, Sample(1, 1), "no reconstruction", True),
-    generate.GeneratorSpec("product", factors=(generate.GeneratorSpec("cube", 2),) * 2),
 ])
 def test_records_copy_and_pickle(record):
     for other in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):

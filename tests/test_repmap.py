@@ -8,23 +8,11 @@ from amplekit import core, generate, graph, matching, peeling, repmap, shatter
 from amplekit.core import ConceptClass, Cube, bit, mask_of
 from amplekit.errors import ContractError, IntegrityError, ParseError
 
-
-def cc(*strings):
-    return ConceptClass.from_strings(list(strings))
+from classes import ample_classes, cc
 
 
 PATH3 = cc("00", "01", "10")          # {00, 01, 10}
 GOOD_R = {0: 0, bit(2): bit(2), bit(1): bit(1)}   # 00->∅, 01->{2}, 10->{1}
-
-
-def ample_classes(n, max_size=None):
-    for mask in range(1, 1 << (1 << n)):
-        concepts = tuple(c for c in range(1 << n) if mask >> c & 1)
-        if max_size is not None and len(concepts) > max_size:
-            continue
-        C = ConceptClass(n, concepts)
-        if shatter.is_ample(C)[0]:
-            yield C
 
 
 def check_c1_oracle(C, r):
@@ -942,7 +930,7 @@ def test_tail_matching_report_matches_the_per_tail_edge_scan(monkeypatch):
             given.clear()
             try:
                 rep = repmap.tail_matching_analysis(C, x)
-            except ContractError:   # no x-edge, or a reduction of lower dimension
+            except ContractError:   # no x-edge
                 continue
             assert rep.edges == tuple(
                 (t, i) for t in rep.tails
@@ -957,6 +945,35 @@ def test_tail_matching_report_matches_the_per_tail_edge_scan(monkeypatch):
             assert rep.status == ("unique" if unique else "multiple")
             assert rep.degree_one_tails == tuple(t for t in rep.tails if len(adj[t]) == 1)
     assert longest >= 2
+
+
+def test_tail_matching_walks_the_fibres_once(monkeypatch):
+    calls = []
+    walk = shatter._fibre_walk
+    monkeypatch.setattr(shatter, "_fibre_walk",
+                        lambda *args: (calls.append(args), walk(*args))[1])
+    for C, x in ((PATH3, 1), (generate.hamming_ball(6, 3), 2),
+                 (core.twist(generate.hamming_ball(5, 2), 11), 3)):
+        calls.clear()
+        repmap.tail_matching_analysis(C, x)
+        assert len(calls) == 1
+
+
+def test_a_maximum_class_reduces_to_a_maximum_class_one_dimension_lower():
+    """For a maximum class of dimension d, every nonempty reduction is
+    maximum of dimension d - 1 (Welzl 1987), which tail_matching_analysis
+    takes as given when it reads its labels off the d-sets."""
+    classes = [C for n in (1, 2, 3) for C in ample_classes(n) if shatter.is_maximum(C)]
+    classes += [generate.hamming_ball(n, d) for n in range(1, 9) for d in range(n + 1)]
+    reductions = 0
+    for C in classes:
+        d = shatter.vc_dim(C)
+        for x in range(1, C.n + 1):
+            red = core.reduce(C, bit(x))
+            if red is not None:
+                reductions += 1
+                assert shatter.vc_dim(red) == d - 1 and shatter.is_maximum(red)
+    assert reductions > 100
 
 
 def test_tail_matching_requires_maximum():

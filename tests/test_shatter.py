@@ -9,9 +9,7 @@ from amplekit import core, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError
 
-
-def cc(*strings):
-    return ConceptClass.from_strings(list(strings))
+from classes import all_classes, cc
 
 
 # ---------------------------------------------------------------- oracles
@@ -37,15 +35,6 @@ def _subsets(Y):
         if sub == 0:
             return
         sub = (sub - 1) & Y
-
-
-def all_classes(n, max_size=None):
-    universe = list(range(1 << n))
-    for mask in range(1, 1 << (1 << n)):
-        concepts = [c for c in universe if mask >> c & 1]
-        if max_size is not None and len(concepts) > max_size:
-            continue
-        yield ConceptClass(n, tuple(concepts))
 
 
 def random_classes():
