@@ -48,7 +48,7 @@ def cmd_check(args) -> int:
     from . import shatter
 
     C = core.read_class_file(args.file)
-    for name, value in shatter.summary(C).printed().items():
+    for name, value in shatter.summary(C).items():
         print(f"{name}={value}")
     return 0
 
@@ -115,7 +115,7 @@ def cmd_isr(args) -> int:
     inst = repmap.isr_instance(C)
     if args.json:
         out = {
-            "vertices": [[core.concept_to_string(c, C.n), sorted(core.coords(y))]
+            "vertices": [[core.concept_to_string(c, C.n), core.coords(y)]
                          for (c, y) in inst.vertices],
             "parts": {core.concept_to_string(c, C.n): list(idxs)
                       for c, idxs in inst.parts.items()},
@@ -154,7 +154,7 @@ def cmd_compress(args) -> int:
     scheme = compress.CompressionScheme(C, r)
     s = compress.parse_sample(args.sample, C.n)
     alpha = scheme.compress(s)
-    print("{" + ",".join(str(x) for x in sorted(core.coords(alpha))) + "}")
+    print("{" + ",".join(str(x) for x in core.coords(alpha)) + "}")
     return 0
 
 

@@ -108,7 +108,7 @@ BATCH_COLUMNS = ("file", "n", "size", "vc_dim", "shattered",
 def batch_row(name: str, C: ConceptClass) -> tuple:
     # imported here, so that the generators alone do not load `shatter`
     from . import shatter
-    return (name, *shatter.summary(C).printed().values())
+    return (name, *shatter.summary(C).values())
 
 
 def batch_csv(rows) -> str:

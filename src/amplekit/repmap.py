@@ -603,10 +603,9 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
 
     def visit(Y: int, fibres: list) -> None:
         if popcount(Y) == d:
-            ys = bits_of(Y)
             for i, f in enumerate(fibres):
                 if not f & in_red:
-                    fibre[Y, sum(b for j, b in enumerate(ys) if i >> j & 1)] = f >> nred
+                    fibre[Y, shatter._pattern(Y, i)] = f >> nred
 
     shatter._fibre_walk(red.concepts + tails, red.domain_mask, d, False, visit)
     labels = tuple(sorted(fibre))

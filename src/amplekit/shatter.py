@@ -83,6 +83,12 @@ def _fibre_walk(concepts, alive: int, d: int, prune: bool, visit) -> None:
         down(0, [full], 0, 0)
 
 
+def _pattern(Y: int, i: int) -> int:
+    """The pattern of fibre i over Y in `_fibre_walk`: the j-th lowest
+    coordinate of Y is set iff bit j of i is."""
+    return sum(b for j, b in enumerate(bits_of(Y)) if i >> j & 1)
+
+
 def _shattered_sets(C: ConceptClass) -> set:
     """All shattered coordinate sets, by the fibre walk."""
     out: set = set()
@@ -160,31 +166,14 @@ def is_maximum(C: ConceptClass) -> bool:
     return C.size == phi(vc_dim(C), C.n)
 
 
-class Summary(NamedTuple):
-    """The invariants reported by `check` and `batch`."""
-
-    n: int
-    size: int
-    vc_dim: int
-    shattered: SetFamily
-    strongly_shattered: SetFamily
-    ample: bool
-    maximum: bool
-
-    def printed(self) -> dict:
-        """Field -> printed value: each complex by its size, flags as 0/1."""
-        return {"n": self.n, "size": self.size, "vc_dim": self.vc_dim,
-                "shattered": self.shattered.size,
-                "strongly_shattered": self.strongly_shattered.size,
-                "ample": int(self.ample), "maximum": int(self.maximum)}
-
-
-def summary(C: ConceptClass) -> Summary:
-    """All of `Summary`, building each complex once."""
-    sh, st = (SetFamily(C.n, frozenset(m)) for m in _complexes(C))
-    d = sh.dim()
-    return Summary(C.n, C.size, d, sh, st,
-                   ample=sh.size == C.size, maximum=C.size == phi(d, C.n))
+def summary(C: ConceptClass) -> dict:
+    """The invariants that `check` and `batch` print, building each complex
+    once: field -> value, each complex by its size, flags as 0/1."""
+    sh, st = _complexes(C)
+    d = max(map(popcount, sh))
+    return {"n": C.n, "size": C.size, "vc_dim": d, "shattered": len(sh),
+            "strongly_shattered": len(st), "ample": int(len(sh) == C.size),
+            "maximum": int(C.size == phi(d, C.n))}
 
 
 class ForbiddenLabel(NamedTuple):
@@ -214,9 +203,7 @@ def _missed_labels(concepts, alive: int, d: int) -> dict:
 
     def visit(Y: int, fibres: list) -> None:
         if popcount(Y) == d:
-            ys = bits_of(Y)
-            out[Y] = [sum(b for j, b in enumerate(ys) if i >> j & 1)
-                      for i, f in enumerate(fibres) if not f]
+            out[Y] = [_pattern(Y, i) for i, f in enumerate(fibres) if not f]
 
     _fibre_walk(concepts, alive, d, False, visit)
     return out

@@ -124,8 +124,8 @@ def test_records_keep_their_properties_and_equality():
     C = generate.hamming_ball(4, 2)
     s = shatter.summary(C)
     assert s == shatter.summary(ConceptClass(4, C.concepts[::-1]))
-    assert s.printed() == {"n": 4, "size": 11, "vc_dim": 2, "shattered": 11,
-                           "strongly_shattered": 11, "ample": 1, "maximum": 1}
+    assert s == {"n": 4, "size": 11, "vc_dim": 2, "shattered": 11,
+                 "strongly_shattered": 11, "ample": 1, "maximum": 1}
 
 
 @pytest.mark.parametrize("record", [

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from amplekit import core, shatter
+from amplekit import core, generate, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError
 
@@ -39,7 +39,6 @@ def _subsets(Y):
 
 def random_classes():
     """Seeded classes at n=5 and n=6: dense, sparse, ample and maximum."""
-    from amplekit import generate
     rng = random.Random(2024)
     for n in (5, 6):
         for density in (0.8, 0.2):
@@ -95,8 +94,9 @@ def assert_invariants_match_oracle(C):
     assert shatter._is_ample_fast(C) == ample
     assert shatter.is_maximum(C) == maximum
     s = shatter.summary(C)
-    assert (s.n, s.size, s.vc_dim, s.ample, s.maximum) == (C.n, C.size, d, ample, maximum)
-    assert (s.shattered.members, s.strongly_shattered.members) == (sh, st)
+    assert (s["n"], s["size"], s["vc_dim"], s["ample"], s["maximum"]) == (
+        C.n, C.size, d, ample, maximum)
+    assert (s["shattered"], s["strongly_shattered"]) == (len(sh), len(st))
 
 
 def test_complexes_match_oracle_exhaustive_n3():
@@ -123,12 +123,15 @@ def test_engine_matches_oracle_random_n5_n6():
 def test_summary_fields_match_public_functions():
     for C in itertools.chain(all_classes(2), random_classes()):
         s = shatter.summary(C)
-        assert s.n == C.n and s.size == C.size
-        assert s.vc_dim == shatter.vc_dim(C)
-        assert s.shattered == shatter.shattered_complex(C)
-        assert s.strongly_shattered == shatter.strongly_shattered_complex(C)
-        assert s.ample == shatter.is_ample(C)[0]
-        assert s.maximum == shatter.is_maximum(C)
+        # the field names `batch` prints as its header, in the same order
+        assert list(s) == list(generate.BATCH_COLUMNS[1:])
+        assert all(type(v) is int for v in s.values())
+        assert s["n"] == C.n and s["size"] == C.size
+        assert s["vc_dim"] == shatter.vc_dim(C)
+        assert s["shattered"] == len(shatter.shattered_complex(C))
+        assert s["strongly_shattered"] == len(shatter.strongly_shattered_complex(C))
+        assert s["ample"] == shatter.is_ample(C)[0]
+        assert s["maximum"] == shatter.is_maximum(C)
 
 
 def test_complexes_downward_closed():
@@ -173,7 +176,6 @@ def test_is_maximum_examples():
 
 def test_maximum_implies_ample_and_hereditary():
     # restrictions and reductions of maximum classes are maximum
-    from amplekit import generate
     C = generate.hamming_ball(5, 2)
     assert shatter.is_maximum(C) and shatter.is_ample(C)[0]
     for x in range(1, 6):
@@ -239,7 +241,6 @@ def test_forbidden_labels_examples():
 
 
 def test_forbidden_labels_unique_for_maximum():
-    from amplekit import generate
     C = generate.hamming_ball(5, 2)
     for sel in itertools.combinations(range(1, 6), 3):
         labels = shatter.forbidden_labels(C, mask_of(sel))
