@@ -1,8 +1,6 @@
 """One-inclusion graph structure: edges, cubes, corners, isometry, galleries."""
 from __future__ import annotations
 
-from collections import deque
-
 from . import core
 from .core import ConceptClass, Cube, bits_of, concept_to_string, popcount
 from .errors import ContractError, NotConnectedError
@@ -10,18 +8,13 @@ from .errors import ContractError, NotConnectedError
 
 def edges(C: ConceptClass) -> list[tuple[int, int, int]]:
     """Edges of G(C) as (c, c', x) with c < c' and x the differing coordinate."""
-    s = C.concept_set
-    out = []
-    for c in C:
-        for x in range(1, C.n + 1):
-            d = c | core.bit(x)
-            if d != c and d in s:
-                out.append((c, d, x))
-    return out
+    s, n = C.concept_set, C.n
+    return [(c, c | b, b.bit_length()) for c in C
+            for b in bits_of(_neighbour_dirs(s, c, n) & ~c)]
 
 
 def is_connected(C: ConceptClass) -> bool:
-    return len(_bfs_dist(C, C.concepts[0])) == C.size
+    return len(_bfs(C.concept_set, C.concepts[0], bits_of(C.domain_mask))) == C.size
 
 
 def cube_tags(C: ConceptClass) -> dict:
@@ -182,46 +175,47 @@ def corners(C: ConceptClass) -> list[int]:
     return [c for c in C if is_corner(C, c)]
 
 
-def _bfs_dist(C: ConceptClass, start: int) -> dict:
-    s = C.concept_set
-    doms = bits_of(C.domain_mask)
-    dist = {start: 0}
-    q = deque([start])
-    while q:
-        c = q.popleft()
+def _bfs(s, start: int, doms) -> dict:
+    """Breadth-first search from start in the graph on the set s whose edges
+    flip one of the single-bit masks `doms`: each member reached -> its
+    predecessor (None for start), in the order of discovery."""
+    prev = {start: None}
+    queue = [start]
+    for c in queue:
         for b in doms:
             d = c ^ b
-            if d in s and d not in dist:
-                dist[d] = dist[c] + 1
-                q.append(d)
-    return dist
+            if d in s and d not in prev:
+                prev[d] = c
+                queue.append(d)
+    return prev
 
 
 def is_isometric(C: ConceptClass, mode: str = "full") -> bool:
     """Graph distance in G(C) equals Hamming distance.
 
-    mode="weak" checks only pairs at Hamming distance 2 (common neighbor in C);
-    disconnected classes are not isometric (infinite graph distance).
+    mode="full" checks every pair, mode="weak" only the pairs at Hamming
+    distance 2 (they have a common neighbour in C).  Both read the one
+    criterion: every pair u != v checked has (u ^ v) & N(v) nonzero, with
+    N(v) the mask of the directions b such that v ^ b is in C.
+
+    If C is isometric, a shortest path from v to u starts along a coordinate
+    of u ^ v, so that coordinate lies in N(v).  Conversely, any step from v
+    along a coordinate of u ^ v brings v one closer to u, so by induction on
+    the Hamming distance the criterion gives a path of that length; it thus
+    also implies that C is connected.  At distance 2, with u = v ^ a ^ b,
+    the criterion says that v ^ a or v ^ b, a common neighbour, is in C; it
+    is symmetric in u and v there, so weak mode checks each pair once.
     """
     if mode not in ("full", "weak"):
         raise ContractError(f"unknown isometry mode {mode!r}")
-    s = C.concept_set
-    if mode == "weak":
-        for i, c in enumerate(C.concepts):
-            for d in C.concepts[i + 1:]:
-                diff = c ^ d
-                if popcount(diff) == 2:
-                    b1 = diff & -diff
-                    if (c ^ b1) not in s and (c ^ b1 ^ diff) not in s:
-                        return False
-        return True
-    for c in C:
-        dist = _bfs_dist(C, c)
-        if len(dist) != C.size:
-            return False
-        for d, k in dist.items():
-            if k != popcount(c ^ d):
+    s, n, cs = C.concept_set, C.n, C.concepts
+    for i, v in enumerate(cs):
+        N = _neighbour_dirs(s, v, n)
+        if mode == "weak":
+            if any(not (u ^ v) & N and popcount(u ^ v) == 2 for u in cs[i + 1:]):
                 return False
+        elif not all((u ^ v) & N for u in cs if u != v):
+            return False
     return True
 
 
@@ -247,24 +241,13 @@ def gallery(C: ConceptClass, Q1: Cube, Q2: Cube) -> list[Cube]:
     tags = core.reduction_tags(C.concepts, Y)
     if Q1.tag not in tags or Q2.tag not in tags:
         raise ContractError("gallery endpoints must be cubes of the class")
-    if Q1.tag == Q2.tag:
-        return [Q1]
-    doms = [b for b in bits_of(C.domain_mask) if not b & Y]
-    prev = {Q1.tag: None}
-    q = deque([Q1.tag])
-    while q:
-        t = q.popleft()
-        for b in doms:
-            u = t ^ b
-            if u in tags and u not in prev:
-                prev[u] = t
-                if u == Q2.tag:
-                    path = [u]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return [Cube(t, Y) for t in reversed(path)]
-                q.append(u)
-    raise NotConnectedError("no gallery connects the two cubes")
+    prev = _bfs(tags, Q1.tag, [b for b in bits_of(C.domain_mask) if not b & Y])
+    if Q2.tag not in prev:
+        raise NotConnectedError("no gallery connects the two cubes")
+    path = [Q2.tag]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return [Cube(t, Y) for t in reversed(path)]
 
 
 def to_dot(C: ConceptClass) -> str:

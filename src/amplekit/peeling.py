@@ -2,11 +2,10 @@
 collapsing sequences, and the shelling correspondence."""
 from __future__ import annotations
 
-from itertools import combinations
 from typing import NamedTuple, Optional
 
 from . import graph
-from .core import ConceptClass, Cube, bits_of, popcount
+from .core import ConceptClass, Cube, popcount
 from .errors import ContractError, IntegrityError, OrderingValidationError
 
 
@@ -58,8 +57,9 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
       `graph.extends_isometric`);
     - weakly isometric: a pair v, v ^ a ^ b at Hamming distance 2 has a
       common neighbour in P iff v ^ a or v ^ b is in P, that is iff a or b
-      lies in N; so P fails iff v ^ a ^ b is in P' for two directions a, b
-      outside N;
+      lies in N; so P fails iff some u in P' at distance 2 has (u ^ v) & N
+      zero.  An isometric level is weakly isometric, so one scan of P'
+      decides both while P' is weakly isometric;
     - ample: a cube of P lies in P' or passes through v, so X(P) is X(P')
       together with the supports of the cubes of P through v, and P is
       ample iff |X(P)| = |P|.
@@ -69,11 +69,10 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
     prefix: set = set()
     X: set = set()
     for v, N in _out_map(order, C.n).items():
-        if isometric:
-            isometric = all((u ^ v) & N for u in prefix)
         if weak:
-            free = bits_of(C.domain_mask & ~N)
-            weak = not any(v ^ a ^ b in prefix for a, b in combinations(free, 2))
+            bad = [u ^ v for u in prefix if not (u ^ v) & N]
+            isometric = isometric and not bad
+            weak = all(popcount(d) != 2 for d in bad)
         prefix.add(v)
         if corner:
             corner = graph._is_corner_in(prefix, v, N)
@@ -181,8 +180,7 @@ def _closure(C: ConceptClass, s: int) -> Optional[int]:
 
 
 def extremal_points(C: ConceptClass, c: int) -> int:
-    s = C.concept_set
-    return sum(b for b in bits_of(c) if (c ^ b) in s)
+    return graph._neighbour_dirs(C.concept_set, c, C.n) & c
 
 
 def antimatroid_peeling(C: ConceptClass) -> tuple:
@@ -218,7 +216,7 @@ def two_dim_peeling(C: ConceptClass) -> tuple:
             if c in placed:
                 continue
             deg = popcount(graph._neighbour_dirs(placed, c, C.n))
-            if deg > best_deg or (deg == best_deg and c < best):
+            if deg > best_deg:
                 best, best_deg = c, deg
         order.append(best)
         placed.add(best)

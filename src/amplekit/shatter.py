@@ -229,13 +229,7 @@ class AmpleReport(NamedTuple):
     connected_hyperplanes_ample: bool       # C connected and every C^x ample
 
     def values(self) -> list:
-        return [
-            self.definition, self.complement_ample, self.complexes_equal,
-            self.strongly_shattered_count, self.shattered_count,
-            self.cube_intersections, self.partition_exchange,
-            self.partition_lopsided, self.reductions_connected,
-            self.connected_hyperplanes_ample,
-        ]
+        return list(self)
 
     @property
     def agree(self) -> bool:
@@ -279,12 +273,9 @@ def _partition_exchange_ok(C: ConceptClass, sh: set) -> bool:
     return True
 
 
-def _partition_lopsided_ok(C: ConceptClass, st: set) -> bool:
-    """For every partition X = Y ∪̇ Z: Y strongly shattered by C, or Z by 2^X \\ C."""
-    comp = [c for c in range(1 << C.n) if c not in C.concept_set]
-    st_comp = set()
-    if comp:
-        st_comp = _strongly_shattered_sets(ConceptClass(C.n, tuple(comp)))
+def _partition_lopsided_ok(C: ConceptClass, st: set, st_comp: set) -> bool:
+    """For every partition X = Y ∪̇ Z: Y strongly shattered by C, or Z by
+    2^X \\ C; `st` and `st_comp` are the strongly shattered sets of the two."""
     for Y in range(0, C.domain_mask + 1):
         if Y not in st and (C.domain_mask & ~Y) not in st_comp:
             return False
@@ -300,13 +291,16 @@ def ample_characterization_report(C: ConceptClass) -> AmpleReport:
     strongly_count = len(st) == C.size
 
     if C.is_full_cube():
+        st_comp: set = set()
         complement_ample = True  # empty class is vacuously ample
     else:
-        complement_ample = _is_ample_fast(core.complement(C))
+        comp = core.complement(C)
+        st_comp = _strongly_shattered_sets(comp)
+        complement_ample = len(st_comp) == comp.size
 
     if C.n <= _CUBE_CAP:
         cube_intersections = _cube_intersections_ok(C)
-        partition_lopsided = _partition_lopsided_ok(C, st)
+        partition_lopsided = _partition_lopsided_ok(C, st, st_comp)
         reductions_connected = True
         for Y in range(0, C.domain_mask + 1):
             R = core.reduce(C, Y)

@@ -13,6 +13,7 @@ import pytest
 from amplekit import compress, core, generate, graph, peeling, repmap, shatter
 from amplekit.core import ConceptClass, Cube, bit
 
+from classes import is_isometric_oracle
 from downsets import random_downset_class
 
 
@@ -100,8 +101,8 @@ def test_03_ordering_equivalence_all_permutations():
                     if smask not in props:
                         lvl = level(smask)
                         props[smask] = (shatter._is_ample_fast(lvl),
-                                        graph.is_isometric(lvl, "full"),
-                                        graph.is_isometric(lvl, "weak"))
+                                        is_isometric_oracle(lvl, "full"),
+                                        is_isometric_oracle(lvl, "weak"))
                     return props[smask]
 
                 def is_corner(smask, i):

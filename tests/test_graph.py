@@ -7,7 +7,7 @@ from amplekit import core, graph, peeling, shatter
 from amplekit.core import ConceptClass, Cube, bit, interval, popcount
 from amplekit.errors import ContractError, NotConnectedError, OrderingValidationError
 
-from classes import all_classes, cc
+from classes import all_classes, bfs_dist, cc, is_isometric_oracle
 
 
 def random_classes():
@@ -220,6 +220,20 @@ def test_weak_vs_full():
         graph.is_isometric(cc("00"), "other")
 
 
+def test_is_isometric_matches_bfs_oracle():
+    verdicts = set()
+    classes = [C for n in range(4) for C in all_classes(n)]
+    for C in classes + list(random_classes()):
+        got = graph.is_isometric(C, "full"), graph.is_isometric(C, "weak")
+        assert got == (is_isometric_oracle(C, "full"),
+                       is_isometric_oracle(C, "weak")), C
+        verdicts.add(got)
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    # the smallest class that is weakly isometric but not isometric
+    assert not graph.is_isometric(cc("000", "111"), "full")
+    assert graph.is_isometric(cc("000", "111"), "weak")
+
+
 def _shuffled_orders(C, rng):
     """A plain shuffle, and a shuffle that grows along edges where it can
     (so that long isometric prefixes occur in dense classes too)."""
@@ -245,10 +259,10 @@ def test_extends_isometric_matches_bfs_on_prefixes_random_n5_n6():
                 # every concept left could come next; the order takes order[i]
                 P = set(order[:i])
                 for v in order[i:]:
-                    want = graph.is_isometric(ConceptClass(C.n, (*P, v)), "full")
+                    want = is_isometric_oracle(ConceptClass(C.n, (*P, v)), "full")
                     assert graph.extends_isometric(P, v, C.n) == want
                     outcomes.add(want)
-                if not graph.is_isometric(ConceptClass(C.n, order[:i + 1]), "full"):
+                if not is_isometric_oracle(ConceptClass(C.n, order[:i + 1]), "full"):
                     break    # the helper presumes an isometric prefix
     assert outcomes == {True, False}
 
@@ -258,7 +272,7 @@ def test_validate_shelling_fails_at_first_non_isometric_prefix_random_n5_n6():
     for C in random_classes():
         for order in _shuffled_orders(C, rng):
             bad = next((i for i in range(len(order))
-                        if not graph.is_isometric(
+                        if not is_isometric_oracle(
                             ConceptClass(C.n, tuple(order[:i + 1])), "full")), None)
             sh = peeling.ShellingOrder(C.n, tuple(order))
             if bad is None:
@@ -317,7 +331,7 @@ def test_gallery_length_is_reduction_distance():
             keep = core.coords(C.domain_mask & ~Y)
             for a, b in itertools.combinations(sorted(ts), 2):
                 gal = graph.gallery(C, Cube(a, Y), Cube(b, Y))
-                dist = graph._bfs_dist(R, core._project(a, keep))
+                dist = bfs_dist(R, core._project(a, keep))
                 assert len(gal) - 1 == dist[core._project(b, keep)]
                 assert gal[0] == Cube(a, Y) and gal[-1] == Cube(b, Y)
                 for P, Q in zip(gal, gal[1:]):
