@@ -101,17 +101,16 @@ def generate(kind: str, n: int, d: int, size: int, seed: int,
     raise ContractError(f"unknown generator kind {kind!r}")
 
 
-BATCH_COLUMNS = ("file", "n", "size", "vc_dim", "shattered",
-                 "strongly_shattered", "ample", "maximum")
-
-
-def batch_row(name: str, C: ConceptClass) -> tuple:
+def batch_row(name: str, C: ConceptClass) -> dict:
+    """The row of `batch` for the class C read from the file `name`: the
+    file, then `shatter.summary(C)`, field -> value."""
     # imported here, so that the generators alone do not load `shatter`
     from . import shatter
-    return (name, *shatter.summary(C).values())
+    return {"file": name, **shatter.summary(C)}
 
 
 def batch_csv(rows) -> str:
-    lines = [",".join(BATCH_COLUMNS)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
+    """CSV of a nonempty list of `batch_row` rows, headed by their fields."""
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(str(v) for v in row.values()) for row in rows)
     return "\n".join(lines) + "\n"

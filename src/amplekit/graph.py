@@ -103,19 +103,9 @@ def maximal_cubes(C: ConceptClass) -> list[Cube]:
     """Cubes of C not properly contained in another cube of C."""
     tags = cube_tags(C)
     doms = bits_of(C.domain_mask)
-    out = []
-    for Y, ts in tags.items():
-        for t in ts:
-            grows = False
-            for b in doms:
-                if b & Y:
-                    continue
-                up = tags.get(Y | b)
-                if up is not None and (t & ~b) in up:
-                    grows = True
-                    break
-            if not grows:
-                out.append(Cube(t, Y))
+    # (t, Y) grows along b when the (Y | b)-cube with tag t & ~b is in C
+    out = [Cube(t, Y) for Y, ts in tags.items() for t in ts
+           if not any(t & ~b in tags.get(Y | b, ()) for b in doms if not b & Y)]
     return sorted(out, key=lambda B: (popcount(B.support), B.support, B.tag))
 
 
@@ -193,30 +183,39 @@ def _bfs(s, start: int, doms) -> dict:
 def is_isometric(C: ConceptClass, mode: str = "full") -> bool:
     """Graph distance in G(C) equals Hamming distance.
 
-    mode="full" checks every pair, mode="weak" only the pairs at Hamming
-    distance 2 (they have a common neighbour in C).  Both read the one
-    criterion: every pair u != v checked has (u ^ v) & N(v) nonzero, with
-    N(v) the mask of the directions b such that v ^ b is in C.
-
-    If C is isometric, a shortest path from v to u starts along a coordinate
-    of u ^ v, so that coordinate lies in N(v).  Conversely, any step from v
+    mode="full" checks that every pair u != v has (u ^ v) & N(v) nonzero,
+    with N(v) the mask of the directions b such that v ^ b is in C.  If C
+    is isometric, a shortest path from v to u starts along a coordinate of
+    u ^ v, so that coordinate lies in N(v).  Conversely, any step from v
     along a coordinate of u ^ v brings v one closer to u, so by induction on
     the Hamming distance the criterion gives a path of that length; it thus
-    also implies that C is connected.  At distance 2, with u = v ^ a ^ b,
-    the criterion says that v ^ a or v ^ b, a common neighbour, is in C; it
-    is symmetric in u and v there, so weak mode checks each pair once.
+    also implies that C is connected.  mode="weak" checks only the pairs at
+    Hamming distance 2 (they have a common neighbour in C), by
+    `_weak_violation` at each concept.
     """
     if mode not in ("full", "weak"):
         raise ContractError(f"unknown isometry mode {mode!r}")
     s, n, cs = C.concept_set, C.n, C.concepts
-    for i, v in enumerate(cs):
+    if mode == "weak":
+        return not any(_weak_violation(s, v, n) for v in cs)
+    for v in cs:
         N = _neighbour_dirs(s, v, n)
-        if mode == "weak":
-            if any(not (u ^ v) & N and popcount(u ^ v) == 2 for u in cs[i + 1:]):
-                return False
-        elif not all((u ^ v) & N for u in cs if u != v):
+        if not all((u ^ v) & N for u in cs if u != v):
             return False
     return True
+
+
+def _weak_violation(s, v: int, n: int) -> bool:
+    """Whether some v ^ a ^ b is in the set s, for directions a != b among
+    n coordinates with neither v ^ a nor v ^ b in s: a pair at Hamming
+    distance 2 through v with no common neighbour in s."""
+    free = [b for b in _DIRS[:n] if v ^ b not in s]
+    for i, a in enumerate(free):
+        w = v ^ a
+        for b in free[i + 1:]:
+            if w ^ b in s:
+                return True
+    return False
 
 
 def extends_isometric(P, v: int, n: int) -> bool:

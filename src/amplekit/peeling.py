@@ -52,14 +52,10 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
       subsets and their union is N, so v lies in a unique maximal cube iff
       the N-cube through v lies in P (the proof of `graph.is_corner`);
     - isometric: P is isometric iff every u in P' has (u ^ v) & N nonzero,
-      since a shortest path from v to u must start along a coordinate where
-      they differ and P' carries it on from there (as
-      `graph.extends_isometric`);
-    - weakly isometric: a pair v, v ^ a ^ b at Hamming distance 2 has a
-      common neighbour in P iff v ^ a or v ^ b is in P, that is iff a or b
-      lies in N; so P fails iff some u in P' at distance 2 has (u ^ v) & N
-      zero.  An isometric level is weakly isometric, so one scan of P'
-      decides both while P' is weakly isometric;
+      the test of `graph.extends_isometric`;
+    - weakly isometric: iff `graph._weak_violation(P', v, n)` is false.
+      An isometric level is weakly isometric, so that test runs only once
+      the levels stop being isometric;
     - ample: a cube of P lies in P' or passes through v, so X(P) is X(P')
       together with the supports of the cubes of P through v, and P is
       ample iff |X(P)| = |P|.
@@ -69,10 +65,10 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
     prefix: set = set()
     X: set = set()
     for v, N in _out_map(order, C.n).items():
-        if weak:
-            bad = [u ^ v for u in prefix if not (u ^ v) & N]
-            isometric = isometric and not bad
-            weak = all(popcount(d) != 2 for d in bad)
+        if isometric:
+            # a list scans faster than all() over a generator
+            isometric = not [u for u in prefix if not (u ^ v) & N]
+        weak = weak and (isometric or not graph._weak_violation(prefix, v, C.n))
         prefix.add(v)
         if corner:
             corner = graph._is_corner_in(prefix, v, N)
@@ -210,14 +206,9 @@ def two_dim_peeling(C: ConceptClass) -> tuple:
     order = [C.concepts[0]]
     placed = {C.concepts[0]}
     while len(order) < C.size:
-        best = None
-        best_deg = -1
-        for c in C:
-            if c in placed:
-                continue
-            deg = popcount(graph._neighbour_dirs(placed, c, C.n))
-            if deg > best_deg:
-                best, best_deg = c, deg
+        # the first concept of most neighbours placed, in ascending order
+        best = max((c for c in C if c not in placed),
+                   key=lambda c: popcount(graph._neighbour_dirs(placed, c, C.n)))
         order.append(best)
         placed.add(best)
     return tuple(order)
@@ -367,13 +358,10 @@ def validate_shelling(sh: ShellingOrder) -> None:
 
 
 def ordering_to_shelling(C: ConceptClass, ordering) -> ShellingOrder:
-    order = _check_permutation(C, ordering)
-    prefix: set = set()
-    for i, c in enumerate(order):
-        if not graph.extends_isometric(prefix, c, C.n):
-            raise OrderingValidationError("level set is not isometric", i)
-        prefix.add(c)
-    return ShellingOrder(C.n, tuple(order))
+    """The ordering of C as facets, checked by `validate_shelling`."""
+    sh = ShellingOrder(C.n, tuple(_check_permutation(C, ordering)))
+    validate_shelling(sh)
+    return sh
 
 
 def shelling_to_ordering(sh: ShellingOrder) -> tuple[ConceptClass, tuple]:

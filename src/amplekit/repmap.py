@@ -7,9 +7,11 @@ the class to a coordinate-set bitmask.
 """
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Optional
 
-from . import core, graph, matching, shatter
+# `shatter` and `matching` are imported where used: `repmap verify` loads neither
+from . import core, graph
 from .core import ConceptClass, Cube, bit, bits_of, coords, popcount
 from .errors import ContractError, DomainError, IntegrityError
 
@@ -38,8 +40,7 @@ class RepMapReport(NamedTuple):
 
     @property
     def valid(self) -> bool:
-        return all(c.ok for c in (self.r1, self.r2, self.r3, self.r4,
-                                  self.bijective, self.c1, self.c2))
+        return all(c.ok for c in self)
 
 
 def _check_pairwise(C: ConceptClass, r: RepMap, symmetric_diff: bool) -> Check:
@@ -171,17 +172,7 @@ def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Re
     _check_total(C, r)
     if tags is None:
         tags = graph.cube_tags(C)
-    counts: dict = {}
-    for v in r.values():
-        counts[v] = counts.get(v, 0) + 1
-    # the witness is the first image in r's order that occurs twice
-    dup = next((v for v in r.values() if counts[v] > 1), None)
-    if dup is not None:
-        bij = Check(False, dup)
-    elif counts.keys() != tags.keys():
-        bij = Check(False, min(counts.keys() ^ tags.keys()))
-    else:
-        bij = Check(True)
+    bij = _bijection(r, tags)
     r4 = _check_pairwise(C, r, symmetric_diff=True)
     return RepMapReport(
         r1=_check_pairwise(C, r, symmetric_diff=False),
@@ -223,13 +214,22 @@ def certify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
 
 
 def _certified(C: ConceptClass, r: RepMap, tags: dict) -> bool:
-    """Whether r is a representation map of C: a bijection onto X(C) with C1
-    and C2, with `tags` = `graph.cube_tags(C)` and r total on C.  It equals
-    `certify_repmap(C, r).valid`, which needs the bijection, C1 and C2, and
-    costs no R1–R4 sweep when the answer is no."""
-    image = set(r.values())
-    return (len(image) == len(r) and image == tags.keys()
+    """`certify_repmap(C, r).valid` for r total on C, with `tags` =
+    `graph.cube_tags(C)`: the bijection, C1 and C2, and no R1–R4 sweep."""
+    return (_bijection(r, tags).ok
             and _check_c1(C, r, tags).ok and _check_c2(C, r, tags).ok)
+
+
+def _bijection(r: RepMap, tags: dict) -> Check:
+    """Whether r is a bijection onto X(C) = `tags.keys()`: the witness is the
+    first image in r's order that occurs twice, else the least set in the
+    symmetric difference of the image and X(C)."""
+    counts = Counter(r.values())
+    if len(counts) < len(r):
+        return Check(False, next(v for v in r.values() if counts[v] > 1))
+    if counts.keys() != tags.keys():
+        return Check(False, min(counts.keys() ^ tags.keys()))
+    return Check(True)
 
 
 # -- construction for maximum classes -----------------------------------------
@@ -243,6 +243,8 @@ def _sources_for_missed_simplices(tags: dict, sub: list, alive: int, d: int) -> 
     supports a unique cube of the class, whose source realises the one
     pattern missing from the subclass's restriction.
     """
+    from . import shatter
+
     out: dict = {}
     for sigma, patterns in shatter._missed_labels(sub, alive, d).items():
         full = tags.get(sigma, ())
@@ -294,10 +296,11 @@ def _build_max_rec(alive: int, d: int, tags: dict) -> dict:
 def build_maximum_repmap(C: ConceptClass) -> RepMap:
     """Representation map for a maximum class by recursion on the highest
     coordinate; deterministic."""
+    from . import shatter
+
     tags, d = shatter._maximum_tags(C, "construction requires a maximum class")
     r = _build_max_rec(C.domain_mask, d, tags)
-    image = set(r.values())
-    if len(image) != len(r) or any(popcount(Y) > d for Y in image):
+    if not _bijection(r, tags).ok:
         raise IntegrityError("constructed map is not a bijection onto the complex")
     return r
 
@@ -305,6 +308,8 @@ def build_maximum_repmap(C: ConceptClass) -> RepMap:
 def incomplete_cube_sources(C: ConceptClass, D: ConceptClass) -> dict:
     """Bijection concept -> its incomplete cube, for maximum C of dimension d
     and maximum subclass D of dimension d-1 on the same domain."""
+    from . import shatter
+
     if D.n != C.n:
         raise ContractError("subclass must share the domain")
     if not D.concept_set <= C.concept_set:
@@ -374,6 +379,8 @@ def uso_to_peeling(C: ConceptClass, o: RepMap) -> tuple:
                 heapq.heappush(sources, v ^ b)
     # the sources run out early exactly when the orientation has a cycle
     if len(peeled) < len(C):
+        from . import matching
+
         cyc = matching.find_cycle(C, {c: [c ^ b for b in bits_of(o[c])] for c in C})
         raise ContractError(f"orientation has a cycle through {cyc}")
     return tuple(reversed(peeled))
@@ -449,6 +456,8 @@ def sub_repmap_restriction(C: ConceptClass, r: RepMap, Y: int,
 def pre_rep_c1(C: ConceptClass) -> RepMap:
     """Bijection r': C -> X(C) with every r'(c)-cube through c inside C,
     via a perfect matching in the carrier incidence graph."""
+    from . import matching
+
     tags = graph._ample_tags(C, "pre-representation maps require an ample class")
     adj = graph.support_concepts(tags)
     m = matching.hopcroft_karp(adj)
@@ -466,8 +475,7 @@ def pre_rep_c2(C: ConceptClass) -> RepMap:
     orienting each x-level's edges downward on top of the recursion for C_x."""
     tags = graph._ample_tags(C, "pre-representation maps require an ample class")
     r = _pre_rep_c2_rec(C.support(), C.concepts)
-    vals = list(r.values())
-    if len(set(vals)) != len(vals):
+    if len(set(r.values())) != len(r):
         raise IntegrityError("recursion produced a non-injective map")
     chk = _check_c2(C, r, tags)
     if not chk.ok:
@@ -584,6 +592,8 @@ class TailMatchingReport(NamedTuple):
 
 
 def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
+    from . import matching, shatter
+
     if not 1 <= x <= C.n:
         raise DomainError(f"coordinate {x} outside 1..{C.n}")
     _, d = shatter._maximum_tags(C, "tail matching is defined for maximum classes")
@@ -627,8 +637,6 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     else:
         status = "multiple"
     deg_t = tuple(t for t in tails if len(adj[t]) == 1)
-    counts = [0] * len(labels)
-    for _, i in edges:
-        counts[i] += 1
-    deg_l = tuple(labels[i] for i, k in enumerate(counts) if k == 1)
+    counts = Counter(i for _, i in edges)
+    deg_l = tuple(label for i, label in enumerate(labels) if counts[i] == 1)
     return TailMatchingReport(x, red, tails, labels, edges, status, m, deg_t, deg_l)

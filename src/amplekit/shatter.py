@@ -124,7 +124,7 @@ def strongly_shattered_complex(C: ConceptClass) -> SetFamily:
 
 
 def vc_dim(C: ConceptClass) -> int:
-    return max(popcount(Y) for Y in _complexes(C)[0])
+    return summary(C)["vc_dim"]
 
 
 def phi(d: int, n: int) -> int:
@@ -163,12 +163,13 @@ def is_ample(C: ConceptClass) -> tuple[bool, Optional[int]]:
 
 
 def is_maximum(C: ConceptClass) -> bool:
-    return C.size == phi(vc_dim(C), C.n)
+    return bool(summary(C)["maximum"])
 
 
 def summary(C: ConceptClass) -> dict:
     """The invariants that `check` and `batch` print, building each complex
-    once: field -> value, each complex by its size, flags as 0/1."""
+    once: field -> value, each complex by its size, flags as 0/1.  `vc_dim`
+    and `is_maximum` read their values here."""
     sh, st = _complexes(C)
     d = max(map(popcount, sh))
     return {"n": C.n, "size": C.size, "vc_dim": d, "shattered": len(sh),

@@ -323,6 +323,14 @@ def test_shelling_skips_comments_and_blank_lines(capsys, tmp_path):
     assert run(capsys, "shelling", str(commented)) == want
 
 
+def test_shelling_rejects_a_non_isometric_ordering(capsys, tmp_path):
+    # the level {00, 11} is not isometric
+    p = tmp_path / "ord.txt"
+    p.write_text("n=2\n00\n11\n10\n01\n")
+    assert run(capsys, "shelling", str(p)) == (
+        2, "", "error: partial shelling condition fails (first violation at index 1)\n")
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["totally-unknown-subcommand"])

@@ -201,8 +201,9 @@ def test_generate_dispatches_on_kind():
 def test_batch_row_and_csv():
     C = generate.hamming_ball(3, 1)
     row = generate.batch_row("ball.txt", C)
-    assert row == ("ball.txt", 3, 4, 1, 4, 4, 1, 1)
+    assert row == {"file": "ball.txt", "n": 3, "size": 4, "vc_dim": 1, "shattered": 4,
+                   "strongly_shattered": 4, "ample": 1, "maximum": 1}
     text = generate.batch_csv([row])
     lines = text.strip().splitlines()
-    assert lines[0] == ",".join(generate.BATCH_COLUMNS)
+    assert lines[0] == "file,n,size,vc_dim,shattered,strongly_shattered,ample,maximum"
     assert lines[1].startswith("ball.txt,3,4,1,")

@@ -234,6 +234,41 @@ def test_is_isometric_matches_bfs_oracle():
     assert graph.is_isometric(cc("000", "111"), "weak")
 
 
+def weak_isometry_classes():
+    """Seeded classes on n = 4..7: random ones of several densities,
+    isometric classes with concepts taken out, and unions of two isometric
+    classes on the low n - 3 coordinates, one of them moved by the top
+    three.  The unions are weakly isometric, as their parts are and every
+    pair across is at Hamming distance 3 or more, but not connected."""
+    from amplekit import generate
+    rng = random.Random(2026)
+    for n in range(4, 8):
+        for density in (0.7, 0.4, 0.15):
+            for _ in range(6):
+                cs = [c for c in range(1 << n) if rng.random() < density]
+                yield ConceptClass(n, tuple(cs or [0]))
+        for seed in range(6):
+            cs = list(generate.random_ample(n, rng.randint(6, 1 << (n - 1)), seed).concepts)
+            for c in rng.sample(cs, rng.randint(1, 3)):
+                cs.remove(c)
+            yield ConceptClass(n, tuple(cs))
+            low, top = n - 3, 7 << (n - 3)
+            A = generate.random_ample(low, rng.randint(1, 1 << low), seed)
+            B = generate.random_ample(low, rng.randint(1, 1 << low), seed + 6)
+            yield ConceptClass(n, A.concepts + tuple(c | top for c in B.concepts))
+
+
+def test_weak_isometry_matches_pair_oracle_n4_to_n7():
+    verdicts = []
+    for C in weak_isometry_classes():
+        got = graph.is_isometric(C, "weak")
+        assert got == is_isometric_oracle(C, "weak"), C
+        verdicts.append((is_isometric_oracle(C, "full"), got))
+    assert verdicts.count((True, True)) >= 5
+    assert verdicts.count((False, False)) >= 20
+    assert verdicts.count((False, True)) >= 20
+
+
 def _shuffled_orders(C, rng):
     """A plain shuffle, and a shuffle that grows along edges where it can
     (so that long isometric prefixes occur in dense classes too)."""
@@ -281,6 +316,26 @@ def test_validate_shelling_fails_at_first_non_isometric_prefix_random_n5_n6():
             with pytest.raises(OrderingValidationError) as exc:
                 peeling.validate_shelling(sh)
             assert exc.value.index == bad
+
+
+def test_ordering_to_shelling_fails_at_first_non_isometric_prefix_random_n5_n6():
+    rng = random.Random(8)
+    failures = 0
+    for C in random_classes():
+        for order in _shuffled_orders(C, rng):
+            bad = next((i for i in range(len(order))
+                        if not is_isometric_oracle(
+                            ConceptClass(C.n, tuple(order[:i + 1])), "full")), None)
+            if bad is None:
+                assert peeling.ordering_to_shelling(C, order).facets == tuple(order)
+                continue
+            failures += 1
+            with pytest.raises(OrderingValidationError) as exc:
+                peeling.ordering_to_shelling(C, order)
+            assert exc.value.index == bad
+            assert str(exc.value) == (
+                f"partial shelling condition fails (first violation at index {bad})")
+    assert failures >= 20
 
 
 def test_reductions_connected_isometric_for_ample():

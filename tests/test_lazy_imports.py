@@ -157,6 +157,24 @@ def test_peel_side_commands_load_neither_shatter_nor_repmap(ball_files, tmp_path
     assert "amplekit.shatter" in loaded
 
 
+def test_repmap_verify_loads_neither_shatter_nor_matching(ball_files, tmp_path):
+    cls, rep, r = ball_files
+    bad = dict(r)
+    c, d = sorted(r)[:2]
+    bad[c] = r[d]
+    corrupted = tmp_path / "corrupted.rep"
+    corrupted.write_text(repmap.format_repmap(bad, 5))
+    for path, want in ((rep, 0), (str(corrupted), 1)):
+        out, code, loaded = cli_run("repmap", "verify", cls, "--repmap", path)
+        assert code == want and out.endswith(f"valid={1 - want}\n"), (path, out)
+        assert "amplekit.repmap" in loaded
+        assert not loaded & {"amplekit.shatter", "amplekit.matching"}, (path, loaded)
+    # the construction reads `shatter`, but not `matching`
+    out, code, loaded = cli_run("repmap", "build", cls)
+    assert (out, code) == (repmap.format_repmap(r, 5), 0)
+    assert "amplekit.shatter" in loaded and "amplekit.matching" not in loaded
+
+
 def test_old_exports_resolve_lazily_to_their_module_objects():
     code = """
 import importlib, json, sys

@@ -116,6 +116,43 @@ def test_classify_ordering_matches_per_prefix_oracle():
     assert staggered > 50
 
 
+def far_start_orderings(rng, C, k):
+    """k orderings of C that start with two concepts at Hamming distance 3
+    or more, then grow through random neighbours: the first levels are not
+    isometric, yet weakly isometric until a pair at distance 2 without a
+    common neighbour comes in."""
+    far = [(u, v) for u in C for v in C if core.popcount(u ^ v) >= 3]
+    s = C.concept_set
+    for u, v in rng.sample(far, min(k, len(far))):
+        order = [u, v]
+        while len(order) < C.size:
+            seen = set(order)
+            nbrs = sorted({c ^ 1 << x for c in order for x in range(C.n)} & s - seen)
+            order.append(rng.choice(nbrs or sorted(s - seen)))
+        yield order
+
+
+def test_classify_ordering_matches_oracle_when_isometry_drops_first():
+    rng = random.Random(15)
+    later = 0
+    for n in range(3, 7):
+        for seed in range(6):
+            size = rng.randint(4, min(1 << n, 18))
+            for C in (ConceptClass(n, tuple(rng.sample(range(1 << n), size))),
+                      generate.random_ample(n, size, seed)):
+                for order in far_start_orderings(rng, C, 3):
+                    got, want = [], []
+                    for i in range(1, len(order) + 1):
+                        P = ConceptClass(n, tuple(order[:i]))
+                        got.append(peeling.classify_ordering(P, order[:i]))
+                        want.append(classify_ordering_oracle(P, order[:i]))
+                    assert got == want, (C, order)
+                    iso, weak = drop_levels(want)[2:]
+                    assert iso == 1 and (weak is None or weak >= 1)
+                    later += weak is None or weak > 1
+    assert later >= 20
+
+
 def test_classify_ordering_rebuilds_no_level(monkeypatch):
     def refuse(*args):
         raise AssertionError("whole-class test called on a level")

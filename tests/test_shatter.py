@@ -123,8 +123,6 @@ def test_engine_matches_oracle_random_n5_n6():
 def test_summary_fields_match_public_functions():
     for C in itertools.chain(all_classes(2), random_classes()):
         s = shatter.summary(C)
-        # the field names `batch` prints as its header, in the same order
-        assert list(s) == list(generate.BATCH_COLUMNS[1:])
         assert all(type(v) is int for v in s.values())
         assert s["n"] == C.n and s["size"] == C.size
         assert s["vc_dim"] == shatter.vc_dim(C)
