@@ -80,6 +80,7 @@ class CompressionScheme(_Frozen):
     _key = ("C", "r")
 
     def __init__(self, C: ConceptClass, r: dict):
+        r = dict(r)   # a copy: an edit of the caller's map would leave inv stale
         # a map missing a concept would surface as a KeyError mid-compress,
         # and one that is not injective would decompress to an arbitrary concept
         core._check_total(C, r)
@@ -116,7 +117,8 @@ _SAMPLED_DOMAINS = 2048   # draws, with the full and the empty domain added
 def verify_scheme(C: ConceptClass, scheme: CompressionScheme) -> SchemeReport:
     """Round-trip every realizable sample: γ(s) exists and is unique, and
     |α(s)| ≤ vc_dim.  All domains are enumerated for n ≤ 12, a seeded
-    selection above (the report's `sampled` flag says which).
+    selection above (the report's `sampled` flag says which).  C must be
+    the class the scheme was built for.
 
     The rest of the round trip holds by construction: γ(s) = g has
     r(g) ⊆ dom(s), so α(s) = r(g) ⊆ dom(s); and the scheme's inverse is the
@@ -126,6 +128,8 @@ def verify_scheme(C: ConceptClass, scheme: CompressionScheme) -> SchemeReport:
 
     from . import shatter
 
+    if C != scheme.C:
+        raise ContractError("scheme was built for another class")
     d = shatter.vc_dim(C)
     r = scheme.r
     sampled = C.n > _FULL_ENUM_CAP

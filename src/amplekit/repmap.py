@@ -8,6 +8,7 @@ the class to a coordinate-set bitmask.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple, Optional
 
 # `shatter` and `matching` are imported where used: `repmap verify` loads neither
@@ -43,15 +44,30 @@ class RepMapReport(NamedTuple):
         return all(c.ok for c in self)
 
 
-def _check_pairwise(C: ConceptClass, r: RepMap, symmetric_diff: bool) -> Check:
+def _check_pairs(C: ConceptClass, r: RepMap) -> tuple[Check, Check, Check]:
+    """R1, R3 and R4 from one sweep of the pairs c < d in concept order.
+
+    R1 fails at a pair when c ^ d misses r(c) | r(d), and R4 when it misses
+    r(c) ^ r(d).  As r(c) ^ r(d) ⊆ r(c) | r(d), a pair failing R1 fails R4,
+    so R4's first failing pair comes no later than R1's, and the sweep stops
+    at R1's first failure; each witness is its check's first failing pair.
+
+    R3 (cube injectivity) holds iff R4 does.  If c ≠ d lie in one cube of
+    support S and r(c) & S = r(d) & S, then c ^ d ⊆ S and r(c) ^ r(d) misses
+    S, hence misses c ^ d: the pair fails R4.  Conversely, if r(c) ^ r(d)
+    misses c ^ d, then c and d collide on their interval cube, of support
+    c ^ d.  So R4's first failing pair (c, d) gives R3's witness
+    (interval cube, c, d).
+    """
     cs = C.concepts
-    for i, c in enumerate(cs):
-        rc = r[c]
-        for d in cs[i + 1:]:
-            sets = (rc ^ r[d]) if symmetric_diff else (rc | r[d])
-            if not (c ^ d) & sets:
-                return Check(False, (c, d))
-    return Check(True)
+    fails = ((c, d) for i, c in enumerate(cs) for d in cs[i + 1:]
+             if not (c ^ d) & (r[c] ^ r[d]))      # R4's failing pairs, in order
+    r4 = next(fails, None)
+    if r4 is None:
+        return Check(True), Check(True), Check(True)
+    # the sweep goes on from R4's first failure to R1's first, or to its end
+    r1 = next(((c, d) for c, d in chain([r4], fails) if not (c ^ d) & (r[c] | r[d])), None)
+    return Check(r1 is None, r1), Check(False, (core.interval(*r4), *r4)), Check(False, r4)
 
 
 def _check_r2(C: ConceptClass, r: RepMap, bijective: bool = False) -> Check:
@@ -92,21 +108,6 @@ def _check_r2(C: ConceptClass, r: RepMap, bijective: bool = False) -> Check:
             if len(hits) != 1:
                 return Check(False, (Y, pat))
     return Check(True)
-
-
-def _check_r3(r4: Check) -> Check:
-    """Cube injectivity, read off R4's verdict.
-
-    If c ≠ d lie in one cube of support S and r(c) & S = r(d) & S, then
-    c ^ d ⊆ S and r(c) ^ r(d) misses S, hence misses c ^ d: the pair fails
-    R4.  Conversely, if r(c) ^ r(d) misses c ^ d, then c and d collide on
-    their interval cube, of support c ^ d.  So R3 holds iff R4 does, and
-    R4's first failing pair (c, d) gives the witness (interval cube, c, d).
-    """
-    if r4.ok:
-        return r4
-    c, d = r4.witness
-    return Check(False, (core.interval(c, d), c, d))
 
 
 def _check_c1(C: ConceptClass, r: RepMap, tags: dict) -> Check:
@@ -173,11 +174,11 @@ def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Re
     if tags is None:
         tags = graph.cube_tags(C)
     bij = _bijection(r, tags)
-    r4 = _check_pairwise(C, r, symmetric_diff=True)
+    r1, r3, r4 = _check_pairs(C, r)
     return RepMapReport(
-        r1=_check_pairwise(C, r, symmetric_diff=False),
+        r1=r1,
         r2=_check_r2(C, r, bij.ok),
-        r3=_check_r3(r4),
+        r3=r3,
         r4=r4,
         bijective=bij,
         c1=_check_c1(C, r, tags),
@@ -326,19 +327,6 @@ def incomplete_cube_sources(C: ConceptClass, D: ConceptClass) -> dict:
 
 # -- unique sink orientations --------------------------------------------------
 
-def _check_orientation(C: ConceptClass, o: RepMap) -> None:
-    """o must orient exactly the edges of G(C), each one way."""
-    _check_total(C, o)
-    s = C.concept_set
-    for c in C:
-        for b in bits_of(o[c]):
-            if c ^ b not in s:
-                raise ContractError(
-                    f"out-map leaves the class on coordinate {b.bit_length()}")
-            if o[c ^ b] & b:
-                raise ContractError("edge oriented both ways")
-
-
 class UsoReport(NamedTuple):
     is_orientation: bool
     c1: Check
@@ -350,9 +338,15 @@ class UsoReport(NamedTuple):
 
 
 def check_uso(C: ConceptClass, o: RepMap) -> UsoReport:
-    try:
-        _check_orientation(C, o)
-    except ContractError:
+    """C1 and C2 of an out-map o, when o is an orientation: o is total on
+    C, and every out-edge c -> c ^ b lands in C (o(c) holds only directions
+    of c's edges in C) and is not also an out-edge of c ^ b.  An image with
+    a coordinate outside the domain has an out-edge leaving C."""
+    s = C.concept_set
+    is_orientation = o.keys() == s and all(
+        not o[c] & ~graph._neighbour_dirs(s, c, C.n)
+        and not any(o[c ^ b] & b for b in bits_of(o[c])) for c in C)
+    if not is_orientation:
         return UsoReport(False, Check(False), Check(False))
     tags = graph.cube_tags(C)
     return UsoReport(True, _check_c1(C, o, tags), _check_c2(C, o, tags))

@@ -128,6 +128,36 @@ def test_verify_scheme_corrupted_map():
     assert report.witness is not None and report.reason
 
 
+def test_scheme_keeps_its_own_copy_of_the_map():
+    # the scheme once stored the caller's dict: swapping two of its images
+    # afterwards changed scheme.r and left scheme.inv stale
+    C = generate.hamming_ball(3, 1)
+    r = repmap.build_maximum_repmap(C)
+    want = dict(r)
+    scheme = compress.CompressionScheme(C, r)
+    a, b = C.concepts[:2]
+    r[a], r[b] = r[b], r[a]
+    assert scheme.r == want
+    for c in C:
+        s = compress.Sample(C.domain_mask, c)
+        assert scheme.decompress(scheme.compress(s)) == c
+
+
+def test_verify_scheme_judges_only_the_class_of_the_scheme():
+    small, big = generate.hamming_ball(3, 1), generate.hamming_ball(3, 2)
+    scheme = compress.CompressionScheme(small, repmap.build_maximum_repmap(small))
+    # once a KeyError on the concepts of big that scheme.r lacks
+    with pytest.raises(ContractError, match="scheme was built for another class"):
+        compress.verify_scheme(big, scheme)
+    # two images swapped outside small: big fails, small once passed it
+    r = repmap.build_maximum_repmap(big)
+    a, b = sorted(big.concept_set - small.concept_set)[:2]
+    bad = compress.CompressionScheme(big, {**r, a: r[b], b: r[a]})
+    assert not compress.verify_scheme(big, bad).ok
+    with pytest.raises(ContractError, match="scheme was built for another class"):
+        compress.verify_scheme(small, bad)
+
+
 def test_verify_scheme_maximum_classes():
     for n, d in ((3, 1), (4, 2), (5, 1)):
         C = generate.hamming_ball(n, d)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -198,6 +199,32 @@ def test_r2_and_r3_match_their_sweeps():
     assert {(True, True, True, True), (False, False, False, False),
             (False, True, False, False)} <= seen
     assert failing_bijections > 50
+
+
+def first_pair_oracle(C, r, sets):
+    """The first pair c < d, in concept order, with c ^ d missing
+    sets(r(c), r(d)), or None: R1's with `|`, R4's with `^`."""
+    cs = C.concepts
+    return next(((c, d) for i, c in enumerate(cs) for d in cs[i + 1:]
+                 if not (c ^ d) & sets(r[c], r[d])), None)
+
+
+def test_one_pair_sweep_matches_the_r1_and_r4_sweeps():
+    """R1, R3 and R4 from `_check_pairs` against two sweeps written from
+    the definitions of R1 and R4, verdicts and first witnesses."""
+    r4_earlier = r4_alone = 0
+    for C, r in itertools.chain(map_cases(23), bijection_cases(31)):
+        p1 = first_pair_oracle(C, r, operator.or_)
+        p4 = first_pair_oracle(C, r, operator.xor)
+        r1, r3, r4 = repmap._check_pairs(C, r)
+        assert r1 == (repmap.Check(True) if p1 is None else repmap.Check(False, p1))
+        assert r4 == (repmap.Check(True) if p4 is None else repmap.Check(False, p4))
+        assert r3 == (repmap.Check(True) if p4 is None
+                      else repmap.Check(False, (core.interval(*p4), *p4)))
+        r4_earlier += p1 is not None and p4 != p1
+        r4_alone += p1 is None and p4 is not None
+    # R4 fails at an earlier pair than R1, and R4 fails while R1 holds
+    assert r4_earlier > 20 and r4_alone > 5
 
 
 def test_r2_witness_of_a_swapped_ball_18_3_map():
@@ -501,6 +528,67 @@ def test_check_uso_reports_the_c1_witness():
     o = {0: bit(1) | bit(2), bit(1): 0, bit(2): 0}
     assert repmap.check_uso(PATH3, o) == repmap.UsoReport(
         True, repmap.Check(False, 0), repmap.Check(True))
+
+
+def check_orientation_oracle(C, o):
+    """o must orient exactly the edges of G(C), each one way."""
+    core._check_total(C, o)
+    s = C.concept_set
+    for c in C:
+        for b in core.bits_of(o[c]):
+            if c ^ b not in s:
+                raise ContractError(
+                    f"out-map leaves the class on coordinate {b.bit_length()}")
+            if o[c ^ b] & b:
+                raise ContractError("edge oriented both ways")
+
+
+def orientation_cases(seed):
+    """Out-maps of seeded ample classes with n ≤ 5: the peeling's USO,
+    random images, random sets of edge directions, each edge one way at
+    random, and the USO with a key missing or added, an image outside the
+    domain, or one edge oriented both ways."""
+    rng = random.Random(seed)
+    for n in range(1, 6):
+        for s in range(4):
+            C = generate.random_ample(n, rng.randrange(1, min(1 << n, 24) + 1), s)
+            dirs = {c: graph._neighbour_dirs(C.concept_set, c, n) for c in C}
+            o = repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
+            yield C, o
+            for _ in range(3):
+                yield C, {c: rng.randrange(1 << n) for c in C}
+                yield C, {c: dirs[c] & rng.randrange(1 << n) for c in C}
+                t = dict.fromkeys(C, 0)
+                for c, w, x in graph.edges(C):
+                    t[rng.choice((c, w))] |= bit(x)
+                yield C, t
+            a = rng.choice(C.concepts)
+            yield C, {c: o[c] for c in C if c != a}
+            outside = next(v for v in range(1 << (n + 1)) if v not in C.concept_set)
+            yield C, {**o, outside: 0}
+            yield C, {**o, a: o[a] | bit(n + 1)}
+            yield C, {**o, a: -1}
+            if dirs[a]:
+                b = dirs[a] & -dirs[a]
+                yield C, {**o, a: o[a] | b, a ^ b: o[a ^ b] | b}
+
+
+def test_check_uso_decides_orientation_as_the_raising_check():
+    verdicts = set()
+    for C, o in orientation_cases(37):
+        try:
+            check_orientation_oracle(C, o)
+            want = None
+        except ContractError as err:
+            want = str(err).split(" on coordinate")[0]
+        rep = repmap.check_uso(C, o)
+        assert rep.is_orientation == (want is None)
+        if want is not None:
+            assert rep == repmap.UsoReport(False, repmap.Check(False), repmap.Check(False))
+        verdicts.add(want)
+    assert verdicts == {None, "map is not total on the class",
+                        "image coordinate set outside domain",
+                        "out-map leaves the class", "edge oriented both ways"}
 
 
 def test_peeling_to_uso_path():
