@@ -199,9 +199,7 @@ def cmd_collapse(args) -> int:
     from . import peeling
 
     C = core.read_class_file(args.file)
-    seq = peeling.collapse_sequence(C)
-    removed = {q.tag for q, _ in seq if q.support == 0}
-    survivor = next(c for c in C if c not in removed)
+    seq, survivor = peeling.collapse_sequence(C)
     for q, p in seq:
         print(f"{core.concept_to_string(q.tag, C.n)}/{core.concept_to_string(q.support, C.n)}"
               f" -> "

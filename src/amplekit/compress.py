@@ -114,11 +114,11 @@ _SAMPLE_SEED = 0          # seeds the domains drawn above the cap
 _SAMPLED_DOMAINS = 2048   # draws, with the full and the empty domain added
 
 
-def verify_scheme(C: ConceptClass, scheme: CompressionScheme) -> SchemeReport:
-    """Round-trip every realizable sample: γ(s) exists and is unique, and
-    |α(s)| ≤ vc_dim.  All domains are enumerated for n ≤ 12, a seeded
-    selection above (the report's `sampled` flag says which).  C must be
-    the class the scheme was built for.
+def verify_scheme(scheme: CompressionScheme) -> SchemeReport:
+    """Round-trip every realizable sample of the scheme's class: γ(s)
+    exists and is unique, and |α(s)| ≤ vc_dim.  All domains are enumerated
+    for n ≤ 12, a seeded selection above (the report's `sampled` flag says
+    which).
 
     The rest of the round trip holds by construction: γ(s) = g has
     r(g) ⊆ dom(s), so α(s) = r(g) ⊆ dom(s); and the scheme's inverse is the
@@ -128,10 +128,8 @@ def verify_scheme(C: ConceptClass, scheme: CompressionScheme) -> SchemeReport:
 
     from . import shatter
 
-    if C != scheme.C:
-        raise ContractError("scheme was built for another class")
+    C, r = scheme.C, scheme.r
     d = shatter.vc_dim(C)
-    r = scheme.r
     sampled = C.n > _FULL_ENUM_CAP
     if not sampled:
         domains = range(1 << C.n)

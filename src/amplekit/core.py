@@ -153,17 +153,14 @@ class _Frozen:
 class ConceptClass(_Frozen):
     """A nonempty, duplicate-free concept class in canonical (ascending) order.
 
-    coord_labels records, for each local coordinate 1..n, the label it had in
-    the class this one was derived from (restrictions and reductions re-index
-    their domains to 1..n).  It is carried for traceability and is not part
-    of equality.  concept_set holds the same concepts as ``concepts``, for
-    constant-time membership tests.
+    concept_set holds the same concepts as ``concepts``, for constant-time
+    membership tests.
     """
 
-    __slots__ = ("n", "concepts", "coord_labels", "concept_set")
+    __slots__ = ("n", "concepts", "concept_set")
     _key = ("n", "concepts")
 
-    def __init__(self, n: int, concepts: tuple[int, ...], coord_labels: tuple[int, ...] = ()):
+    def __init__(self, n: int, concepts: tuple[int, ...]):
         if not 0 <= n <= MAX_WIDTH:
             raise DomainError(f"domain width {n} outside 0..{MAX_WIDTH}")
         members = frozenset(concepts)
@@ -172,17 +169,9 @@ class ConceptClass(_Frozen):
             raise EmptyClassError("a concept class must be nonempty")
         if cs[0] < 0 or cs[-1] >= 1 << n:
             raise DomainError("concept out of range for domain width")
-        if not coord_labels:
-            coord_labels = tuple(range(1, n + 1))
-        elif len(coord_labels) != n:
-            raise DomainError("coord_labels length must equal domain width")
         _setfield(self, "n", n)
         _setfield(self, "concepts", cs)
-        _setfield(self, "coord_labels", coord_labels)
         _setfield(self, "concept_set", members)
-
-    def __reduce__(self):
-        return ConceptClass, (self.n, self.concepts, self.coord_labels)
 
     @classmethod
     def of(cls, n: int, concepts: Iterable[int]) -> "ConceptClass":
@@ -284,18 +273,25 @@ def _project(c: int, ys: list[int]) -> int:
     return out
 
 
+def _reindexed(concepts: Iterable[int], kept: int) -> ConceptClass:
+    """The class of the concepts projected onto the coordinates of kept,
+    re-indexed to 1..|kept|: local coordinate i is the i-th coordinate of
+    ``coords(kept)``."""
+    ys = coords(kept)
+    return ConceptClass(len(ys), tuple(_project(c, ys) for c in concepts))
+
+
 def restrict(C: ConceptClass, Y: int) -> ConceptClass:
-    """C|Y, re-indexed to coordinates 1..|Y| (labels record the originals)."""
+    """C|Y, re-indexed to coordinates 1..|Y|: local coordinate i is the
+    i-th coordinate of coords(Y)."""
     _check_subdomain(C, Y)
-    ys = coords(Y)
-    labels = tuple(C.coord_labels[y - 1] for y in ys)
-    return ConceptClass(len(ys), tuple({_project(c, ys) for c in C}), labels)
+    return _reindexed(C.concepts, Y)
 
 
 def drop(C: ConceptClass, Y: int) -> ConceptClass:
     """C_Y = C restricted to the complement of Y."""
     _check_subdomain(C, Y)
-    return restrict(C, C.domain_mask & ~Y)
+    return _reindexed(C.concepts, C.domain_mask & ~Y)
 
 
 def reduction_tags(concepts: Iterable[int], Y: int) -> set:
@@ -314,7 +310,7 @@ def reduce(C: ConceptClass, Y: int) -> Optional[ConceptClass]:
     tags = reduction_tags(C.concepts, Y)
     if not tags:
         return None
-    return drop(ConceptClass(C.n, tuple(tags), C.coord_labels), Y)
+    return _reindexed(tags, C.domain_mask & ~Y)
 
 
 def complement(C: ConceptClass) -> ConceptClass:
@@ -322,12 +318,12 @@ def complement(C: ConceptClass) -> ConceptClass:
     rest = set(range(1 << C.n)) - C.concept_set
     if not rest:
         raise EmptyClassError("complement of the full cube is empty")
-    return ConceptClass(C.n, tuple(rest), C.coord_labels)
+    return ConceptClass(C.n, tuple(rest))
 
 
 def twist(C: ConceptClass, Y: int) -> ConceptClass:
     _check_subdomain(C, Y)
-    return ConceptClass(C.n, tuple(c ^ Y for c in C), C.coord_labels)
+    return ConceptClass(C.n, tuple(c ^ Y for c in C))
 
 
 def product(C: ConceptClass, D: ConceptClass) -> ConceptClass:
@@ -346,7 +342,7 @@ def intersect_cube(C: ConceptClass, B: Cube) -> Optional[ConceptClass]:
     cs = tuple(c for c in C if c & ~B.support == B.tag)
     if not cs:
         return None
-    return ConceptClass(C.n, cs, C.coord_labels)
+    return ConceptClass(C.n, cs)
 
 
 def tail(C: ConceptClass, x: int) -> Optional[ConceptClass]:
@@ -359,7 +355,7 @@ def tail(C: ConceptClass, x: int) -> Optional[ConceptClass]:
     if not t:
         return None
     # no two tail concepts differ only in x, so dropping x keeps them apart
-    return drop(ConceptClass(C.n, tuple(t), C.coord_labels), b)
+    return _reindexed(t, C.domain_mask & ~b)
 
 
 # -- class file format -------------------------------------------------------

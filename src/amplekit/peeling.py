@@ -281,12 +281,13 @@ def _collapse_rec(alive: int, tags: dict) -> tuple[CollapseSequence, int]:
     return seq, v0 if v0 in tags[0] else v1
 
 
-def collapse_sequence(C: ConceptClass) -> CollapseSequence:
-    """Collapsing sequence of Q(C) down to one vertex, validated by replay."""
+def collapse_sequence(C: ConceptClass) -> tuple[CollapseSequence, int]:
+    """Collapsing sequence of Q(C) and the vertex it leaves, validated by
+    replay."""
     tags = graph._ample_tags(C, "collapse sequences are built for ample classes only")
     seq, survivor = _collapse_rec(C.support(), tags)
     _replay(tags, C.n, seq, survivor)
-    return seq
+    return seq, survivor
 
 
 def replay_collapse(C: ConceptClass, seq: CollapseSequence, survivor: Optional[int] = None):

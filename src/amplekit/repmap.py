@@ -338,14 +338,15 @@ class UsoReport(NamedTuple):
 
 
 def check_uso(C: ConceptClass, o: RepMap) -> UsoReport:
-    """C1 and C2 of an out-map o, when o is an orientation: o is total on
-    C, and every out-edge c -> c ^ b lands in C (o(c) holds only directions
-    of c's edges in C) and is not also an out-edge of c ^ b.  An image with
-    a coordinate outside the domain has an out-edge leaving C."""
+    """C1 and C2 of an out-map o, when o orients G(C): o is total on C,
+    every out-edge c -> c ^ b lands in C (o(c) holds only directions of
+    c's edges in C), and every edge of G(C) is an out-edge of exactly one
+    of its ends.  An image with a coordinate outside the domain has an
+    out-edge leaving C."""
     s = C.concept_set
     is_orientation = o.keys() == s and all(
-        not o[c] & ~graph._neighbour_dirs(s, c, C.n)
-        and not any(o[c ^ b] & b for b in bits_of(o[c])) for c in C)
+        not o[c] & ~(dirs := graph._neighbour_dirs(s, c, C.n))
+        and all((o[c] ^ o[c ^ b]) & b for b in bits_of(dirs)) for c in C)
     if not is_orientation:
         return UsoReport(False, Check(False), Check(False))
     tags = graph.cube_tags(C)
@@ -419,16 +420,17 @@ def sub_repmap_reduction(C: ConceptClass, r: RepMap, Y: int,
                          check: bool = True) -> tuple[ConceptClass, RepMap]:
     """r^Y(c) = r(source of c's Y-cube) \\ Y, over the re-indexed domain."""
     _require_valid(C, r, check)
-    red = core.reduce(C, Y)
-    if red is None:
+    core._check_subdomain(C, Y)
+    tags = core.reduction_tags(C.concepts, Y)
+    if not tags:
         raise ContractError("empty reduction has no representation map")
     out: dict = {}
-    for t in core.reduction_tags(C.concepts, Y):
+    for t in tags:
         sources = [v for v in Cube(t, Y).vertices() if r[v] & Y == Y]
         if len(sources) != 1:
             raise IntegrityError(f"{len(sources)} sources in a Y-cube, expected 1")
         out[t] = r[sources[0]] & ~Y
-    return red, _translate(out, Y, C.n)
+    return core._reindexed(tags, C.domain_mask & ~Y), _translate(out, Y, C.n)
 
 
 def sub_repmap_restriction(C: ConceptClass, r: RepMap, Y: int,

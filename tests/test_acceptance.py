@@ -167,7 +167,7 @@ def test_04_maximum_repmap_construction():
         if not repmap.verify_repmap(C, r).valid:
             failures.append((name, "verify_repmap"))
             continue
-        sr = compress.verify_scheme(C, compress.CompressionScheme(C, r))
+        sr = compress.verify_scheme(compress.CompressionScheme(C, r))
         if not sr.ok or sr.max_size != d:
             failures.append((name, "scheme", sr.reason, sr.max_size, d))
     elapsed = time.time() - t0
@@ -201,8 +201,8 @@ def test_05_no_corner_class_verification():
           and graph.corners(C) == [])
     res = peeling.corner_peeling_search(C)
     ok = ok and not res.peelable and res.proven
-    seq = peeling.collapse_sequence(C)          # replay-validated internally
-    peeling.replay_collapse(C, seq)
+    seq, survivor = peeling.collapse_sequence(C)    # replay-validated internally
+    peeling.replay_collapse(C, seq, survivor)
     elapsed = time.time() - t0
     report(5, "no-corner class verification", ok and elapsed < 120)
 

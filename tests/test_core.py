@@ -6,7 +6,7 @@ from amplekit import core
 from amplekit.core import ConceptClass, Cube, bit, mask_of
 from amplekit.errors import DomainError, EmptyClassError, ParseError
 
-from classes import cc
+from classes import all_classes, cc
 
 
 # ---------------------------------------------------------------- oracles
@@ -36,12 +36,14 @@ def reduce_oracle(C, Y):
     return tags
 
 
-def raw_masks(C, coord_labels):
-    """Translate a re-indexed class back to masks over the original labels."""
+def raw_masks(C, kept):
+    """Translate a class re-indexed onto the coordinates of kept back to
+    masks over the original coordinates: local coordinate i is the i-th
+    coordinate of coords(kept)."""
     out = set()
     for c in C:
         m = 0
-        for i, x in enumerate(coord_labels, start=1):
+        for i, x in enumerate(core.coords(kept), start=1):
             if c & bit(i):
                 m |= bit(x)
         out.add(m)
@@ -86,7 +88,7 @@ def test_restrict_identity_on_full_domain():
 def test_restrict_projection():
     C = cc("000", "001", "010", "100")
     R = core.restrict(C, mask_of([2, 3]))
-    assert raw_masks(R, R.coord_labels) == restrict_oracle(C, mask_of([2, 3]))
+    assert raw_masks(R, mask_of([2, 3])) == restrict_oracle(C, mask_of([2, 3]))
     assert set(R.strings()) == {"00", "01", "10"}
 
 
@@ -141,8 +143,27 @@ def test_reduce_matches_oracle_exhaustive_n3():
         C = ConceptClass.of(3, [c for c in range(8) if mask >> c & 1])
         for Y in range(1, 8):
             R = core.reduce(C, Y)
-            got = raw_masks(R, R.coord_labels) if R is not None else set()
+            got = raw_masks(R, 7 & ~Y) if R is not None else set()
             assert got == reduce_oracle(C, Y)
+
+
+def test_restrict_drop_and_tail_match_their_definitions_exhaustive_n3():
+    """Every class with n ≤ 3, every Y and x: C|Y is the projections c & Y,
+    C_Y those on X \\ Y, and tail_x(C) is C_x \\ C^x, each re-indexed."""
+    for n in range(4):
+        X = core.full_mask(n)
+        for C in all_classes(n):
+            for Y in range(1 << n):
+                R, D = core.restrict(C, Y), core.drop(C, Y)
+                assert R.n == core.popcount(Y) and raw_masks(R, Y) == {c & Y for c in C}
+                assert D.n == n - core.popcount(Y)
+                assert raw_masks(D, X & ~Y) == {c & ~Y for c in C}
+            for x in range(1, n + 1):
+                b = bit(x)
+                want = {c & ~b for c in C} - reduce_oracle(C, b)
+                T = core.tail(C, x)
+                got = raw_masks(T, X & ~b) if T is not None else set()
+                assert got == want and (T is None or T.n == n - 1)
 
 
 # ------------------------------------------------- complement/twist/product
@@ -179,7 +200,7 @@ def carrier(C: ConceptClass, x: int) -> Optional[ConceptClass]:
     cs = tuple(c for c in C if c ^ b in s)
     if not cs:
         return None
-    return ConceptClass(C.n, cs, C.coord_labels)
+    return ConceptClass(C.n, cs)
 
 
 def test_carrier_full_cube():

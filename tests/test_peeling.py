@@ -393,8 +393,8 @@ def test_two_dim_peeling_rejects_high_dim():
 
 def test_collapse_single_edge():
     C = ConceptClass.of(1, [0, 1])
-    seq = peeling.collapse_sequence(C)
-    assert len(seq) == 1
+    seq, survivor = peeling.collapse_sequence(C)
+    assert len(seq) == 1 and survivor == 0
     q, p = seq[0]
     assert q.dim == 0 and p.dim == 1
 
@@ -402,8 +402,8 @@ def test_collapse_single_edge():
 def test_collapse_square_pair_count():
     # face poset of Q_2 has 9 faces: 4 pairs + 1 surviving vertex
     Q2 = ConceptClass.of(2, range(4))
-    seq = peeling.collapse_sequence(Q2)
-    assert len(seq) == 4
+    seq, survivor = peeling.collapse_sequence(Q2)
+    assert len(seq) == 4 and survivor in Q2
 
 
 def test_collapse_requires_ample():
@@ -413,10 +413,10 @@ def test_collapse_requires_ample():
 
 def test_collapse_replay_validates_n3():
     for C in ample_classes(3):
-        seq = peeling.collapse_sequence(C)
+        seq, survivor = peeling.collapse_sequence(C)
         faces = sum(len(ts) for ts in graph.cube_tags(C).values())
         assert 2 * len(seq) + 1 == faces
-        peeling.replay_collapse(C, seq)
+        peeling.replay_collapse(C, seq, survivor)
 
 
 def collapse_rec_oracle(concepts):
@@ -561,7 +561,7 @@ def test_replay_by_lookups_raises_like_the_coface_sets():
 
 def test_replay_rejects_bad_sequence():
     Q2 = ConceptClass.of(2, range(4))
-    seq = peeling.collapse_sequence(Q2)
+    seq, _ = peeling.collapse_sequence(Q2)
     with pytest.raises(IntegrityError):
         peeling.replay_collapse(Q2, list(reversed(seq)))
     with pytest.raises(IntegrityError):

@@ -13,15 +13,14 @@ from amplekit.errors import ContractError, DomainError
 
 def values():
     """(value, name of its first field)"""
-    return [(ConceptClass(2, (3, 0), (5, 7)), "n"), (Cube(1, 2), "tag"),
+    return [(ConceptClass(2, (3, 0)), "n"), (Cube(1, 2), "tag"),
             (Sample(3, 1), "dom")]
 
 
-def test_concept_class_equality_ignores_coord_labels():
-    a = ConceptClass(2, (3, 0, 1), (5, 7))
+def test_concept_class_equality_is_width_and_concepts():
+    a = ConceptClass(2, (3, 0, 1))
     b = ConceptClass(2, (0, 1, 3))
     assert a == b and hash(a) == hash(b)
-    assert a.coord_labels == (5, 7) and b.coord_labels == (1, 2)
     assert a != ConceptClass(2, (0, 1)) and a != ConceptClass(3, (0, 1, 3))
     assert a.concept_set == frozenset({0, 1, 3})
     # another class with equal fields is not equal
@@ -39,7 +38,7 @@ def test_hash_is_the_hash_of_the_compared_fields():
 
 
 def test_repr_text():
-    assert repr(ConceptClass(2, (3, 0), (5, 7))) == "ConceptClass(n=2, concepts=(0, 3))"
+    assert repr(ConceptClass(2, (3, 0))) == "ConceptClass(n=2, concepts=(0, 3))"
     assert repr(Cube(1, 2)) == "Cube(tag=1, support=2)"
     assert repr(Sample(3, 1)) == "Sample(dom=3, bits=1)"
     assert str(Sample(3, 1)) == "x1=1,x2=0"
@@ -72,10 +71,10 @@ def test_copies_and_pickles_are_equal_and_frozen(value, name):
             setattr(other, name, 0)
 
 
-def test_copied_class_keeps_labels_and_members():
-    C = ConceptClass(2, (3, 0), (5, 7))
+def test_copied_class_keeps_its_members():
+    C = ConceptClass(2, (3, 0))
     for D in (copy.deepcopy(C), pickle.loads(pickle.dumps(C))):
-        assert D.coord_labels == (5, 7)
+        assert D == C
         assert D.concept_set == C.concept_set and 3 in D and 1 not in D
 
 
@@ -96,8 +95,8 @@ def test_constructors_still_validate():
         Sample(1, 2)
     with pytest.raises(DomainError):
         ConceptClass(2, (4,))
-    with pytest.raises(DomainError):
-        ConceptClass(2, (0,), (1,))
+    with pytest.raises(TypeError):
+        ConceptClass(2, (0,), (1, 2))
     with pytest.raises(ContractError):
         CompressionScheme(ConceptClass(1, (0, 1)), {0: 0})
     # keyword construction, as the call sites use it

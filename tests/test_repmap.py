@@ -541,6 +541,9 @@ def check_orientation_oracle(C, o):
                     f"out-map leaves the class on coordinate {b.bit_length()}")
             if o[c ^ b] & b:
                 raise ContractError("edge oriented both ways")
+    for c, w, x in graph.edges(C):
+        if not (o[c] | o[w]) & bit(x):
+            raise ContractError(f"edge left unoriented on coordinate {x}")
 
 
 def orientation_cases(seed):
@@ -588,7 +591,27 @@ def test_check_uso_decides_orientation_as_the_raising_check():
         verdicts.add(want)
     assert verdicts == {None, "map is not total on the class",
                         "image coordinate set outside domain",
-                        "out-map leaves the class", "edge oriented both ways"}
+                        "out-map leaves the class", "edge oriented both ways",
+                        "edge left unoriented"}
+
+
+def test_check_uso_orientations_of_the_square_are_the_total_one_way_maps():
+    """Of the 256 out-maps giving each edge of the square none, either or
+    both of its directions, exactly the 16 that orient every edge one way
+    are orientations."""
+    Q2 = ConceptClass.of(2, range(4))
+    edges = graph.edges(Q2)
+    oriented = []
+    for k in range(4 ** len(edges)):
+        o = dict.fromkeys(Q2, 0)
+        for j, (c, w, x) in enumerate(edges):
+            ends = k >> 2 * j & 3      # bit 0: c -> w, bit 1: w -> c
+            o[c] |= bit(x) if ends & 1 else 0
+            o[w] |= bit(x) if ends & 2 else 0
+        if repmap.check_uso(Q2, o).is_orientation:
+            oriented.append(k)
+    assert len(oriented) == 16
+    assert all(k >> 2 * j & 3 in (1, 2) for k in oriented for j in range(4))
 
 
 def test_peeling_to_uso_path():
@@ -700,6 +723,19 @@ def test_sub_repmap_reduction_square():
     assert D.n == 1 and set(D) == {0, 1}
     assert rY == {0: 0, 1: 1}
     assert repmap.verify_repmap(D, rY).valid
+
+
+def test_sub_repmap_reduction_finds_the_y_cubes_once(monkeypatch):
+    C = generate.hamming_ball(6, 2)
+    r = repmap.build_maximum_repmap(C)
+    reductions = {Y: core.reduce(C, Y) for Y in (0, bit(1), bit(2) | bit(5))}
+    calls = []
+    tags = core.reduction_tags
+    monkeypatch.setattr(core, "reduction_tags", lambda *a: calls.append(a) or tags(*a))
+    for Y, want in reductions.items():
+        calls.clear()
+        assert repmap.sub_repmap_reduction(C, r, Y)[0] == want
+        assert len(calls) == 1
 
 
 def test_sub_repmaps_verify_on_random_inputs():
