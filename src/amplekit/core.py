@@ -87,10 +87,16 @@ def concept_to_string(c: int, n: int) -> str:
 
 
 def concept_from_string(s: str) -> int:
+    return _decode(s)
+
+
+def _decode(s: str, line: Optional[int] = None) -> int:
+    """concept_from_string, its ParseError naming the file line when given."""
     # int() alone would also take '_', signs, spaces and non-ASCII digits;
     # s.strip("01") is empty exactly when every character is 0 or 1
     if s.strip("01"):
-        raise ParseError(_bad_character(s))
+        ch = next(ch for ch in s if ch not in "01")
+        raise ParseError(f"invalid character {ch!r} in concept string {s!r}", line=line)
     return int(s[::-1], 2) if s else 0
 
 
@@ -102,12 +108,6 @@ def parse_decimal(s: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal number: {s!r}")
     return int(digits)
-
-
-def _bad_character(s: str) -> str:
-    """The error message for a concept string with a character not 0/1."""
-    ch = next(ch for ch in s if ch not in "01")
-    return f"invalid character {ch!r} in concept string {s!r}"
 
 
 # sets a field of a _Frozen value, once, in its __init__
@@ -160,7 +160,7 @@ class ConceptClass(_Frozen):
     __slots__ = ("n", "concepts", "concept_set")
     _key = ("n", "concepts")
 
-    def __init__(self, n: int, concepts: tuple[int, ...]):
+    def __init__(self, n: int, concepts: Iterable[int]):
         if not 0 <= n <= MAX_WIDTH:
             raise DomainError(f"domain width {n} outside 0..{MAX_WIDTH}")
         members = frozenset(concepts)
@@ -172,10 +172,6 @@ class ConceptClass(_Frozen):
         _setfield(self, "n", n)
         _setfield(self, "concepts", cs)
         _setfield(self, "concept_set", members)
-
-    @classmethod
-    def of(cls, n: int, concepts: Iterable[int]) -> "ConceptClass":
-        return cls(n, tuple(concepts))
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "ConceptClass":
@@ -242,9 +238,6 @@ class Cube(_Frozen):
             if sub == self.support:
                 return
             sub = (sub - self.support) & self.support
-
-    def contains(self, c: int) -> bool:
-        return c & ~self.support == self.tag
 
     def contains_cube(self, other: "Cube") -> bool:
         return (other.support & ~self.support) == 0 and other.tag & ~self.support == self.tag
@@ -388,9 +381,7 @@ def _parse_class(text: str) -> tuple[int, tuple]:
             continue
         if len(line) != n:
             raise ParseError(f"concept {line!r} has width {len(line)}, expected {n}", line=lineno)
-        if line.strip("01"):
-            raise ParseError(_bad_character(line), line=lineno)
-        first = seen.setdefault(int(line[::-1], 2), lineno)
+        first = seen.setdefault(_decode(line, lineno), lineno)
         if first != lineno:
             raise ParseError(f"duplicate concept {line!r} (first at line {first})", line=lineno)
     if n is None:
@@ -477,10 +468,10 @@ def _parse_repmap(text: str, n: Optional[int] = None) -> tuple[dict, int]:
                 raise ParseError(f"width {n} outside 1..{MAX_WIDTH}", line=lineno)
         if len(left) != n or len(right) != n:
             raise ParseError(f"expected two bitstrings of width {n}", line=lineno)
-        c = concept_from_string(left)
+        c = _decode(left, lineno)
         if c in r:
             raise ParseError("duplicate concept", line=lineno)
-        r[c] = concept_from_string(right)
+        r[c] = _decode(right, lineno)
     if not r:
         raise ParseError("empty representation map file")
     return r, n

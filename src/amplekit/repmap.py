@@ -393,33 +393,32 @@ def peeling_to_uso(C: ConceptClass, ordering) -> RepMap:
 
 # -- substructure maps ---------------------------------------------------------
 
-def _require_valid(C: ConceptClass, r: RepMap, check: bool) -> None:
-    if check:
-        _check_total(C, r)
-        if not _certified(C, r, graph.cube_tags(C)):
-            raise ContractError("not a valid representation map")
+def _require_valid(C: ConceptClass, r: RepMap) -> None:
+    _check_total(C, r)
+    if not _certified(C, r, graph.cube_tags(C)):
+        raise ContractError("not a valid representation map")
 
 
-def sub_repmap_cube(C: ConceptClass, r: RepMap, B: Cube,
-                    check: bool = True) -> tuple[ConceptClass, RepMap]:
+def sub_repmap_cube(C: ConceptClass, r: RepMap, B: Cube) -> tuple[ConceptClass, RepMap]:
     """Representation map c -> r(c) ∩ supp(B) for C ∩ B (same domain)."""
-    _require_valid(C, r, check)
+    _require_valid(C, r)
     sub = core.intersect_cube(C, B)
     if sub is None:
         raise ContractError("cube does not meet the class")
     return sub, {c: r[c] & B.support for c in sub}
 
 
-def _translate(masks: dict, Y_drop: int, n: int) -> dict:
-    """Re-index masks over X \\ Y_drop to the compressed domain 1..n-|Y|."""
-    ys = coords(core.full_mask(n) & ~Y_drop)
-    return {core._project(c, ys): core._project(v, ys) for c, v in masks.items()}
+def _translate(masks: dict, kept: int) -> tuple[ConceptClass, dict]:
+    """The class of the keys of masks, and masks, both re-indexed to the
+    coordinates of kept: local coordinate i is the i-th of coords(kept)."""
+    ys = coords(kept)
+    out = {core._project(c, ys): core._project(v, ys) for c, v in masks.items()}
+    return ConceptClass(len(ys), out), out
 
 
-def sub_repmap_reduction(C: ConceptClass, r: RepMap, Y: int,
-                         check: bool = True) -> tuple[ConceptClass, RepMap]:
+def sub_repmap_reduction(C: ConceptClass, r: RepMap, Y: int) -> tuple[ConceptClass, RepMap]:
     """r^Y(c) = r(source of c's Y-cube) \\ Y, over the re-indexed domain."""
-    _require_valid(C, r, check)
+    _require_valid(C, r)
     core._check_subdomain(C, Y)
     tags = core.reduction_tags(C.concepts, Y)
     if not tags:
@@ -430,21 +429,20 @@ def sub_repmap_reduction(C: ConceptClass, r: RepMap, Y: int,
         if len(sources) != 1:
             raise IntegrityError(f"{len(sources)} sources in a Y-cube, expected 1")
         out[t] = r[sources[0]] & ~Y
-    return core._reindexed(tags, C.domain_mask & ~Y), _translate(out, Y, C.n)
+    return _translate(out, C.domain_mask & ~Y)
 
 
-def sub_repmap_restriction(C: ConceptClass, r: RepMap, Y: int,
-                           check: bool = True) -> tuple[ConceptClass, RepMap]:
+def sub_repmap_restriction(C: ConceptClass, r: RepMap, Y: int) -> tuple[ConceptClass, RepMap]:
     """r_Y(c) = r(unique sink of C ∩ (c's Y-cylinder)), over the re-indexed domain."""
-    _require_valid(C, r, check)
-    res = core.drop(C, Y)
+    _require_valid(C, r)
+    core._check_subdomain(C, Y)
     out: dict = {}
     # the sinks v of c's cylinder, r(v) & Y = 0, are γ of c's sample on X \ Y
     for t, sinks in core._decodings(C.concepts, r, ~Y).items():
         if len(sinks) != 1:
             raise IntegrityError(f"{len(sinks)} sinks in a cylinder, expected 1")
         out[t] = r[sinks[0]]
-    return res, _translate(out, Y, C.n)
+    return _translate(out, C.domain_mask & ~Y)
 
 
 # -- pre-representation maps ----------------------------------------------------

@@ -229,12 +229,9 @@ class AmpleReport(NamedTuple):
     reductions_connected: Optional[bool]    # every nonempty reduction C^Y is connected
     connected_hyperplanes_ample: bool       # C connected and every C^x ample
 
-    def values(self) -> list:
-        return list(self)
-
     @property
     def agree(self) -> bool:
-        vals = [v for v in self.values() if v is not None]
+        vals = [v for v in self if v is not None]
         return all(vals) or not any(vals)
 
     @property

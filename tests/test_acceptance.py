@@ -240,16 +240,15 @@ def test_07_substructure_maps():
         for _ in range(20):
             c = C.concepts[rng.randrange(C.size)]
             supp = sum(bit(x) for x in range(1, C.n + 1) if rng.random() < 0.4)
-            D, rB = repmap.sub_repmap_cube(C, r, Cube(c & ~supp, supp),
-                                           check=False)
+            D, rB = repmap.sub_repmap_cube(C, r, Cube(c & ~supp, supp))
             if not repmap.verify_repmap(D, rB).valid:
                 failures += 1
             Y = sum(bit(x) for x in range(1, C.n + 1) if rng.random() < 0.3)
             if core.reduce(C, Y) is not None:
-                D, rY = repmap.sub_repmap_reduction(C, r, Y, check=False)
+                D, rY = repmap.sub_repmap_reduction(C, r, Y)
                 if not repmap.verify_repmap(D, rY).valid:
                     failures += 1
-            D, r_Y = repmap.sub_repmap_restriction(C, r, Y, check=False)
+            D, r_Y = repmap.sub_repmap_restriction(C, r, Y)
             if not repmap.verify_repmap(D, r_Y).valid:
                 failures += 1
     report(7, "substructure maps", failures == 0)

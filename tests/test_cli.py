@@ -169,6 +169,20 @@ def test_decompress_rejects_a_map_width_outside_the_domain(capsys, tmp_path, wid
     assert err == f"error: line 1: width {width} outside 1..24\n"
 
 
+@pytest.mark.parametrize("line, bad", [("0a0 -> 100", "0a0"), ("100 -> 1a0", "1a0")])
+@pytest.mark.parametrize("command", [["repmap", "verify", "{cls}", "--repmap", "{rep}"],
+                                     ["compress", "{cls}", "--repmap", "{rep}", "--sample", "x1=1"],
+                                     ["decompress", "--repmap", "{rep}", "--set", "{{}}"]])
+def test_a_bad_character_in_a_map_names_its_line(capsys, tmp_path, ball_file, line, bad,
+                                                 command):
+    # either side of the arrow, in every command that reads a map
+    rp = tmp_path / "bad.rep"
+    rp.write_text(f"000 -> 000\n{line}\n")
+    code, out, err = run(capsys, *(a.format(cls=ball_file, rep=rp) for a in command))
+    assert code == 2 and out == ""
+    assert err == f"error: line 2: invalid character 'a' in concept string {bad!r}\n"
+
+
 def test_compress_rejects_a_map_that_is_not_injective(capsys, tmp_path):
     cls, rp = tmp_path / "pair.txt", tmp_path / "dup.rep"
     core.write_class_file(str(cls), ConceptClass.from_strings(["000", "100"]))
@@ -291,7 +305,7 @@ def test_generate_simplicial_facets_take_only_ascii_digits(capsys, facets):
 def test_generate_emit_ingest_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "generate", "--kind", "cube", "--n", "2")
     assert code == 0
-    assert core.parse_class_text(out) == ConceptClass.of(2, range(4))
+    assert core.parse_class_text(out) == ConceptClass(2, range(4))
 
 
 def test_collapse(capsys, ball_file):

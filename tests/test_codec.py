@@ -110,6 +110,14 @@ def test_rejected_strings_name_the_first_bad_character(s):
     assert outcome(core.concept_from_string, s) == expected
 
 
+@pytest.mark.parametrize("left, right", [("0a", "01"), ("01", "a1"), ("0٠", "00"), ("10", "1_")])
+def test_a_map_file_names_the_line_of_a_bad_character_as_a_class_file_does(left, right):
+    bad = left if left.strip("01") else right
+    want = ("ParseError", "line 2: " + outcome(from_string_reference, bad)[1])
+    assert outcome(core.parse_class_text, f"n=2\n{bad}\n") == want
+    assert outcome(core.parse_repmap_text, f"00 -> 00\n{left} -> {right}\n") == want
+
+
 CLASS_TEXTS = [
     "n=3\n000\n100\n010\n",
     "# comment\n\nn=2\n  10 \n# another\n01\n",

@@ -50,7 +50,7 @@ def test_realizable_samples():
     assert len(samples) == 3
     assert all(s.bits != mask_of([1, 2]) for s in samples)
     assert realizable_samples(PATH3, 0) == [compress.Sample(0, 0)]
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     assert len(realizable_samples(Q2, bit(1))) == 2
 
 
@@ -296,7 +296,7 @@ def test_scheme_rejects_a_map_that_is_not_total():
 
 
 def test_scheme_rejects_a_map_that_is_not_injective():
-    C = ConceptClass.of(3, [0, bit(1)])
+    C = ConceptClass(3, [0, bit(1)])
     with pytest.raises(ContractError, match="map is not injective"):
         compress.CompressionScheme(C, {0: 0, bit(1): 0})
 

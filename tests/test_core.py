@@ -59,17 +59,17 @@ def test_concept_string_round_trip():
 
 
 def test_class_is_canonical():
-    a = ConceptClass.of(2, [3, 0, 1])
-    b = ConceptClass.of(2, [0, 1, 3, 3])
+    a = ConceptClass(2, [3, 0, 1])
+    b = ConceptClass(2, [0, 1, 3, 3])
     assert a == b
     assert list(a) == [0, 1, 3]
 
 
 def test_domain_cap():
     with pytest.raises(DomainError):
-        ConceptClass.of(25, [0])
+        ConceptClass(25, [0])
     with pytest.raises(DomainError):
-        ConceptClass.of(2, [4])
+        ConceptClass(2, [4])
 
 
 # ---------------------------------------------------------------- restrict
@@ -94,7 +94,7 @@ def test_restrict_projection():
 
 def test_restrict_composition_and_size():
     # |C|Y| <= |C| and (C|Y)|Z = C|(Y∩Z), checked on raw-mask projections
-    C = ConceptClass.of(3, [0, 1, 3, 5, 7])
+    C = ConceptClass(3, [0, 1, 3, 5, 7])
     for Y in range(8):
         for Z in range(8):
             a = {c & Y & Z for c in C}
@@ -111,8 +111,8 @@ def test_restrict_domain_error():
 # ---------------------------------------------------------------- drop
 
 def test_drop_examples():
-    Q3 = ConceptClass.of(3, range(8))
-    assert core.drop(Q3, bit(3)) == ConceptClass.of(2, range(4))
+    Q3 = ConceptClass(3, range(8))
+    assert core.drop(Q3, bit(3)) == ConceptClass(2, range(4))
     D = core.drop(cc("00", "01", "10"), bit(2))
     assert D.n == 1 and set(D) == {0, 1}
     C = cc("00", "01", "10")
@@ -122,7 +122,7 @@ def test_drop_examples():
 # ---------------------------------------------------------------- reduce
 
 def test_reduce_full_cube():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     R = core.reduce(Q2, bit(1))
     assert R.n == 1 and set(R) == {0, 1}
 
@@ -140,7 +140,7 @@ def test_reduce_empty():
 
 def test_reduce_matches_oracle_exhaustive_n3():
     for mask in range(1, 1 << 8):
-        C = ConceptClass.of(3, [c for c in range(8) if mask >> c & 1])
+        C = ConceptClass(3, [c for c in range(8) if mask >> c & 1])
         for Y in range(1, 8):
             R = core.reduce(C, Y)
             got = raw_masks(R, 7 & ~Y) if R is not None else set()
@@ -171,7 +171,7 @@ def test_restrict_drop_and_tail_match_their_definitions_exhaustive_n3():
 def test_complement():
     assert core.complement(cc("00", "01", "10")) == cc("11")
     with pytest.raises(EmptyClassError):
-        core.complement(ConceptClass.of(2, range(4)))
+        core.complement(ConceptClass(2, range(4)))
     C = cc("000", "011", "110")
     assert core.complement(core.complement(C)) == C
 
@@ -184,9 +184,9 @@ def test_twist():
 
 
 def test_product():
-    Q1 = ConceptClass.of(1, [0, 1])
+    Q1 = ConceptClass(1, [0, 1])
     P = core.product(Q1, Q1)
-    assert P == ConceptClass.of(2, range(4))
+    assert P == ConceptClass(2, range(4))
 
 
 # ---------------------------------------------------------------- carrier/tail
@@ -204,7 +204,7 @@ def carrier(C: ConceptClass, x: int) -> Optional[ConceptClass]:
 
 
 def test_carrier_full_cube():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     assert carrier(Q2, 1) == Q2
     assert core.tail(Q2, 1) is None
 
@@ -217,7 +217,7 @@ def test_tail_example():
 def test_partition_identity():
     # C = 0C^x ∪ 1C^x ∪ (tail concepts with their unique x-bit), raw masks
     for mask in range(1, 1 << 8):
-        C = ConceptClass.of(3, [c for c in range(8) if mask >> c & 1])
+        C = ConceptClass(3, [c for c in range(8) if mask >> c & 1])
         for x in (1, 2, 3):
             xb = bit(x)
             tags = reduce_oracle(C, xb)
@@ -231,7 +231,7 @@ def test_reduce_drop_commute_on_ample():
     # (C^Y)_Z = (C_Z)^Y for disjoint Y, Z when C is ample
     from amplekit import shatter
     for mask in range(1, 1 << 8):
-        C = ConceptClass.of(3, [c for c in range(8) if mask >> c & 1])
+        C = ConceptClass(3, [c for c in range(8) if mask >> c & 1])
         if not shatter.is_ample(C)[0]:
             continue
         for Y in range(1, 8):
@@ -239,7 +239,7 @@ def test_reduce_drop_commute_on_ample():
             a = reduce_oracle(C, Y)
             a = {c & ~Z for c in a}
             dropped = {c & ~Z for c in C}
-            b = reduce_oracle(ConceptClass.of(3, dropped), Y)
+            b = reduce_oracle(ConceptClass(3, dropped), Y)
             assert a == b
 
 

@@ -12,7 +12,7 @@ from downsets import random_downset_class
 
 
 def test_cube():
-    assert generate.cube_class(2) == ConceptClass.of(2, range(4))
+    assert generate.cube_class(2) == ConceptClass(2, range(4))
 
 
 def test_hamming_ball_small():
@@ -47,7 +47,7 @@ def test_hamming_ball_matches_the_weight_scan():
 
 def test_simplicial_bouquet():
     C = generate.simplicial_class(2, [mask_of([1, 2])])
-    assert C == ConceptClass.of(2, range(4))
+    assert C == ConceptClass(2, range(4))
     # faces become the characteristic vectors; class is ample with complex = input
     facets = [mask_of([1, 2]), mask_of([3])]
     C = generate.simplicial_class(3, facets)

@@ -97,7 +97,7 @@ def test_maximal_cubes_examples():
     C = cc("00", "01", "10")
     got = {(B.tag, B.support) for B in graph.maximal_cubes(C)}
     assert got == {(0, bit(1)), (0, bit(2))}
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     assert {(B.tag, B.support) for B in graph.maximal_cubes(Q2)} == {(0, 3)}
     two = cc("00", "11")
     assert {(B.tag, B.support) for B in graph.maximal_cubes(two)} == {(0, 0), (3, 0)}
@@ -160,7 +160,7 @@ def test_cube_tags_on_balls_closed_form():
 
 def test_corners_examples():
     assert graph.corners(cc("00", "01", "10")) == [1, 2]
-    Q3 = ConceptClass.of(3, range(8))
+    Q3 = ConceptClass(3, range(8))
     assert graph.corners(Q3) == list(range(8))
 
 
@@ -353,7 +353,7 @@ def test_reductions_connected_isometric_for_ample():
 # ---------------------------------------------------------------- galleries
 
 def test_gallery_examples():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     e1 = Cube(0, bit(1))
     assert graph.gallery(Q2, e1, e1) == [e1]
     e2 = Cube(bit(2), bit(1))
@@ -437,7 +437,7 @@ def is_convex(C: ConceptClass, sub) -> bool:
 
 
 def test_convexity_examples():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     single = cc("00")
     assert is_locally_convex(Q2, single)
     assert is_convex(Q2, single)
@@ -454,7 +454,7 @@ def test_local_convexity_equals_convexity_for_connected_in_ample():
         concepts = list(C)
         for size in range(1, min(4, len(concepts)) + 1):
             for sel in itertools.combinations(concepts, size):
-                sub = ConceptClass.of(3, sel)
+                sub = ConceptClass(3, sel)
                 if not graph.is_connected(sub):
                     continue
                 assert is_locally_convex(C, sub) == is_convex(C, sub)

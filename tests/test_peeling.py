@@ -15,14 +15,14 @@ from downsets import random_downset_class
 # ---------------------------------------------------------------- classify
 
 def test_classify_ordering_all_true():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     rep = peeling.classify_ordering(Q2, (0, 2, 1, 3))
     assert rep.ample and rep.corner_peeling and rep.isometric and rep.weakly_isometric
     assert rep.all_equal
 
 
 def test_classify_ordering_all_false():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     # prefix {00, 11} is disconnected: fails every property at level 2
     rep = peeling.classify_ordering(Q2, (0, 3, 2, 1))
     assert not (rep.ample or rep.corner_peeling or rep.isometric
@@ -31,7 +31,7 @@ def test_classify_ordering_all_false():
 
 
 def test_classify_rejects_non_permutation():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     with pytest.raises(ContractError):
         peeling.classify_ordering(Q2, (0, 0, 1, 3))
 
@@ -180,7 +180,7 @@ def test_search_three_vertex_path():
 
 def test_search_cube():
     for d in (1, 2, 3):
-        Q = ConceptClass.of(d, range(1 << d))
+        Q = ConceptClass(d, range(1 << d))
         res = peeling.corner_peeling_search(Q)
         assert res.peelable
         assert peeling.classify_ordering(Q, res.ordering).corner_peeling
@@ -297,7 +297,7 @@ def test_corner_removal_preserves_ample():
         for c in graph.corners(C):
             if C.size == 1:
                 continue
-            rest = ConceptClass.of(3, [d for d in C if d != c])
+            rest = ConceptClass(3, [d for d in C if d != c])
             assert shatter.is_ample(rest)[0]
 
 
@@ -307,7 +307,7 @@ def test_isometric_extension_is_ample_with_corner():
         for t in range(8):
             if t in C.concept_set:
                 continue
-            ext = ConceptClass.of(3, list(C.concepts) + [t])
+            ext = ConceptClass(3, list(C.concepts) + [t])
             if not is_isometric_oracle(ext, "full"):
                 continue
             assert shatter.is_ample(ext)[0]
@@ -337,7 +337,7 @@ def test_antimatroid_peeling_examples():
     chain = cc("00", "10", "11")            # down-sets of a 2-chain
     order = peeling.antimatroid_peeling(chain)
     assert order == (0, bit(1), mask_of([1, 2]))
-    full = ConceptClass.of(2, range(4))
+    full = ConceptClass(2, range(4))
     order = peeling.antimatroid_peeling(full)
     assert [core.popcount(c) for c in order] == sorted(core.popcount(c) for c in full)
     star = cc("00", "10", "01")
@@ -365,20 +365,20 @@ def test_two_dim_peeling_examples():
     C = cc("00", "01", "10")
     order = peeling.two_dim_peeling(C)
     assert peeling.classify_ordering(C, order).corner_peeling
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     assert peeling.classify_ordering(Q2, peeling.two_dim_peeling(Q2)).corner_peeling
 
 
 def test_two_dim_peeling_six_cycle():
     # the 6-cycle of Q_3 has vc_dim 2 but is not ample (7 shattered sets,
     # 6 concepts), so the precondition check must refuse it
-    cycle = ConceptClass.of(3, [c for c in range(8) if c not in (0, 7)])
+    cycle = ConceptClass(3, [c for c in range(8) if c not in (0, 7)])
     assert not shatter.is_ample(cycle)[0]
     assert shatter.vc_dim(cycle) == 2
     with pytest.raises(ContractError):
         peeling.two_dim_peeling(cycle)
     # vc-dim-2 ample variant: Q_3 minus a single vertex
-    C = ConceptClass.of(3, range(7))
+    C = ConceptClass(3, range(7))
     assert shatter.is_ample(C)[0] and shatter.vc_dim(C) == 2
     order = peeling.two_dim_peeling(C)
     assert peeling.classify_ordering(C, order).corner_peeling
@@ -386,13 +386,13 @@ def test_two_dim_peeling_six_cycle():
 
 def test_two_dim_peeling_rejects_high_dim():
     with pytest.raises(ContractError):
-        peeling.two_dim_peeling(ConceptClass.of(3, range(8)))
+        peeling.two_dim_peeling(ConceptClass(3, range(8)))
 
 
 # ---------------------------------------------------------------- collapse
 
 def test_collapse_single_edge():
-    C = ConceptClass.of(1, [0, 1])
+    C = ConceptClass(1, [0, 1])
     seq, survivor = peeling.collapse_sequence(C)
     assert len(seq) == 1 and survivor == 0
     q, p = seq[0]
@@ -401,7 +401,7 @@ def test_collapse_single_edge():
 
 def test_collapse_square_pair_count():
     # face poset of Q_2 has 9 faces: 4 pairs + 1 surviving vertex
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     seq, survivor = peeling.collapse_sequence(Q2)
     assert len(seq) == 4 and survivor in Q2
 
@@ -560,7 +560,7 @@ def test_replay_by_lookups_raises_like_the_coface_sets():
 
 
 def test_replay_rejects_bad_sequence():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     seq, _ = peeling.collapse_sequence(Q2)
     with pytest.raises(IntegrityError):
         peeling.replay_collapse(Q2, list(reversed(seq)))
@@ -571,7 +571,7 @@ def test_replay_rejects_bad_sequence():
 # ---------------------------------------------------------------- shelling
 
 def test_ordering_to_shelling_square():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     order = (0, 1, 3, 2)
     sh = peeling.ordering_to_shelling(Q2, order)
     assert len(sh.facets) == 4
@@ -598,7 +598,7 @@ def test_shelling_round_trip_identity():
 
 
 def test_shelling_validators_reject():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     with pytest.raises(OrderingValidationError) as exc:
         peeling.ordering_to_shelling(Q2, (0, 3, 1, 2))   # prefix {00,11}
     assert exc.value.index == 1

@@ -62,7 +62,7 @@ def test_verify_finds_a_failing_bijection():
 
 def test_verify_cube_out_map():
     # orient every edge of the full cube toward 0000: r(c) = coordinates of c
-    Q = ConceptClass.of(4, range(16))
+    Q = ConceptClass(4, range(16))
     r = {c: c for c in Q}
     rep = repmap.verify_repmap(Q, r)
     assert rep.valid
@@ -192,7 +192,7 @@ def test_r2_and_r3_match_their_sweeps():
         if not rep.r3.ok:
             B, c, d = rep.r3.witness
             assert c != d and c in C and d in C
-            assert B.contains(c) and B.contains(d)
+            assert c & ~B.support == B.tag and d & ~B.support == B.tag
             assert r[c] & B.support == r[d] & B.support
         seen.add((rep.valid, rep.bijective.ok, rep.r2.ok, rep.r3.ok))
     # valid maps, failing bijections, and bijections failing R1–R4
@@ -259,7 +259,7 @@ def test_build_path():
 
 
 def test_build_cube_sink():
-    Q = ConceptClass.of(3, range(8))
+    Q = ConceptClass(3, range(8))
     r = repmap.build_maximum_repmap(Q)
     assert repmap.verify_repmap(Q, r).valid
     sinks = [c for c, v in r.items() if v == 0]
@@ -371,14 +371,14 @@ def test_certify_fallback_builds_the_complex_once(monkeypatch):
 # ----------------------------------------------------------- cube sources
 
 def test_incomplete_cube_sources_examples():
-    src = repmap.incomplete_cube_sources(PATH3, ConceptClass.of(2, [0]))
+    src = repmap.incomplete_cube_sources(PATH3, ConceptClass(2, [0]))
     assert src == {bit(1): Cube(0, bit(1)), bit(2): Cube(0, bit(2))}
 
-    src = repmap.incomplete_cube_sources(ConceptClass.of(1, [0, 1]),
-                                         ConceptClass.of(1, [0]))
+    src = repmap.incomplete_cube_sources(ConceptClass(1, [0, 1]),
+                                         ConceptClass(1, [0]))
     assert src == {1: Cube(0, 1)}
 
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     src = repmap.incomplete_cube_sources(Q2, PATH3)
     assert src == {3: Cube(0, 3)}
 
@@ -470,7 +470,7 @@ def test_sources_for_missed_simplices_integrity_errors(concepts, sub, alive, d, 
 # ---------------------------------------------------------------- uso
 
 def test_uso_cube_to_sink():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     r = {c: c for c in Q2}
     assert repmap.check_uso(Q2, r).ok
     order = repmap.uso_to_peeling(Q2, r)
@@ -480,7 +480,7 @@ def test_uso_cube_to_sink():
 
 def test_uso_directed_cycle_fails_c2():
     # orient the square as a directed 4-cycle: no sink in the top face
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     # 00 -> 10 -> 11 -> 01 -> 00  (out-coordinate per concept)
     o = {0: bit(1), bit(1): bit(2), 3: bit(1), bit(2): bit(2)}
     rep = repmap.check_uso(Q2, o)
@@ -490,7 +490,7 @@ def test_uso_directed_cycle_fails_c2():
 
 
 def test_uso_to_peeling_refuses_a_cyclic_uso():
-    Q3 = ConceptClass.of(3, range(8))
+    Q3 = ConceptClass(3, range(8))
     o = {0: 0, 1: 3, 2: 6, 3: 1, 4: 5, 5: 4, 6: 2, 7: 7}
     assert repmap.check_uso(Q3, o).ok
     with pytest.raises(ContractError) as err:
@@ -501,7 +501,7 @@ def test_uso_to_peeling_refuses_a_cyclic_uso():
 def test_uso_to_peeling_on_every_uso_of_the_3_cube():
     """The 744 USOs of the 3-cube: the 16 with a cycle are refused, naming
     the cycle `matching.find_cycle` finds; the rest peel as the oracle."""
-    Q3 = ConceptClass.of(3, range(8))
+    Q3 = ConceptClass(3, range(8))
     edges = graph.edges(Q3)
     usos = cyclic = 0
     for k in range(1 << len(edges)):
@@ -599,7 +599,7 @@ def test_check_uso_orientations_of_the_square_are_the_total_one_way_maps():
     """Of the 256 out-maps giving each edge of the square none, either or
     both of its directions, exactly the 16 that orient every edge one way
     are orientations."""
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     edges = graph.edges(Q2)
     oriented = []
     for k in range(4 ** len(edges)):
@@ -649,7 +649,7 @@ def uso_cases():
     for C in ample_classes(3, max_size=6):
         yield C, repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
     for n in (3, 4, 5):
-        Q = ConceptClass.of(n, range(1 << n))
+        Q = ConceptClass(n, range(1 << n))
         for Y in (0, 0b101, (1 << n) - 1):
             # every edge points toward Y: a USO of the cube with sink Y
             yield Q, {c: c ^ Y for c in Q}
@@ -690,7 +690,7 @@ def test_peeling_to_uso_matches_the_index_scan():
 
 
 def test_peeling_to_uso_rejects_bad_ordering():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     with pytest.raises(ContractError):
         repmap.peeling_to_uso(Q2, (0, 3, 1, 2))
 
@@ -698,7 +698,7 @@ def test_peeling_to_uso_rejects_bad_ordering():
 # ---------------------------------------------------------------- sub maps
 
 def test_sub_repmap_cube_edge():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     r = {c: c for c in Q2}
     D, rB = repmap.sub_repmap_cube(Q2, r, Cube(0, bit(2)))
     assert set(D) == {0, bit(2)}
@@ -707,7 +707,7 @@ def test_sub_repmap_cube_edge():
 
 
 def test_sub_repmap_identity_on_empty_Y():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     r = {c: c for c in Q2}
     D, r0 = repmap.sub_repmap_reduction(Q2, r, 0)
     assert D.concepts == Q2.concepts and r0 == r
@@ -716,7 +716,7 @@ def test_sub_repmap_identity_on_empty_Y():
 
 
 def test_sub_repmap_reduction_square():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     r = {c: c for c in Q2}
     D, rY = repmap.sub_repmap_reduction(Q2, r, bit(1))
     # C^{1} = Q_1 over coordinate 2, re-indexed to coordinate 1
@@ -756,6 +756,20 @@ def test_sub_repmaps_verify_on_random_inputs():
             assert repmap.verify_repmap(D, r_Y).valid
 
 
+def test_sub_repmaps_project_each_concept_of_their_class_once(monkeypatch):
+    """The derived class is read off the translated map's keys, so each of
+    its concepts is projected once as a key and its image once."""
+    C = generate.hamming_ball(10, 3)
+    r = repmap.build_maximum_repmap(C)
+    calls = []
+    project = core._project
+    monkeypatch.setattr(core, "_project", lambda c, ys: calls.append(c) or project(c, ys))
+    for sub, size in ((repmap.sub_repmap_reduction, 46), (repmap.sub_repmap_restriction, 130)):
+        calls.clear()
+        assert sub(C, r, bit(1))[0].size == size
+        assert len(calls) == 2 * size
+
+
 def sub_repmap_restriction_oracle(C, r, Y):
     """The restricted map as first written: one scan of C per cylinder."""
     res = core.drop(C, Y)
@@ -768,24 +782,25 @@ def sub_repmap_restriction_oracle(C, r, Y):
         if len(sinks) != 1:
             raise IntegrityError(f"{len(sinks)} sinks in a cylinder, expected 1")
         out[t] = r[sinks[0]]
-    return res, repmap._translate(out, Y, C.n)
+    return res, repmap._translate(out, C.domain_mask & ~Y)[1]
 
 
 def test_sub_repmap_restriction_matches_the_per_cylinder_scan():
-    errors = 0
+    """A representation map restricts as the scan does, key order included;
+    any other map is refused before its cylinders are read."""
+    kinds = set()
     for C, r in map_cases(31):
+        valid = repmap.certify_repmap(C, r).valid
+        kinds.add(valid)
         for Y in range(1 << C.n):
-            try:
-                want = sub_repmap_restriction_oracle(C, r, Y)
-            except IntegrityError as exc:
-                with pytest.raises(IntegrityError) as got:
-                    repmap.sub_repmap_restriction(C, r, Y, check=False)
-                assert str(got.value) == str(exc)
-                errors += 1
+            if not valid:
+                with pytest.raises(ContractError, match="not a valid representation map"):
+                    repmap.sub_repmap_restriction(C, r, Y)
                 continue
-            D, r_Y = repmap.sub_repmap_restriction(C, r, Y, check=False)
+            D, r_Y = repmap.sub_repmap_restriction(C, r, Y)
+            want = sub_repmap_restriction_oracle(C, r, Y)
             assert D == want[0] and list(r_Y.items()) == list(want[1].items())
-    assert errors > 0
+    assert kinds == {True, False}
 
 
 # ---------------------------------------------------------------- pre-rep
@@ -802,7 +817,7 @@ def test_pre_rep_singleton():
 
 
 def test_pre_rep_c2_square():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     r2 = repmap.pre_rep_c2(Q2)
     assert len(set(r2.values())) == 4          # injective
     assert repmap._check_c2(Q2, r2, graph.cube_tags(Q2)).ok
@@ -926,7 +941,7 @@ def test_isr_singleton():
 
 
 def test_isr_q1():
-    C = ConceptClass.of(1, [0, 1])
+    C = ConceptClass(1, [0, 1])
     res = repmap.isr_solve(repmap.isr_instance(C))
     assert res.assignment is not None
     assert repmap.verify_repmap(C, res.assignment).valid
@@ -992,7 +1007,7 @@ def test_tail_matching_path():
 
 
 def test_tail_matching_full_cube():
-    Q2 = ConceptClass.of(2, range(4))
+    Q2 = ConceptClass(2, range(4))
     rep = repmap.tail_matching_analysis(Q2, 1)
     assert rep.tails == () and rep.status == "unique"
 
@@ -1199,7 +1214,7 @@ def random_orientation(C, rng):
 
 
 def test_check_c2_matches_the_sweep_oracle_on_every_orientation_of_the_3_cube():
-    Q3 = ConceptClass.of(3, range(8))
+    Q3 = ConceptClass(3, range(8))
     edges = graph.edges(Q3)
     depth = {}
     for k in range(1 << len(edges)):

@@ -55,7 +55,7 @@ def random_classes():
 def test_shattered_complex_examples():
     C = cc("00", "01", "10")
     assert shatter.shattered_complex(C).members == {0, bit(1), bit(2)}
-    Q3 = ConceptClass.of(3, range(8))
+    Q3 = ConceptClass(3, range(8))
     assert shatter.shattered_complex(Q3).members == set(range(8))
     assert shatter.shattered_complex(cc("0110")).members == {0}
 
@@ -64,7 +64,7 @@ def test_strongly_shattered_complex_examples():
     C = cc("00", "01", "10")
     assert shatter.strongly_shattered_complex(C).members == {0, bit(1), bit(2)}
     assert shatter.strongly_shattered_complex(cc("00", "11")).members == {0}
-    Q3 = ConceptClass.of(3, range(8))
+    Q3 = ConceptClass(3, range(8))
     assert shatter.strongly_shattered_complex(Q3).members == set(range(8))
 
 
@@ -151,7 +151,7 @@ def test_phi_values():
 
 
 def test_vc_dim():
-    assert shatter.vc_dim(ConceptClass.of(3, range(8))) == 3
+    assert shatter.vc_dim(ConceptClass(3, range(8))) == 3
     assert shatter.vc_dim(cc("000", "001", "010", "100")) == 1
     assert shatter.vc_dim(cc("0110")) == 0
 
@@ -163,12 +163,12 @@ def test_is_ample_examples():
     assert ok and wit is None
     ok, wit = shatter.is_ample(cc("00", "11"))
     assert not ok and wit == bit(1)   # lexicographically smallest witness
-    assert shatter.is_ample(ConceptClass.of(4, range(16)))[0]
+    assert shatter.is_ample(ConceptClass(4, range(16)))[0]
 
 
 def test_is_maximum_examples():
     assert shatter.is_maximum(cc("00", "01", "10"))
-    assert shatter.is_maximum(ConceptClass.of(2, range(4)))
+    assert shatter.is_maximum(ConceptClass(2, range(4)))
     assert not shatter.is_maximum(cc("00", "11"))
 
 
@@ -196,11 +196,11 @@ def test_ample_iff_complement_ample_n3():
 def test_report_examples():
     rep = shatter.ample_characterization_report(cc("00", "01", "10"))
     assert rep.agree and rep.ample
-    assert all(rep.values())
+    assert all(rep)
     rep = shatter.ample_characterization_report(cc("00", "11"))
     assert rep.agree and not rep.ample
-    assert not any(rep.values())
-    rep = shatter.ample_characterization_report(ConceptClass.of(3, range(8)))
+    assert not any(rep)
+    rep = shatter.ample_characterization_report(ConceptClass(3, range(8)))
     assert rep.agree and rep.ample
 
 
@@ -210,7 +210,7 @@ def test_report_agrees_on_random_classes():
     for _ in range(150):
         n = rng.randint(1, 4)
         size = rng.randint(1, 1 << n)
-        C = ConceptClass.of(n, rng.sample(range(1 << n), size))
+        C = ConceptClass(n, rng.sample(range(1 << n), size))
         rep = shatter.ample_characterization_report(C)
         assert rep.agree, (C, rep)
         assert rep.ample == shatter.is_ample(C)[0]
@@ -235,7 +235,7 @@ def test_forbidden_labels_examples():
     assert labels[0].support == mask_of([1, 2])
     assert labels[0].pattern == mask_of([1, 2])   # missing pattern 11
     with pytest.raises(ContractError):
-        shatter.forbidden_labels(ConceptClass.of(2, range(4)), mask_of([1, 2]))
+        shatter.forbidden_labels(ConceptClass(2, range(4)), mask_of([1, 2]))
 
 
 def test_forbidden_labels_unique_for_maximum():
