@@ -491,7 +491,21 @@ class ISRInstance(NamedTuple):
     C: ConceptClass
     vertices: tuple        # (concept, coordset) pairs
     parts: dict            # concept -> tuple of vertex indices
-    edges: tuple           # (i, j) index pairs, i < j
+
+    def conflicts(self, i: int):
+        """The indices of the vertices (c ^ S, Y2) that conflict with vertex
+        i = (c, Y1): S is a nonempty support in c's part and
+        (Y1 ^ Y2) & S = 0."""
+        vs, parts = self.vertices, self.parts
+        c, Y1 = vs[i]
+        return (j for k in parts[c] if (S := vs[k][1])
+                for j in parts[c ^ S] if not (Y1 ^ vs[j][1]) & S)
+
+    @property
+    def edges(self) -> tuple:
+        """The conflicting (i, j) index pairs, i < j, in ascending order."""
+        return tuple((i, j) for i in range(len(self.vertices))
+                     for j in sorted(self.conflicts(i)) if i < j)
 
 
 def isr_instance(C: ConceptClass) -> ISRInstance:
@@ -503,7 +517,8 @@ def isr_instance(C: ConceptClass) -> ISRInstance:
     support c ^ w, so that is a cube of C through both whenever any is,
     and Y1 ∩ S = Y2 ∩ S implies the same on the subset c ^ w of S.  So the
     rule holds iff the interval cube lies in C and (Y1 ^ Y2) & (c ^ w) = 0:
-    each edge comes from one antipodal pair (c, c ^ S) of one cube of X(C).
+    w = c ^ S for a support S in c's part, as `ISRInstance.conflicts` reads
+    it.  The instance keeps no edge list.
     """
     tags = graph._ample_tags(C, "ISR instances are defined for ample classes")
     supports: dict = {c: [] for c in C}
@@ -513,17 +528,7 @@ def isr_instance(C: ConceptClass) -> ISRInstance:
     vertices = [(c, Y) for c in C for Y in supports[c]]
     index = {v: i for i, v in enumerate(vertices)}
     parts = {c: tuple(index[(c, Y)] for Y in supports[c]) for c in C}
-    edges = []
-    for S, ts in tags.items():
-        for t in ts:
-            for c in Cube(t, S).vertices():
-                w = c ^ S
-                if w <= c:
-                    continue
-                for Y1, i in zip(supports[c], parts[c]):
-                    edges.extend((i, j) for Y2, j in zip(supports[w], parts[w])
-                                 if not (Y1 ^ Y2) & S)
-    return ISRInstance(C, tuple(vertices), parts, tuple(sorted(edges)))
+    return ISRInstance(C, tuple(vertices), parts)
 
 
 class ISRResult(NamedTuple):
@@ -533,10 +538,17 @@ class ISRResult(NamedTuple):
 
 
 def isr_solve(inst: ISRInstance, budget: int = 10**6) -> ISRResult:
-    adj: dict = {i: set() for i in range(len(inst.vertices))}
-    for i, j in inst.edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    """A chronological depth-first search for one vertex per part, no two
+    in conflict.  The parts are taken by size, smallest first (ties in
+    concept order), and each part's vertices in vertex order; a vertex's
+    conflicts are read from `inst.conflicts` the first time it is tried.
+
+    Each vertex tried is one expansion.  The search stops once the
+    expansions exceed `budget`, so `proven` is False only when the budget
+    ran out; with no assignment and `proven` True, the instance has none.
+    A found assignment is certified as a representation map.
+    """
+    adj: dict = {}
     order = sorted(inst.parts, key=lambda c: len(inst.parts[c]))
     chosen: list = []
     blocked: set = set()
@@ -552,6 +564,8 @@ def isr_solve(inst: ISRInstance, budget: int = 10**6) -> ISRResult:
             expansions += 1
             if expansions > budget:
                 return False
+            if i not in adj:
+                adj[i] = set(inst.conflicts(i))
             newly = adj[i] - blocked
             blocked.update(newly)
             chosen.append(i)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,8 @@ import pytest
 
 from amplekit import cli, core, generate, repmap
 from amplekit.core import ConceptClass
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -366,6 +370,24 @@ def test_zero_budget_is_accepted(capsys, ball_file):
     assert (code, out) == (1, "NOT_PEELABLE budget\n")
     code, out, _ = run(capsys, "--budget", "0", "isr", ball_file)
     assert (code, out) == (1, "NO_ASSIGNMENT budget\n")
+
+
+@pytest.mark.parametrize("C", [generate.hamming_ball(7, 5),
+                               core.complement(generate.hamming_ball(10, 3))],
+                         ids=["ball_7_5", "complement_of_ball_10_3"])
+def test_isr_runs_out_of_budget_not_of_memory(tmp_path, C):
+    # B(7,5) has 5.0 million conflicting pairs: a solver that lists them all
+    # ends in a MemoryError traceback under a 512 MB address-space limit
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "class.txt"
+    core.write_class_file(str(p), C)
+    limit = 512 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "amplekit.cli", "--budget", "1000", "isr", str(p)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "NO_ASSIGNMENT budget\n", "")
 
 
 # ---------------------------------------------------------------- parser

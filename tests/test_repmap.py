@@ -996,6 +996,78 @@ def test_isr_instance_matches_the_all_pairs_builder():
         assert inst.edges == edges
 
 
+def isr_solve_edge_list_oracle(inst, budget=10**6):
+    """The solver with every vertex's conflicts read from `inst.edges`, all
+    before the search starts."""
+    adj: dict = {i: set() for i in range(len(inst.vertices))}
+    for i, j in inst.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    order = sorted(inst.parts, key=lambda c: len(inst.parts[c]))
+    chosen: list = []
+    blocked: set = set()
+    expansions = 0
+
+    def dfs(k: int) -> bool:
+        nonlocal expansions
+        if k == len(order):
+            return True
+        for i in inst.parts[order[k]]:
+            if i in blocked:
+                continue
+            expansions += 1
+            if expansions > budget:
+                return False
+            newly = adj[i] - blocked
+            blocked.update(newly)
+            chosen.append(i)
+            if dfs(k + 1):
+                return True
+            chosen.pop()
+            blocked.difference_update(newly)
+            if expansions > budget:
+                return False
+        return False
+
+    if dfs(0):
+        assignment = {inst.vertices[i][0]: inst.vertices[i][1] for i in chosen}
+        if not repmap._certified(inst.C, assignment, graph.cube_tags(inst.C)):
+            raise IntegrityError("ISR did not convert to a representation map")
+        return repmap.ISRResult(assignment, True, expansions)
+    return repmap.ISRResult(None, expansions <= budget, expansions)
+
+
+def test_isr_solve_matches_the_edge_list_oracle():
+    found = {True: 0, False: 0}
+    for C in isr_cases():
+        inst = repmap.isr_instance(C)
+        for budget in (0, 1, 7, 100, 20_000):
+            got = repmap.isr_solve(inst, budget)
+            want = isr_solve_edge_list_oracle(inst, budget)
+            assert got == want
+            if got.assignment is not None:
+                assert list(got.assignment.items()) == list(want.assignment.items())
+            found[got.assignment is not None] += 1
+    assert min(found.values()) > 20
+
+
+def test_isr_solve_never_reads_the_edge_list(monkeypatch):
+    def edges(self):
+        raise AssertionError("isr_solve read ISRInstance.edges")
+
+    monkeypatch.setattr(repmap.ISRInstance, "edges", property(edges))
+    for C in (PATH3, generate.hamming_ball(4, 2), generate.hamming_ball(6, 1)):
+        res = repmap.isr_solve(repmap.isr_instance(C))
+        assert res.assignment is not None
+
+
+def test_isr_solves_ball_5_2_at_the_default_budget():
+    C = generate.hamming_ball(5, 2)
+    res = repmap.isr_solve(repmap.isr_instance(C))
+    assert res.proven and res.expansions == 290_134
+    assert repmap.certify_repmap(C, res.assignment).valid
+
+
 # ---------------------------------------------------------------- matching
 
 def test_tail_matching_path():
