@@ -542,6 +542,8 @@ def isr_solve(inst: ISRInstance, budget: int = 10**6) -> ISRResult:
     in conflict.  The parts are taken by size, smallest first (ties in
     concept order), and each part's vertices in vertex order; a vertex's
     conflicts are read from `inst.conflicts` the first time it is tried.
+    The search runs on an explicit stack, one level per chosen part, so
+    its depth is not bounded by the recursion limit.
 
     Each vertex tried is one expansion.  The search stops once the
     expansions exceed `budget`, so `proven` is False only when the budget
@@ -549,40 +551,40 @@ def isr_solve(inst: ISRInstance, budget: int = 10**6) -> ISRResult:
     A found assignment is certified as a representation map.
     """
     adj: dict = {}
-    order = sorted(inst.parts, key=lambda c: len(inst.parts[c]))
+    parts = sorted(inst.parts.values(), key=len)
+    # per chosen part: (its untried vertices, the vertices its choice blocked)
+    levels: list = []
     chosen: list = []
     blocked: set = set()
     expansions = 0
-
-    def dfs(k: int) -> bool:
-        nonlocal expansions
-        if k == len(order):
-            return True
-        for i in inst.parts[order[k]]:
-            if i in blocked:
-                continue
-            expansions += 1
-            if expansions > budget:
-                return False
-            if i not in adj:
-                adj[i] = set(inst.conflicts(i))
-            newly = adj[i] - blocked
-            blocked.update(newly)
-            chosen.append(i)
-            if dfs(k + 1):
-                return True
+    untried = iter(parts[0])
+    while True:
+        for i in untried:
+            if i not in blocked:
+                break
+        else:
+            if not levels:
+                return ISRResult(None, True, expansions)
+            untried, newly = levels.pop()
             chosen.pop()
-            blocked.difference_update(newly)
-            if expansions > budget:
-                return False
-        return False
-
-    if dfs(0):
-        assignment = {inst.vertices[i][0]: inst.vertices[i][1] for i in chosen}
-        if not _certified(inst.C, assignment, graph.cube_tags(inst.C)):
-            raise IntegrityError("ISR did not convert to a representation map")
-        return ISRResult(assignment, True, expansions)
-    return ISRResult(None, expansions <= budget, expansions)
+            blocked -= newly
+            continue
+        expansions += 1
+        if expansions > budget:
+            return ISRResult(None, False, expansions)
+        if (conflicts := adj.get(i)) is None:
+            conflicts = adj[i] = set(inst.conflicts(i))
+        newly = conflicts - blocked
+        blocked |= newly
+        chosen.append(i)
+        if len(chosen) == len(parts):
+            break
+        levels.append((untried, newly))
+        untried = iter(parts[len(chosen)])
+    assignment = {inst.vertices[i][0]: inst.vertices[i][1] for i in chosen}
+    if not _certified(inst.C, assignment, graph.cube_tags(inst.C)):
+        raise IntegrityError("ISR did not convert to a representation map")
+    return ISRResult(assignment, True, expansions)
 
 
 # -- tail matching ----------------------------------------------------------------
@@ -617,23 +619,14 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     # red's concepts followed by the tails gives every label its tails.
     nred = len(red.concepts)
     in_red = (1 << nred) - 1
-    fibre: dict = {}
-
-    def visit(Y: int, fibres: list) -> None:
-        if popcount(Y) == d:
-            for i, f in enumerate(fibres):
-                if not f & in_red:
-                    fibre[Y, shatter._pattern(Y, i)] = f >> nred
-
-    shatter._fibre_walk(red.concepts + tails, red.domain_mask, d, False, visit)
+    fibre = {(Y, shatter._pattern(Y, i)): f >> nred
+             for Y, fibres in shatter._fibre_walk(red.concepts + tails, red.domain_mask, d, False)
+             if popcount(Y) == d for i, f in enumerate(fibres) if not f & in_red}
     labels = tuple(sorted(fibre))
     adj: dict = {t: [] for t in tails}
     for i, label in enumerate(labels):
-        f = fibre[label]
-        while f:
-            low = f & -f
-            adj[tails[low.bit_length() - 1]].append(i)
-            f ^= low
+        for b in bits_of(fibre[label]):
+            adj[tails[b.bit_length() - 1]].append(i)
     # edges come grouped by tail, labels ascending within each tail
     edges = tuple((t, i) for t in tails for i in adj[t])
     m = matching.hopcroft_karp(adj)
@@ -645,6 +638,5 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     else:
         status = "multiple"
     deg_t = tuple(t for t in tails if len(adj[t]) == 1)
-    counts = Counter(i for _, i in edges)
-    deg_l = tuple(label for i, label in enumerate(labels) if counts[i] == 1)
+    deg_l = tuple(label for label in labels if popcount(fibre[label]) == 1)
     return TailMatchingReport(x, red, tails, labels, edges, status, m, deg_t, deg_l)

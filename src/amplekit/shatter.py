@@ -29,8 +29,8 @@ class SetFamily(NamedTuple):
         return len(self.members)
 
 
-def _fibre_walk(concepts, alive: int, d: int, prune: bool, visit) -> None:
-    """Call visit(Y, fibres) on coordinate sets Y of the alive coordinates,
+def _fibre_walk(concepts, alive: int, d: int, prune: bool):
+    """Yield (Y, fibres) for coordinate sets Y of the alive coordinates,
     depth first in `combinations` order, from Y = 0 up to |Y| = d.
 
     fibres[i] is the set of indices j with concepts[j] & Y = p_i, as an int
@@ -41,12 +41,13 @@ def _fibre_walk(concepts, alive: int, d: int, prune: bool, visit) -> None:
     index i + 2^|Y|, so the new patterns are the high half and the index
     order stays the pattern order.  Only the fibres of the current path
     are alive: on a path to a k-set, fewer than 2^(k+1) bitsets of
-    len(concepts) bits, besides the columns.
+    len(concepts) bits, besides the columns.  The walk nests d + 1 deep at
+    most, whatever the number of concepts.
 
     Y is shattered iff all its fibres are nonempty.  With prune, only
-    shattered sets are visited: shattered sets are closed under subsets, so
+    shattered sets are yielded: shattered sets are closed under subsets, so
     a child is dropped at its first empty fibre.  Without prune, only the
-    sets on a path to a d-set are visited, and each of those is, whatever
+    sets on a path to a d-set are yielded, and each of those is, whatever
     its fibres.
     """
     bs = bits_of(alive)
@@ -57,8 +58,8 @@ def _fibre_walk(concepts, alive: int, d: int, prune: bool, visit) -> None:
         col = int("".join(["1" if c & b else "0" for c in reversed(concepts)]) or "0", 2)
         cols.append((col, full & ~col))
 
-    def down(Y: int, fibres: list, start: int, k: int) -> None:
-        visit(Y, fibres)
+    def down(Y: int, fibres: list, start: int, k: int):
+        yield Y, fibres
         if k == d:
             return
         # without prune, leave enough coordinates above to reach a d-set
@@ -73,14 +74,14 @@ def _fibre_walk(concepts, alive: int, d: int, prune: bool, visit) -> None:
                     lo.append(a)
                     hi.append(c)
                 else:
-                    down(Y | bs[i], lo + hi, i + 1, k + 1)
+                    yield from down(Y | bs[i], lo + hi, i + 1, k + 1)
             else:
-                down(Y | bs[i], [f & off for f in fibres] + [f & col for f in fibres],
-                     i + 1, k + 1)
+                yield from down(Y | bs[i], [f & off for f in fibres] + [f & col for f in fibres],
+                                i + 1, k + 1)
 
     # the empty set is shattered iff there is a concept
     if not prune or full:
-        down(0, [full], 0, 0)
+        yield from down(0, [full], 0, 0)
 
 
 def _pattern(Y: int, i: int) -> int:
@@ -91,9 +92,7 @@ def _pattern(Y: int, i: int) -> int:
 
 def _shattered_sets(C: ConceptClass) -> set:
     """All shattered coordinate sets, by the fibre walk."""
-    out: set = set()
-    _fibre_walk(C.concepts, C.domain_mask, C.n, True, lambda Y, _: out.add(Y))
-    return out
+    return {Y for Y, _ in _fibre_walk(C.concepts, C.domain_mask, C.n, True)}
 
 
 def _strongly_shattered_sets(C: ConceptClass) -> set:
@@ -200,14 +199,8 @@ def _missed_labels(concepts, alive: int, d: int) -> dict:
     coordinates in `combinations` order: the patterns of sigma's empty
     fibres in the unpruned fibre walk, since a class of dimension d - 1
     that misses a pattern on sigma may also miss one on a subset."""
-    out: dict = {}
-
-    def visit(Y: int, fibres: list) -> None:
-        if popcount(Y) == d:
-            out[Y] = [_pattern(Y, i) for i, f in enumerate(fibres) if not f]
-
-    _fibre_walk(concepts, alive, d, False, visit)
-    return out
+    return {Y: [_pattern(Y, i) for i, f in enumerate(fibres) if not f]
+            for Y, fibres in _fibre_walk(concepts, alive, d, False) if popcount(Y) == d}
 
 
 class AmpleReport(NamedTuple):
@@ -216,6 +209,13 @@ class AmpleReport(NamedTuple):
     Each field is True/False, or None when that test was skipped because the
     domain is too wide to enumerate it honestly.  The empty class (which can
     only appear here as a complement) counts as ample.
+
+    Three fields decide one equation, st(C) = sh(C).  Every strongly
+    shattered set is shattered, so `definition` (sh ⊆ st) is
+    `complexes_equal` (sh = st).  `partition_exchange` takes Z as the
+    complement of Y only, where it tests "C has a Y-cube iff C|Y is the
+    full Y-cube", which is st = sh again.  Their agreement is therefore not
+    independent evidence.
     """
 
     definition: bool                        # every shattered set supports a full cube

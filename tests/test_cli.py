@@ -390,6 +390,19 @@ def test_isr_runs_out_of_budget_not_of_memory(tmp_path, C):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "NO_ASSIGNMENT budget\n", "")
 
 
+def test_isr_on_a_class_deeper_than_the_recursion_limit(tmp_path):
+    # 2,401 parts: a search with one frame per part ends in a RecursionError
+    S = generate.hamming_ball(6, 1)
+    C = core.product(core.product(S, S), core.product(S, S))
+    assert (C.n, C.size) == (24, 2401)
+    p = tmp_path / "class.txt"
+    core.write_class_file(str(p), C)
+    proc = subprocess.run(
+        [sys.executable, "-m", "amplekit.cli", "--budget", "3000", "isr", str(p)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "NO_ASSIGNMENT budget\n", "")
+
+
 # ---------------------------------------------------------------- parser
 
 HELP_TEXT = json.loads((Path(__file__).parent / "cli_help_text.json").read_text(encoding="utf-8"))

@@ -1,7 +1,9 @@
+import collections
 import functools
 import itertools
 import operator
 import random
+import sys
 
 import pytest
 
@@ -1061,6 +1063,21 @@ def test_isr_solve_never_reads_the_edge_list(monkeypatch):
         assert res.assignment is not None
 
 
+def test_isr_search_depth_not_bounded_by_recursion_limit():
+    # 625 parts: a search with one frame per part raises RecursionError
+    S = generate.hamming_ball(4, 1)
+    C = core.product(core.product(S, S), core.product(S, S))
+    assert (C.n, C.size) == (16, 625)
+    inst = repmap.isr_instance(C)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        res = repmap.isr_solve(inst, 2000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res == (None, False, 2001)
+
+
 def test_isr_solves_ball_5_2_at_the_default_budget():
     C = generate.hamming_ball(5, 2)
     res = repmap.isr_solve(repmap.isr_instance(C))
@@ -1155,6 +1172,9 @@ def test_tail_matching_report_matches_the_per_tail_edge_scan(monkeypatch):
             unique = matching.is_unique_perfect_matching(adj, m)
             assert rep.status == ("unique" if unique else "multiple")
             assert rep.degree_one_tails == tuple(t for t in rep.tails if len(adj[t]) == 1)
+            counts = collections.Counter(i for _, i in rep.edges)
+            assert rep.degree_one_labels == tuple(
+                label for i, label in enumerate(rep.labels) if counts[i] == 1)
     assert longest >= 2
 
 

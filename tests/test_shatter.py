@@ -316,9 +316,7 @@ def test_fibre_walk_visits_sets_in_combinations_order_with_their_fibres():
     for n in (1, 3, 6):
         concepts = rng.sample(range(1 << n), min(1 << n, 9))
         for d in range(n + 1):
-            seen = []
-            shatter._fibre_walk(concepts, core.full_mask(n), d, False,
-                                lambda Y, fibres: seen.append((Y, fibres)))
+            seen = list(shatter._fibre_walk(concepts, core.full_mask(n), d, False))
             leaves = [Y for Y, _ in seen if bin(Y).count("1") == d]
             assert leaves == [mask_of(s) for s in itertools.combinations(range(1, n + 1), d)]
             for Y, fibres in seen:
