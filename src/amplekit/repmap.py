@@ -7,6 +7,7 @@ the class to a coordinate-set bitmask.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from itertools import chain
 from typing import NamedTuple, Optional
@@ -221,6 +222,20 @@ def _certified(C: ConceptClass, r: RepMap, tags: dict) -> bool:
             and _check_c1(C, r, tags).ok and _check_c2(C, r, tags).ok)
 
 
+@functools.lru_cache(maxsize=1)
+def _valid(C: ConceptClass, items: tuple) -> bool:
+    """`_certified` on C and the total map `dict(items)`, with X(C) built
+    here: the certificate of one (class, map) content.
+
+    The last verdict is kept, so maps derived one after another from one
+    (C, r) build X(C) and run the bijection, C1 and C2 once.  The key is the
+    class and the map's (concept, image) pairs in the map's order, so a copy
+    of r reuses the verdict, and any other content, an edit of r in place
+    included, is certified in full.  The memo holds the last class and its
+    items tuple alive."""
+    return _certified(C, dict(items), graph.cube_tags(C))
+
+
 def _bijection(r: RepMap, tags: dict) -> Check:
     """Whether r is a bijection onto X(C) = `tags.keys()`: the witness is the
     first image in r's order that occurs twice, else the least set in the
@@ -395,7 +410,7 @@ def peeling_to_uso(C: ConceptClass, ordering) -> RepMap:
 
 def _require_valid(C: ConceptClass, r: RepMap) -> None:
     _check_total(C, r)
-    if not _certified(C, r, graph.cube_tags(C)):
+    if not _valid(C, tuple(r.items())):
         raise ContractError("not a valid representation map")
 
 
@@ -582,7 +597,7 @@ def isr_solve(inst: ISRInstance, budget: int = 10**6) -> ISRResult:
         levels.append((untried, newly))
         untried = iter(parts[len(chosen)])
     assignment = {inst.vertices[i][0]: inst.vertices[i][1] for i in chosen}
-    if not _certified(inst.C, assignment, graph.cube_tags(inst.C)):
+    if not _valid(inst.C, tuple(assignment.items())):
         raise IntegrityError("ISR did not convert to a representation map")
     return ISRResult(assignment, True, expansions)
 

@@ -237,6 +237,50 @@ def test_isr_json(capsys, ball_file):
     assert len(data["parts"]) == 4
 
 
+def isr_json_oracle(C):
+    """`isr --json` as json.dumps of the whole structure, edges included."""
+    inst = repmap.isr_instance(C)
+    out = {
+        "vertices": [[core.concept_to_string(c, C.n), core.coords(y)]
+                     for (c, y) in inst.vertices],
+        "parts": {core.concept_to_string(c, C.n): list(idxs)
+                  for c, idxs in inst.parts.items()},
+        "edges": [[i, j] for (i, j) in inst.edges],
+    }
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("C", [
+    ConceptClass.from_strings(["00", "01", "10"]),
+    generate.hamming_ball(3, 1),
+    generate.hamming_ball(5, 2),
+    generate.random_ample(6, 20, 1),
+    generate.random_ample(7, 40, 2),
+    generate.random_ample(8, 60, 3),
+    ConceptClass.from_strings(["0110"]),     # one vertex, no edges
+], ids=["path", "ball_3_1", "ball_5_2", "ample_6", "ample_7", "ample_8", "singleton"])
+def test_isr_json_streams_the_bytes_of_one_json_dump(capsys, tmp_path, C):
+    p = tmp_path / "class.txt"
+    core.write_class_file(str(p), C)
+    code, out, err = run(capsys, "isr", str(p), "--json")
+    assert (code, out, err) == (0, isr_json_oracle(C), "")
+
+
+def test_isr_json_streams_its_edges_within_512_mb(tmp_path):
+    # B(7,5) has 5.0 million conflicting pairs: a list of them, or one JSON
+    # string of them, ends in a MemoryError traceback under 512 MB
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "class.txt"
+    core.write_class_file(str(p), generate.hamming_ball(7, 5))
+    limit = 512 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "amplekit.cli", "isr", "--json", str(p)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_tailmatch(capsys, ball_file):
     code, out, _ = run(capsys, "tailmatch", ball_file, "-x", "1")
     assert code == 0

@@ -772,6 +772,37 @@ def test_sub_repmaps_project_each_concept_of_their_class_once(monkeypatch):
         assert len(calls) == 2 * size
 
 
+def test_substructure_maps_certify_each_map_content_once(monkeypatch):
+    """Maps derived one after another from one (C, r) build X(C) once; a
+    copy of r reuses the verdict, and r edited in place is certified again.
+    A test that patches the certificate chain clears the memo first."""
+    C = generate.hamming_ball(8, 3)
+    r = repmap.build_maximum_repmap(C)
+    built = []
+    cube_tags = graph.cube_tags
+    monkeypatch.setattr(graph, "cube_tags", lambda D: built.append(D) or cube_tags(D))
+    repmap._valid.cache_clear()
+    for Y in (bit(1), bit(2) | bit(5), bit(3) | bit(7) | bit(8)):
+        repmap.sub_repmap_cube(C, r, Cube(C.concepts[Y % C.size] & ~Y, Y))
+        repmap.sub_repmap_reduction(C, r, Y)
+        repmap.sub_repmap_restriction(C, r, Y)
+    assert built == [C]
+    repmap.sub_repmap_restriction(C, dict(r), bit(4))
+    assert built == [C]
+    a, b = C.concepts[3], C.concepts[40]
+    r[a], r[b] = r[b], r[a]
+    with pytest.raises(ContractError, match="not a valid representation map"):
+        repmap.sub_repmap_reduction(C, r, bit(1))
+    assert built == [C, C]
+    # an assignment the ISR search certified is not certified again
+    D = generate.hamming_ball(4, 2)
+    res = repmap.isr_solve(repmap.isr_instance(D))
+    built.clear()
+    repmap.sub_repmap_restriction(D, res.assignment, bit(1))
+    repmap.sub_repmap_cube(D, res.assignment, Cube(0, bit(2)))
+    assert built == []
+
+
 def sub_repmap_restriction_oracle(C, r, Y):
     """The restricted map as first written: one scan of C per cylinder."""
     res = core.drop(C, Y)
