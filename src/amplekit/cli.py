@@ -1,7 +1,7 @@
 """Command-line interface: `amplekit <subcommand>`.
 
 Exit codes: 0 = success, 1 = a check failed (invalid repmap, not peelable,
-failing scheme, ...), 2 = usage or parse error.
+failing scheme, ...), 2 = usage or parse error, or out of memory.
 """
 from __future__ import annotations
 
@@ -333,6 +333,10 @@ def main(argv=None) -> int:
     except (AmplekitError, OSError, UnicodeDecodeError) as exc:
         # unreadable or non-UTF-8 input files are usage errors, not failed checks
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # exit 1 would report a check that never ran
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -5,7 +5,7 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from . import core, graph
-from .core import ConceptClass, Cube, bits_of, coords, popcount
+from .core import ConceptClass, bits_of, coords, popcount
 from .errors import ContractError
 
 
@@ -210,21 +210,19 @@ class AmpleReport(NamedTuple):
     domain is too wide to enumerate it honestly.  The empty class (which can
     only appear here as a complement) counts as ample.
 
-    Three fields decide one equation, st(C) = sh(C).  Every strongly
-    shattered set is shattered, so `definition` (sh ⊆ st) is
-    `complexes_equal` (sh = st).  `partition_exchange` takes Z as the
-    complement of Y only, where it tests "C has a Y-cube iff C|Y is the
-    full Y-cube", which is st = sh again.  Their agreement is therefore not
-    independent evidence.
+    Each field tests one statement, each of which holds iff C is ample:
+    `complexes_equal` that sh(C) = st(C), with sh(C) from the fibre walk and
+    st(C) read off X(C); the two counts that |st(C)| = |C| and
+    |sh(C)| = |C|, the sandwich lemma's bounds met; `complement_ample` that
+    2^X \\ C is ample (Lawrence); `partition_lopsided` that C is lopsided;
+    `reductions_connected` that every reduction is connected; and
+    `connected_hyperplanes_ample` that C is connected with every C^x ample.
     """
 
-    definition: bool                        # every shattered set supports a full cube
     complement_ample: bool                  # 2^X \ C is ample too
     complexes_equal: bool                   # shattered == strongly shattered
     strongly_shattered_count: bool          # |strongly shattered complex| == |C|
     shattered_count: bool                   # |shattered complex| == |C|
-    cube_intersections: Optional[bool]      # C ∩ B ample for every cube B
-    partition_exchange: Optional[bool]      # (C^Y)_Z == (C_Z)^Y over all partitions Y ∪̇ Z
     partition_lopsided: Optional[bool]      # each partition: Y-cube in C or Z-cube in complement
     reductions_connected: Optional[bool]    # every nonempty reduction C^Y is connected
     connected_hyperplanes_ample: bool       # C connected and every C^x ample
@@ -239,36 +237,7 @@ class AmpleReport(NamedTuple):
         return self.shattered_count
 
 
-_CUBE_CAP = 12        # 3^n cubes: fine up to here
-_PARTITION_CAP = 10   # 2^n partitions, each needing cube / restriction work
-
-
-def all_cubes_of_domain(n: int):
-    """Every subcube of the full n-cube (3^n of them)."""
-    for support in range(1 << n):
-        for tag in Cube(0, core.full_mask(n) & ~support).vertices():
-            yield Cube(tag, support)
-
-
-def _cube_intersections_ok(C: ConceptClass) -> bool:
-    for B in all_cubes_of_domain(C.n):
-        sub = core.intersect_cube(C, B)
-        if sub is not None and not _is_ample_fast(sub):
-            return False
-    return True
-
-
-def _partition_exchange_ok(C: ConceptClass, sh: set) -> bool:
-    """(C^Y)_Z = (C_Z)^Y for all partitions X = Y ∪̇ Z; `sh` is
-    `_shattered_sets(C)`.
-
-    With Z the complement of Y both sides live on the empty domain, so the
-    identity says: C contains a Y-cube  iff  C|Y is the full cube on Y.
-    """
-    for Y in range(0, C.domain_mask + 1):
-        if bool(core.reduction_tags(C.concepts, Y)) != (Y in sh):
-            return False
-    return True
+_SUBSETS_CAP = 12   # the two loops over all 2^n coordinate sets: fine up to here
 
 
 def _partition_lopsided_ok(C: ConceptClass, st: set, st_comp: set) -> bool:
@@ -283,7 +252,6 @@ def _partition_lopsided_ok(C: ConceptClass, st: set, st_comp: set) -> bool:
 def ample_characterization_report(C: ConceptClass) -> AmpleReport:
     sh = _shattered_sets(C)
     st = _strongly_shattered_sets(C)
-    definition = sh <= st
     complexes_equal = sh == st
     shattered_count = len(sh) == C.size
     strongly_count = len(st) == C.size
@@ -296,8 +264,7 @@ def ample_characterization_report(C: ConceptClass) -> AmpleReport:
         st_comp = _strongly_shattered_sets(comp)
         complement_ample = len(st_comp) == comp.size
 
-    if C.n <= _CUBE_CAP:
-        cube_intersections = _cube_intersections_ok(C)
+    if C.n <= _SUBSETS_CAP:
         partition_lopsided = _partition_lopsided_ok(C, st, st_comp)
         reductions_connected = True
         for Y in range(0, C.domain_mask + 1):
@@ -306,14 +273,8 @@ def ample_characterization_report(C: ConceptClass) -> AmpleReport:
                 reductions_connected = False
                 break
     else:
-        cube_intersections = None
         partition_lopsided = None
         reductions_connected = None
-
-    if C.n <= _PARTITION_CAP:
-        partition_exchange = _partition_exchange_ok(C, sh)
-    else:
-        partition_exchange = None
 
     chp = graph.is_connected(C)
     if chp:
@@ -324,13 +285,10 @@ def ample_characterization_report(C: ConceptClass) -> AmpleReport:
                 break
 
     return AmpleReport(
-        definition=definition,
         complement_ample=complement_ample,
         complexes_equal=complexes_equal,
         strongly_shattered_count=strongly_count,
         shattered_count=shattered_count,
-        cube_intersections=cube_intersections,
-        partition_exchange=partition_exchange,
         partition_lopsided=partition_lopsided,
         reductions_connected=reductions_connected,
         connected_hyperplanes_ample=chp,

@@ -281,6 +281,21 @@ def test_isr_json_streams_its_edges_within_512_mb(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path):
+    # the 2^24 concepts of the full 24-cube do not fit in 512 MB
+    resource = pytest.importorskip("resource")
+    out_file = tmp_path / "c24.txt"
+    limit = 512 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "amplekit.cli", "generate", "--kind", "cube", "--n", "24",
+         "-o", str(out_file)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+    assert not out_file.exists()
+
+
 def test_tailmatch(capsys, ball_file):
     code, out, _ = run(capsys, "tailmatch", ball_file, "-x", "1")
     assert code == 0

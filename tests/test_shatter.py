@@ -9,7 +9,7 @@ from amplekit import core, generate, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError
 
-from classes import all_classes, cc
+from classes import all_classes, ample_classes, cc
 
 
 # ---------------------------------------------------------------- oracles
@@ -216,6 +216,22 @@ def test_report_agrees_on_random_classes():
         assert rep.ample == shatter.is_ample(C)[0]
 
 
+def test_cube_intersections_of_ample_classes_are_ample():
+    # C ∩ B is ample for every ample C and every subcube B of 2^X
+    classes = [*itertools.chain(*(ample_classes(n) for n in range(4))),
+               *(generate.random_ample(n, k << (n - 2), seed=n * 10 + k)
+                 for n in (5, 6) for k in (1, 2, 3))]
+    proper = 0
+    for C in classes:
+        for support in range(1 << C.n):
+            for tag in core.Cube(0, C.domain_mask & ~support).vertices():
+                sub = core.intersect_cube(C, core.Cube(tag, support))
+                if sub is not None:
+                    assert shatter.is_ample(sub)[0], (C, tag, support)
+                    proper += sub.size < C.size
+    assert proper > 1000
+
+
 # ---------------------------------------------------------------- sandwich
 
 def test_sandwich_and_sauer_exhaustive_n3():
@@ -275,12 +291,6 @@ def missing_patterns_scan(concepts, Y):
 def missed_labels_scan(concepts, alive, d):
     return {sigma: missing_patterns_scan(concepts, sigma)
             for sigma in map(mask_of, itertools.combinations(core.coords(alive), d))}
-
-
-def partition_exchange_scan(C):
-    """`_partition_exchange_ok` as it was: one shattering scan per set."""
-    return all(bool(core.reduction_tags(C.concepts, Y)) == is_shattered_scan(C.concepts, Y)
-               for Y in range(C.domain_mask + 1))
 
 
 def seeded_non_ample_classes():
@@ -361,12 +371,3 @@ def test_forbidden_labels_match_the_scan():
             assert got == [shatter.ForbiddenLabel(Y, p)
                            for p in missing_patterns_scan(C.concepts, Y)]
             assert got
-
-
-def test_partition_exchange_matches_the_scan():
-    seen = set()
-    for C in itertools.chain(all_classes(3), random_classes()):
-        got = shatter._partition_exchange_ok(C, shatter._shattered_sets(C))
-        assert got == partition_exchange_scan(C)
-        seen.add(got)
-    assert seen == {True, False}
