@@ -107,30 +107,12 @@ def cmd_repmap(args) -> int:
 
 
 def cmd_isr(args) -> int:
-    import json
-
     from . import repmap
 
     C = core.read_class_file(args.file)
     inst = repmap.isr_instance(C)
     if args.json:
-        # json.dumps(indent=2, sort_keys=True) of the edges, parts and
-        # vertices; the edges come first and are written one vertex at a
-        # time, in `ISRInstance.edges` order, so that no list of them is kept
-        rest = json.dumps({
-            "parts": {core.concept_to_string(c, C.n): list(idxs)
-                      for c, idxs in inst.parts.items()},
-            "vertices": [[core.concept_to_string(c, C.n), core.coords(y)]
-                         for (c, y) in inst.vertices],
-        }, indent=2, sort_keys=True)
-        print('{\n  "edges": [', end="")
-        sep = "\n"
-        for i in range(len(inst.vertices)):
-            if js := [j for j in sorted(inst.conflicts(i)) if j > i]:
-                print(sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for j in js),
-                      end="")
-                sep = ",\n"
-        print(("]," if sep == "\n" else "\n  ],") + rest[1:])
+        sys.stdout.writelines(repmap._isr_json(inst))
         return 0
     res = repmap.isr_solve(inst, budget=args.budget)
     if res.assignment is None:

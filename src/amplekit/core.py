@@ -357,6 +357,13 @@ def tail(C: ConceptClass, x: int) -> Optional[ConceptClass]:
 # one concept per line as an n-character 0/1 string, leftmost = coordinate 1
 # lines starting with '#' are comments
 
+def _content_lines(text: str) -> list:
+    """(line number from 1, stripped line) for each line of a class or map
+    file that is neither blank nor a comment, in file order."""
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and line[0] != "#"]
+
+
 def parse_class_text(text: str) -> ConceptClass:
     return ConceptClass(*_parse_class(text))
 
@@ -365,10 +372,7 @@ def _parse_class(text: str) -> tuple[int, tuple]:
     """(width, concepts in file order) of a class file's text."""
     n = None
     seen: dict = {}     # concept -> line, in file order
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
+    for lineno, line in _content_lines(text):
         if n is None:
             if not line.startswith("n="):
                 raise ParseError("expected header 'n=<int>'", line=lineno)
@@ -454,10 +458,7 @@ def parse_repmap_text(text: str, n: Optional[int] = None) -> dict:
 def _parse_repmap(text: str, n: Optional[int] = None) -> tuple[dict, int]:
     """parse_repmap_text, also returning the width."""
     r: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split("->")
         if len(parts) != 2:
             raise ParseError("expected '<concept> -> <coordset>'", line=lineno)

@@ -183,24 +183,38 @@ def _bfs(s, start: int, doms) -> dict:
 def is_isometric(C: ConceptClass, mode: str = "full") -> bool:
     """Graph distance in G(C) equals Hamming distance.
 
-    mode="full" checks that every pair u != v has (u ^ v) & N(v) nonzero,
-    with N(v) the mask of the directions b such that v ^ b is in C.  If C
-    is isometric, a shortest path from v to u starts along a coordinate of
-    u ^ v, so that coordinate lies in N(v).  Conversely, any step from v
-    along a coordinate of u ^ v brings v one closer to u, so by induction on
-    the Hamming distance the criterion gives a path of that length; it thus
-    also implies that C is connected.  mode="weak" checks only the pairs at
-    Hamming distance 2 (they have a common neighbour in C), by
-    `_weak_violation` at each concept.
+    mode="full" reads `_isometric_at` at every concept of C.  mode="weak"
+    checks only the pairs at Hamming distance 2 (they have a common
+    neighbour in C), by `_weak_violation` at each concept.
     """
     if mode not in ("full", "weak"):
         raise ContractError(f"unknown isometry mode {mode!r}")
     s, n, cs = C.concept_set, C.n, C.concepts
     if mode == "weak":
         return not any(_weak_violation(s, v, n) for v in cs)
-    for v in cs:
-        N = _neighbour_dirs(s, v, n)
-        if not all((u ^ v) & N for u in cs if u != v):
+    return all(_isometric_at(cs, v, _neighbour_dirs(s, v, n)) for v in cs)
+
+
+def _isometric_at(P, v: int, N: int) -> bool:
+    """The isometry criterion at v: every u in P other than v has
+    (u ^ v) & N nonzero, with N the mask of the directions b such that
+    v ^ b is in P.
+
+    A set C is isometric iff the criterion holds at every v in C, with
+    P = C.  If C is isometric, a shortest path from v to u starts along a
+    coordinate of u ^ v, so that coordinate lies in N.  Conversely, any
+    step from v along a coordinate of u ^ v brings v one closer to u, so by
+    induction on the Hamming distance the criterion gives a path of that
+    length; it thus also implies that C is connected.  So for an isometric
+    P without v, P ∪ {v} is isometric iff the criterion holds at v: a step
+    from v along N toward u reaches P one closer to u, P carries the path
+    on from there, and the pairs inside P keep their paths.  O(|P|), with
+    no BFS.
+    """
+    # a loop that returns at the first failure scans as fast as a list
+    # comprehension, and faster than all() over a generator
+    for u in P:
+        if not (u ^ v) & N and u != v:
             return False
     return True
 
@@ -220,15 +234,9 @@ def _weak_violation(s, v: int, n: int) -> bool:
 
 def extends_isometric(P, v: int, n: int) -> bool:
     """Whether P ∪ {v} is isometric, for an isometric set P (a set or
-    frozenset) of concepts on n coordinates that does not contain v.
-
-    With N the directions b such that v ^ b is in P, the extension is
-    isometric iff every u in P has (u ^ v) & N nonzero: a shortest path from
-    v to u must start along a coordinate where they differ, and P being
-    isometric carries it on from there.  O(|P| + n), with no BFS.
-    """
-    N = _neighbour_dirs(P, v, n)
-    return all((u ^ v) & N for u in P)
+    frozenset) of concepts on n coordinates that does not contain v: the
+    criterion of `_isometric_at`."""
+    return _isometric_at(P, v, _neighbour_dirs(P, v, n))
 
 
 def gallery(C: ConceptClass, Q1: Cube, Q2: Cube) -> list[Cube]:

@@ -51,8 +51,7 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
     - corner: the supports of the cubes of P through v are closed under
       subsets and their union is N, so v lies in a unique maximal cube iff
       the N-cube through v lies in P (the proof of `graph.is_corner`);
-    - isometric: P is isometric iff every u in P' has (u ^ v) & N nonzero,
-      the test of `graph.extends_isometric`;
+    - isometric: P is isometric iff `graph._isometric_at(P', v, N)`;
     - weakly isometric: iff `graph._weak_violation(P', v, n)` is false.
       An isometric level is weakly isometric, so that test runs only once
       the levels stop being isometric;
@@ -65,9 +64,7 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
     prefix: set = set()
     X: set = set()
     for v, N in _out_map(order, C.n).items():
-        if isometric:
-            # a list scans faster than all() over a generator
-            isometric = not [u for u in prefix if not (u ^ v) & N]
+        isometric = isometric and graph._isometric_at(prefix, v, N)
         weak = weak and (isometric or not graph._weak_violation(prefix, v, C.n))
         prefix.add(v)
         if corner:

@@ -516,11 +516,39 @@ class ISRInstance(NamedTuple):
         return (j for k in parts[c] if (S := vs[k][1])
                 for j in parts[c ^ S] if not (Y1 ^ vs[j][1]) & S)
 
+    def _later_conflicts(self, i: int) -> list:
+        """The indices j > i of the vertices that conflict with vertex i,
+        ascending: read for i = 0, 1, ..., they give the conflicting pairs
+        (i, j), i < j, in ascending order."""
+        return sorted(j for j in self.conflicts(i) if j > i)
+
     @property
     def edges(self) -> tuple:
         """The conflicting (i, j) index pairs, i < j, in ascending order."""
         return tuple((i, j) for i in range(len(self.vertices))
-                     for j in sorted(self.conflicts(i)) if i < j)
+                     for j in self._later_conflicts(i))
+
+
+def _isr_json(inst: ISRInstance):
+    """The text of json.dumps(indent=2, sort_keys=True) of the instance's
+    edges, parts and vertices, and a newline, in pieces.  The edges come
+    first and are written one vertex at a time, so that no list of them is
+    kept."""
+    # imported here, since no other use of the module writes JSON
+    import json
+
+    n = inst.C.n
+    rest = json.dumps({
+        "parts": {core.concept_to_string(c, n): list(p) for c, p in inst.parts.items()},
+        "vertices": [[core.concept_to_string(c, n), coords(y)] for c, y in inst.vertices],
+    }, indent=2, sort_keys=True)
+    yield '{\n  "edges": ['
+    sep = "\n"
+    for i in range(len(inst.vertices)):
+        if js := inst._later_conflicts(i):
+            yield sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for j in js)
+            sep = ",\n"
+    yield ("]," if sep == "\n" else "\n  ],") + rest[1:] + "\n"
 
 
 def isr_instance(C: ConceptClass) -> ISRInstance:

@@ -175,6 +175,16 @@ def test_repmap_verify_loads_neither_shatter_nor_matching(ball_files, tmp_path):
     assert "amplekit.shatter" in loaded and "amplekit.matching" not in loaded
 
 
+def test_isr_loads_neither_shatter_nor_matching(ball_files):
+    cls, _, _ = ball_files
+    for argv in (("isr", cls), ("isr", "--json", cls)):
+        out, code, loaded = cli_run(*argv)
+        assert code == 0 and out, argv
+        assert loaded - {"amplekit.cli"} == {
+            "amplekit", "amplekit.core", "amplekit.errors", "amplekit.graph",
+            "amplekit.repmap"}, (argv, loaded)
+
+
 def test_old_exports_resolve_lazily_to_their_module_objects():
     code = """
 import importlib, json, sys

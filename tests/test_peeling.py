@@ -48,16 +48,14 @@ def classify_ordering_oracle(C, ordering):
     whole-class tests on it, kept as the reference for the out-map walk."""
     order = list(ordering)
     ample = corner = isometric = weak = True
-    prefix = set()
     for i in range(1, len(order) + 1):
         level = ConceptClass(C.n, tuple(order[:i]))
         if ample and not shatter._is_ample_fast(level):
             ample = False
         if corner and not graph.is_corner(level, order[i - 1]):
             corner = False
-        if isometric and not graph.extends_isometric(prefix, order[i - 1], C.n):
+        if isometric and not is_isometric_oracle(level, "full"):
             isometric = False
-        prefix.add(order[i - 1])
         if weak and not is_isometric_oracle(level, "weak"):
             weak = False
         if not (ample or corner or isometric or weak):
