@@ -36,9 +36,7 @@ def _coords(parts, n: int) -> list[int]:
             x = core.parse_decimal(part)
         except ValueError:
             raise ParseError(f"bad coordinate {part.strip()!r}") from None
-        if not 1 <= x <= n:
-            raise ParseError(f"coordinate {x} outside 1..{n}")
-        out.append(x)
+        out.append(core._check_coordinate(x, n))
     return out
 
 

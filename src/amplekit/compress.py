@@ -42,19 +42,16 @@ def parse_sample(text: str, n: int = core.MAX_WIDTH) -> Sample:
     last = 0
     for part in text.split(","):
         part = part.strip()
-        if not part.startswith("x") or "=" not in part:
-            raise ParseError(f"bad sample entry {part!r}")
-        xs, _, vs = part[1:].partition("=")
+        xs, _, vs = part.partition("=")
         try:
-            x = core.parse_decimal(xs)
+            # with no leading 'x' or no '=', a field is empty: no decimal
+            x = core.parse_decimal(xs[1:] if xs[:1] == "x" else "")
             v = core.parse_decimal(vs)
         except ValueError:
             raise ParseError(f"bad sample entry {part!r}") from None
         if v not in (0, 1):
             raise ParseError(f"label must be 0 or 1 in {part!r}")
-        if not 1 <= x <= n:
-            raise ParseError(f"coordinate {x} outside 1..{n}")
-        if x <= last:
+        if core._check_coordinate(x, n) <= last:
             raise ParseError("sample coordinates must be strictly ascending")
         last = x
         dom |= 1 << (x - 1)

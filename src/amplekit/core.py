@@ -86,18 +86,30 @@ def concept_to_string(c: int, n: int) -> str:
     return format(c & ((1 << n) - 1) | 1 << n, "b")[:0:-1]
 
 
-def concept_from_string(s: str) -> int:
-    return _decode(s)
-
-
-def _decode(s: str, line: Optional[int] = None) -> int:
-    """concept_from_string, its ParseError naming the file line when given."""
+def concept_from_string(s: str, line: Optional[int] = None) -> int:
+    """The concept of a 0/1 string, leftmost char = coordinate 1; its
+    ParseError names the file line when given."""
     # int() alone would also take '_', signs, spaces and non-ASCII digits;
     # s.strip("01") is empty exactly when every character is 0 or 1
     if s.strip("01"):
         ch = next(ch for ch in s if ch not in "01")
         raise ParseError(f"invalid character {ch!r} in concept string {s!r}", line=line)
     return int(s[::-1], 2) if s else 0
+
+
+def _concept_of_width(s: str, n: int, line: Optional[int] = None) -> int:
+    """concept_from_string for a concept string that must have n characters."""
+    if len(s) != n:
+        raise ParseError(f"concept {s!r} has width {len(s)}, expected {n}", line=line)
+    return concept_from_string(s, line)
+
+
+def _check_coordinate(x: int, n: int, error=ParseError) -> int:
+    """x, when it is a coordinate of the domain 1..n; otherwise the error
+    ``coordinate x outside 1..n`` of the given class."""
+    if not 1 <= x <= n:
+        raise error(f"coordinate {x} outside 1..{n}")
+    return x
 
 
 def parse_decimal(s: str) -> int:
@@ -179,10 +191,7 @@ class ConceptClass(_Frozen):
         if not strings:
             raise EmptyClassError("no concept strings given")
         n = len(strings[0])
-        for s in strings:
-            if len(s) != n:
-                raise ParseError(f"concept {s!r} has width {len(s)}, expected {n}")
-        return cls(n, tuple(concept_from_string(s) for s in strings))
+        return cls(n, tuple(_concept_of_width(s, n) for s in strings))
 
     @property
     def size(self) -> int:
@@ -340,9 +349,7 @@ def intersect_cube(C: ConceptClass, B: Cube) -> Optional[ConceptClass]:
 
 def tail(C: ConceptClass, x: int) -> Optional[ConceptClass]:
     """tail_x(C) as concepts of C_x \\ C^x, over the re-indexed domain X\\{x}."""
-    if not 1 <= x <= C.n:
-        raise DomainError(f"coordinate {x} outside domain")
-    b = bit(x)
+    b = bit(_check_coordinate(x, C.n, DomainError))
     s = C.concept_set
     t = [c for c in C if c ^ b not in s]
     if not t:
@@ -356,6 +363,12 @@ def tail(C: ConceptClass, x: int) -> Optional[ConceptClass]:
 # header line          n=<int>
 # one concept per line as an n-character 0/1 string, leftmost = coordinate 1
 # lines starting with '#' are comments
+
+def _check_width(n: int, line: Optional[int] = None) -> None:
+    """The width rule of class and map files, for their readers and writers."""
+    if not 1 <= n <= MAX_WIDTH:
+        raise ParseError(f"width {n} outside 1..{MAX_WIDTH}", line=line)
+
 
 def _content_lines(text: str) -> list:
     """(line number from 1, stripped line) for each line of a class or map
@@ -380,12 +393,9 @@ def _parse_class(text: str) -> tuple[int, tuple]:
                 n = parse_decimal(line[2:])
             except ValueError:
                 raise ParseError(f"bad width {line[2:]!r}", line=lineno) from None
-            if not 1 <= n <= MAX_WIDTH:
-                raise ParseError(f"width {n} outside 1..{MAX_WIDTH}", line=lineno)
+            _check_width(n, lineno)
             continue
-        if len(line) != n:
-            raise ParseError(f"concept {line!r} has width {len(line)}, expected {n}", line=lineno)
-        first = seen.setdefault(_decode(line, lineno), lineno)
+        first = seen.setdefault(_concept_of_width(line, n, lineno), lineno)
         if first != lineno:
             raise ParseError(f"duplicate concept {line!r} (first at line {first})", line=lineno)
     if n is None:
@@ -401,14 +411,19 @@ def read_class_file(path) -> ConceptClass:
 
 
 def format_class(C: ConceptClass) -> str:
+    """The class file text of C; ParseError, as its reader would raise,
+    when C.n lies outside 1..MAX_WIDTH."""
+    _check_width(C.n)
     lines = [f"n={C.n}"]
     lines.extend(C.strings())
     return "\n".join(lines) + "\n"
 
 
 def write_class_file(path, C: ConceptClass) -> None:
+    # formatted first, so that a class the format refuses leaves no file
+    text = format_class(C)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(format_class(C))
+        f.write(text)
 
 
 # -- representation map file format -----------------------------------------
@@ -465,20 +480,26 @@ def _parse_repmap(text: str, n: Optional[int] = None) -> tuple[dict, int]:
         left, right = parts[0].strip(), parts[1].strip()
         if n is None:
             n = len(left)
-            if not 1 <= n <= MAX_WIDTH:
-                raise ParseError(f"width {n} outside 1..{MAX_WIDTH}", line=lineno)
+            _check_width(n, lineno)
         if len(left) != n or len(right) != n:
             raise ParseError(f"expected two bitstrings of width {n}", line=lineno)
-        c = _decode(left, lineno)
+        c = concept_from_string(left, lineno)
         if c in r:
             raise ParseError("duplicate concept", line=lineno)
-        r[c] = _decode(right, lineno)
+        r[c] = concept_from_string(right, lineno)
     if not r:
         raise ParseError("empty representation map file")
     return r, n
 
 
 def format_repmap(r: dict, n: int) -> str:
-    lines = [f"{concept_to_string(c, n)} -> {concept_to_string(r[c], n)}"
-             for c in sorted(r)]
+    """The map file text of r over width n; ParseError for a map that its
+    reader would refuse or read back as another map: a width outside
+    1..MAX_WIDTH, no entry, or a concept or image outside the domain."""
+    _check_width(n)
+    keys = sorted(r)
+    images = r.values()
+    if not keys or keys[0] < 0 or min(images) < 0 or (keys[-1] | max(images)) >> n:
+        raise ParseError(f"map is empty or has a concept or image outside width {n}")
+    lines = [f"{concept_to_string(c, n)} -> {concept_to_string(r[c], n)}" for c in keys]
     return "\n".join(lines) + "\n"

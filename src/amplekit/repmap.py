@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 # `shatter` and `matching` are imported where used: `repmap verify` loads neither
 from . import core, graph
 from .core import ConceptClass, Cube, bit, bits_of, coords, popcount
-from .errors import ContractError, DomainError, IntegrityError
+from .errors import ContractError, IntegrityError
 
 # The map file format and the map contracts are defined in `core`, next to
 # the class file format, so that `compress` and `decompress` can read a map
@@ -647,13 +647,11 @@ class TailMatchingReport(NamedTuple):
 def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     from . import matching, shatter
 
-    if not 1 <= x <= C.n:
-        raise DomainError(f"coordinate {x} outside 1..{C.n}")
+    tail = core.tail(C, x)
     _, d = shatter._maximum_tags(C, "tail matching is defined for maximum classes")
     red = core.reduce(C, bit(x))
     if red is None:
         raise ContractError("reduction is empty; the class has no x-edge")
-    tail = core.tail(C, x)
     tails = tail.concepts if tail is not None else ()
     # the labels are forbidden_labels(red, sigma) over all d-sets sigma, as
     # red is maximum of dimension d - 1 (Welzl 1987): the patterns whose

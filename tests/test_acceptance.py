@@ -13,7 +13,7 @@ import pytest
 from amplekit import compress, core, generate, graph, peeling, repmap, shatter
 from amplekit.core import ConceptClass, Cube, bit
 
-from classes import is_isometric_oracle
+from classes import all_classes, is_isometric_oracle
 from downsets import random_downset_class
 
 
@@ -25,18 +25,12 @@ def report(num, name, ok):
     assert ok, f"acceptance criterion {num} ({name}) failed"
 
 
-def all_classes_n4():
-    for mask in range(1, 1 << 16):
-        yield tuple(c for c in range(16) if mask >> c & 1)
-
-
 # ------------------------------------------------------------ criterion 1
 
 def test_01_sandwich_sauer_exhaustive_n4():
     t0 = time.time()
     violations = 0
-    for concepts in all_classes_n4():
-        C = ConceptClass(4, concepts)
+    for C in all_classes(4):
         sh = shatter._shattered_sets(C)
         st = shatter._strongly_shattered_sets(C)
         d = max(bin(m).count("1") for m in sh)
@@ -52,8 +46,7 @@ def test_01_sandwich_sauer_exhaustive_n4():
 
 def test_02_ample_characterizations_agree():
     disagreements = 0
-    for concepts in all_classes_n4():
-        C = ConceptClass(4, concepts)
+    for C in all_classes(4):
         sh = shatter._shattered_sets(C)
         st = shatter._strongly_shattered_sets(C)
         complexes_equal = sh == st                       # X̲(C) = X̄(C)
