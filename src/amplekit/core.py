@@ -162,6 +162,12 @@ class _Frozen:
         return self.__class__, self._values
 
 
+def _check_domain_width(n: int) -> None:
+    """The width rule of a domain, for a concept class and a shelling."""
+    if not 0 <= n <= MAX_WIDTH:
+        raise DomainError(f"domain width {n} outside 0..{MAX_WIDTH}")
+
+
 class ConceptClass(_Frozen):
     """A nonempty, duplicate-free concept class in canonical (ascending) order.
 
@@ -173,8 +179,7 @@ class ConceptClass(_Frozen):
     _key = ("n", "concepts")
 
     def __init__(self, n: int, concepts: Iterable[int]):
-        if not 0 <= n <= MAX_WIDTH:
-            raise DomainError(f"domain width {n} outside 0..{MAX_WIDTH}")
+        _check_domain_width(n)
         members = frozenset(concepts)
         cs = tuple(sorted(members))
         if not cs:
@@ -466,12 +471,15 @@ def _decodings(concepts, r: dict, Y: int) -> dict:
 
 def parse_repmap_text(text: str, n: Optional[int] = None) -> dict:
     """Parse '<concept-bitstring> -> <coordset-bitstring>' lines; the width is
-    taken from the first line when not given."""
+    taken from the first line when not given.  A given width, like a taken
+    one, must lie in 1..MAX_WIDTH."""
     return _parse_repmap(text, n)[0]
 
 
 def _parse_repmap(text: str, n: Optional[int] = None) -> tuple[dict, int]:
     """parse_repmap_text, also returning the width."""
+    if n is not None:
+        _check_width(n)
     r: dict = {}
     for lineno, line in _content_lines(text):
         parts = line.split("->")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from . import graph
+from . import core, graph
 from .core import ConceptClass, Cube, popcount
 from .errors import ContractError, IntegrityError, OrderingValidationError
 
@@ -341,7 +341,9 @@ def validate_shelling(sh: ShellingOrder) -> None:
     facet j in exactly one coordinate, and that coordinate is one where
     facets i and j disagree.  The ridge coordinates of facet j are its
     neighbour directions among the earlier facets, so this is term for term
-    the test of `graph.extends_isometric`."""
+    the test of `graph.extends_isometric`.  The width must lie in
+    0..MAX_WIDTH, as a concept class's must, before any facet is read."""
+    core._check_domain_width(sh.n)
     fs = sh.facets
     seen = set()
     for j, fj in enumerate(fs):

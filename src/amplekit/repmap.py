@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple, Optional
 
 # `shatter` and `matching` are imported where used: `repmap verify` loads neither
@@ -516,24 +516,13 @@ class ISRInstance(NamedTuple):
         return (j for k in parts[c] if (S := vs[k][1])
                 for j in parts[c ^ S] if not (Y1 ^ vs[j][1]) & S)
 
-    def _later_conflicts(self, i: int) -> list:
-        """The indices j > i of the vertices that conflict with vertex i,
-        ascending: read for i = 0, 1, ..., they give the conflicting pairs
-        (i, j), i < j, in ascending order."""
-        return sorted(j for j in self.conflicts(i) if j > i)
-
-    @property
-    def edges(self) -> tuple:
-        """The conflicting (i, j) index pairs, i < j, in ascending order."""
-        return tuple((i, j) for i in range(len(self.vertices))
-                     for j in self._later_conflicts(i))
-
 
 def _isr_json(inst: ISRInstance):
     """The text of json.dumps(indent=2, sort_keys=True) of the instance's
-    edges, parts and vertices, and a newline, in pieces.  The edges come
-    first and are written one vertex at a time, so that no list of them is
-    kept."""
+    edges, parts and vertices, and a newline, in pieces.  The edges, the
+    conflicting pairs i < j in ascending order, come first; they are read
+    from `ISRInstance.conflicts` and written one vertex at a time, so that
+    no list of them is kept."""
     # imported here, since no other use of the module writes JSON
     import json
 
@@ -545,7 +534,7 @@ def _isr_json(inst: ISRInstance):
     yield '{\n  "edges": ['
     sep = "\n"
     for i in range(len(inst.vertices)):
-        if js := inst._later_conflicts(i):
+        if js := sorted(j for j in inst.conflicts(i) if j > i):
             yield sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for j in js)
             sep = ",\n"
     yield ("]," if sep == "\n" else "\n  ],") + rest[1:] + "\n"
@@ -569,8 +558,10 @@ def isr_instance(C: ConceptClass) -> ISRInstance:
         for c in cs:
             supports[c].append(Y)
     vertices = [(c, Y) for c in C for Y in supports[c]]
-    index = {v: i for i, v in enumerate(vertices)}
-    parts = {c: tuple(index[(c, Y)] for Y in supports[c]) for c in C}
+    # the vertices come grouped by concept in class order, so each part is
+    # the index range that ends where its concept's vertices end
+    ends = accumulate(len(supports[c]) for c in C)
+    parts = {c: tuple(range(e - len(supports[c]), e)) for c, e in zip(C, ends)}
     return ISRInstance(C, tuple(vertices), parts)
 
 

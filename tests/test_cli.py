@@ -12,6 +12,8 @@ import pytest
 from amplekit import cli, core, generate, repmap
 from amplekit.core import ConceptClass
 
+from test_repmap import isr_all_pairs_oracle
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -238,14 +240,15 @@ def test_isr_json(capsys, ball_file):
 
 
 def isr_json_oracle(C):
-    """`isr --json` as json.dumps of the whole structure, edges included."""
-    inst = repmap.isr_instance(C)
+    """`isr --json` as json.dumps of the whole structure, edges included,
+    with the instance built by the all-pairs definition."""
+    vertices, parts, edges = isr_all_pairs_oracle(C)
     out = {
         "vertices": [[core.concept_to_string(c, C.n), core.coords(y)]
-                     for (c, y) in inst.vertices],
+                     for (c, y) in vertices],
         "parts": {core.concept_to_string(c, C.n): list(idxs)
-                  for c, idxs in inst.parts.items()},
-        "edges": [[i, j] for (i, j) in inst.edges],
+                  for c, idxs in parts.items()},
+        "edges": [[i, j] for (i, j) in edges],
     }
     return json.dumps(out, indent=2, sort_keys=True) + "\n"
 

@@ -6,7 +6,8 @@ import pytest
 
 from amplekit import core, generate, graph, peeling, shatter
 from amplekit.core import ConceptClass, Cube, bit, mask_of
-from amplekit.errors import ContractError, IntegrityError, OrderingValidationError
+from amplekit.errors import (ContractError, DomainError, IntegrityError,
+                             OrderingValidationError)
 
 from classes import ample_classes, cc, is_isometric_oracle
 from downsets import random_downset_class
@@ -616,6 +617,25 @@ def test_shelling_rejects_facet_out_of_range(facets, index):
         with pytest.raises(OrderingValidationError, match="facet out of range") as exc:
             check(sh)
         assert exc.value.index == index
+
+
+@pytest.mark.parametrize("n, facets", [(25, (0, 1 << 24)), (-1, (0,)), (25, ("x",))])
+def test_shelling_refuses_a_width_outside_the_domain_before_any_facet(n, facets):
+    # at n = 25 the two facets are adjacent in coordinate 25; a facet "x"
+    # would raise TypeError if it were read
+    with pytest.raises(DomainError) as want:
+        ConceptClass(n, (0,))
+    sh = peeling.ShellingOrder(n, facets)
+    for check in (peeling.validate_shelling, peeling.shelling_to_ordering):
+        with pytest.raises(DomainError) as got:
+            check(sh)
+        assert str(got.value) == str(want.value) == f"domain width {n} outside 0..24"
+
+
+def test_shelling_accepts_the_widest_domain():
+    sh = peeling.ShellingOrder(24, (0, 1 << 23))
+    peeling.validate_shelling(sh)
+    assert peeling.shelling_to_ordering(sh)[1] == (0, 1 << 23)
 
 
 def test_shelling_agrees_with_isometric_classifier():

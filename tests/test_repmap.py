@@ -1020,22 +1020,31 @@ def isr_cases():
             yield generate.random_ample(n, 3 * n + 2 * seed, seed)
 
 
+def neighbours(edges, size):
+    """For each of the vertices 0..size-1, the other ends of its edges,
+    ascending."""
+    adj: list = [[] for _ in range(size)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return [sorted(js) for js in adj]
+
+
 def test_isr_instance_matches_the_all_pairs_builder():
     for C in isr_cases():
         inst = repmap.isr_instance(C)
         vertices, parts, edges = isr_all_pairs_oracle(C)
         assert inst.vertices == vertices
         assert list(inst.parts.items()) == list(parts.items())
-        assert inst.edges == edges
+        # each conflict once from each end, and none with the vertex itself
+        got = [sorted(inst.conflicts(i)) for i in range(len(vertices))]
+        assert got == neighbours(edges, len(vertices))
 
 
-def isr_solve_edge_list_oracle(inst, budget=10**6):
-    """The solver with every vertex's conflicts read from `inst.edges`, all
-    before the search starts."""
-    adj: dict = {i: set() for i in range(len(inst.vertices))}
-    for i, j in inst.edges:
-        adj[i].add(j)
-        adj[j].add(i)
+def isr_solve_edge_list_oracle(inst, edges, budget=10**6):
+    """The solver with every vertex's conflicts read from the edge list
+    `edges`, all before the search starts."""
+    adj = [set(js) for js in neighbours(edges, len(inst.vertices))]
     order = sorted(inst.parts, key=lambda c: len(inst.parts[c]))
     chosen: list = []
     blocked: set = set()
@@ -1074,24 +1083,15 @@ def test_isr_solve_matches_the_edge_list_oracle():
     found = {True: 0, False: 0}
     for C in isr_cases():
         inst = repmap.isr_instance(C)
+        edges = isr_all_pairs_oracle(C)[2]
         for budget in (0, 1, 7, 100, 20_000):
             got = repmap.isr_solve(inst, budget)
-            want = isr_solve_edge_list_oracle(inst, budget)
+            want = isr_solve_edge_list_oracle(inst, edges, budget)
             assert got == want
             if got.assignment is not None:
                 assert list(got.assignment.items()) == list(want.assignment.items())
             found[got.assignment is not None] += 1
     assert min(found.values()) > 20
-
-
-def test_isr_solve_never_reads_the_edge_list(monkeypatch):
-    def edges(self):
-        raise AssertionError("isr_solve read ISRInstance.edges")
-
-    monkeypatch.setattr(repmap.ISRInstance, "edges", property(edges))
-    for C in (PATH3, generate.hamming_ball(4, 2), generate.hamming_ball(6, 1)):
-        res = repmap.isr_solve(repmap.isr_instance(C))
-        assert res.assignment is not None
 
 
 def test_isr_search_depth_not_bounded_by_recursion_limit():
@@ -1258,6 +1258,15 @@ def test_repmap_parse_errors():
         repmap.parse_repmap_text("00 -> 0", 2)
     with pytest.raises(ParseError):
         repmap.parse_repmap_text("001\n", 3)
+
+
+@pytest.mark.parametrize("text, n", [(" -> \n", 0), ("0" * 25 + " -> " + "0" * 25 + "\n", 25),
+                                     ("0 -> 0\n", -1)],
+                         ids=["width_0", "width_25", "width_-1"])
+def test_repmap_parse_refuses_a_given_width_outside_1_to_24(text, n):
+    # the width rule of map files holds for a given width as for a taken one
+    with pytest.raises(ParseError, match=rf"^width {n} outside 1\.\.24$"):
+        repmap.parse_repmap_text(text, n)
 
 
 # ---------------------------------------------------------------- certify

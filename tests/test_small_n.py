@@ -1,12 +1,20 @@
 """Every nonempty class on n = 4, enumerated by mask with no sampling,
 against oracles that read the complexes off their definitions, with
-neither `graph.cube_tags` nor the fibre walk."""
+neither `graph.cube_tags` nor the fibre walk; and one class per orbit of
+the ample 4-classes, with its complement, against the oracles of the
+peeling, collapse, map and scheme checks."""
+import itertools
+import operator
+import random
 from math import comb
 
-from amplekit import core, shatter
+from amplekit import compress, core, peeling, repmap, shatter
 from amplekit.core import popcount
 
 from classes import all_classes
+from test_compress import verify_scheme_oracle
+from test_peeling import _recursive_search, classify_ordering_oracle, replay_collapse_oracle
+from test_repmap import check_r2_oracle, check_r3_oracle, first_pair_oracle
 
 N = 4
 
@@ -33,3 +41,64 @@ def test_recognition_matches_the_definitions_on_every_class_on_n4():
         ample += is_ample
     assert seen == (1 << (1 << N)) - 1
     assert ample == 5529
+
+
+def orbit_representatives(n):
+    """The least concept bitset of each orbit of nonempty classes on n
+    coordinates under the 2^n n! symmetries of the n-cube (coordinate
+    permutations, then reflections), by one scan of the bitsets in
+    ascending order: the first bitset of an orbit marks the whole orbit."""
+    points = range(1 << n)
+    symmetries = [[sum((c >> i & 1) << p for i, p in enumerate(perm)) ^ flip for c in points]
+                  for perm in itertools.permutations(range(n)) for flip in points]
+    seen = bytearray(1 << (1 << n))
+    for mask in range(1, 1 << (1 << n)):
+        if not seen[mask]:
+            yield mask
+            members = [c for c in points if mask >> c & 1]
+            for g in symmetries:
+                seen[sum(1 << g[c] for c in members)] = 1
+
+
+def check_against_the_oracles(C, rng):
+    for budget in (0, 1, 3, 10**6):
+        assert peeling.corner_peeling_search(C, budget) == _recursive_search(C, budget)
+    order = peeling.corner_peeling_search(C).ordering
+    for ordering in (order, order[::-1], C.concepts):
+        assert peeling.classify_ordering(C, ordering) == classify_ordering_oracle(C, ordering)
+    seq, survivor = peeling.collapse_sequence(C)
+    replay_collapse_oracle(C, seq, survivor)
+    o = repmap.peeling_to_uso(C, order)
+    maps = [o]
+    if C.size > 1:
+        # two images swapped, then one concept given another's image
+        a, b = rng.sample(C.concepts, 2)
+        maps += [{**o, a: o[b], b: o[a]}, {**o, a: o[b]}]
+    for r in maps:
+        rep = repmap.verify_repmap(C, r)
+        p1 = first_pair_oracle(C, r, operator.or_)
+        p4 = first_pair_oracle(C, r, operator.xor)
+        assert rep.r1 == repmap.Check(p1 is None, p1)
+        assert rep.r2 == check_r2_oracle(C, r)
+        assert rep.r3.ok == check_r3_oracle(C, r).ok == (p4 is None)
+        assert rep.r4 == repmap.Check(p4 is None, p4)
+    assert repmap.verify_repmap(C, o).valid
+    for r in maps[:2]:
+        scheme = compress.CompressionScheme(C, r)
+        got, want = compress.verify_scheme(scheme), verify_scheme_oracle(C, scheme)
+        assert got.ok == want.ok
+        if want.ok:
+            assert got == want
+
+
+def test_each_ample_orbit_and_its_complement_match_the_oracles_on_n4():
+    reps = list(orbit_representatives(N))
+    classes = {mask: core.ConceptClass(N, tuple(c for c in range(1 << N) if mask >> c & 1))
+               for mask in reps}
+    ample = [mask for mask, C in classes.items() if shatter.is_ample(C)[0]]
+    assert (len(reps), len(ample)) == (401, 46)
+    for mask in ample:
+        C = classes[mask]
+        check_against_the_oracles(C, random.Random(mask))
+        if C.size < 1 << N:
+            check_against_the_oracles(core.complement(C), random.Random(-mask))
