@@ -71,29 +71,35 @@ def _check_pairs(C: ConceptClass, r: RepMap) -> tuple[Check, Check, Check]:
     return Check(r1 is None, r1), Check(False, (core.interval(*r4), *r4)), Check(False, r4)
 
 
-def _check_r2(C: ConceptClass, r: RepMap, bijective: bool = False) -> Check:
+def _check_r2(C: ConceptClass, r: RepMap, tags: dict) -> Check:
     """Unique reconstruction: for every sample domain Y, each realized pattern
     has exactly one consistent concept with r(c) ⊆ Y (`core._decodings`).
     The witness is the first (Y, pattern) in a sweep of the domains in
-    numeric order, patterns in `_decodings` order.
+    numeric order, patterns in `_decodings` order; `tags` is
+    `graph.cube_tags(C)`.
 
-    `bijective` says that r is a bijection onto X(C); then the sweep is not
-    run.  Such a bijection makes C ample, so for every Y the concepts with
-    r(c) ⊆ Y are |X(C) ∩ 2^Y| many, and that is the number of patterns C
-    realizes on Y, since the restriction of C to Y is ample with shattered
-    sets X(C) ∩ 2^Y.  A pattern with no decoding thus exists at Y exactly
-    when a pattern with two does, that is when Y contains r(c) | r(d) and
-    misses c ^ d for some pair c ≠ d.  Such a pair clashes in R1's sense,
-    (c ^ d) & (r(c) | r(d)) = 0, and conversely a clashing pair fails at
-    Y = r(c) | r(d).  Every failing Y contains such a union, so the first
-    failing Y is the least union over the clashing pairs, and its witness is
-    read at that Y alone.  The least union is found scanning the concepts in
-    ascending r(d) against the ones before, up to the first r(d) at or above
-    the best union so far, since every later union is at least r(d).
+    When C is ample, that is |X(C)| = |C|, no sweep is run.  Let Z* be the
+    least set Z with #r⁻¹(Z) ≠ [Z ∈ X(C)], or 2^n if there is none (r is a
+    bijection onto X(C)).  For every Y the restriction of C to Y is ample
+    with shattered sets X(C) ∩ 2^Y, so C realizes |X(C) ∩ 2^Y| patterns on
+    Y, while the concepts with r(c) ⊆ Y number Σ_{Z ⊆ Y} #r⁻¹(Z).  Every
+    subset of Y is numerically at most Y, so the two counts agree on every
+    Y < Z* and differ at Z*, which therefore fails.  Below Z*, a pattern
+    with no decoding exists at Y exactly when a pattern with two does, that
+    is when Y contains r(c) | r(d) and misses c ^ d for some pair c ≠ d.
+    Such a pair clashes in R1's sense, (c ^ d) & (r(c) | r(d)) = 0, and
+    conversely a clashing pair fails at Y = r(c) | r(d).  So the first
+    failing Y is the least of Z* and the unions over the clashing pairs,
+    and its witness is read at that Y alone.  The least union below Z* is
+    found scanning the concepts in ascending r(d) against the ones before,
+    up to the first r(d) at or above the best so far, since every later
+    union is at least r(d).  A class that is not ample is swept.
     """
     domains = range(1 << C.n)
-    if bijective:
-        best = 1 << C.n   # above every union
+    if len(tags) == len(C):
+        counts = Counter(r.values())
+        best = min((Z for Z in counts.keys() | tags.keys() if counts[Z] != (Z in tags)),
+                   default=1 << C.n)
         order = sorted(C.concepts, key=r.__getitem__)
         for i, d in enumerate(order):
             rd = r[d]
@@ -169,8 +175,9 @@ def _check_c2(C: ConceptClass, r: RepMap, tags: dict) -> Check:
 
 
 def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> RepMapReport:
-    """Every check, exhaustively; `tags` is `graph.cube_tags(C)` when the
-    caller already has it."""
+    """Every check, each with its first witness; `tags` is
+    `graph.cube_tags(C)` when the caller already has it.  R2 reads one
+    domain when C is ample and sweeps them otherwise (`_check_r2`)."""
     _check_total(C, r)
     if tags is None:
         tags = graph.cube_tags(C)
@@ -178,7 +185,7 @@ def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Re
     r1, r3, r4 = _check_pairs(C, r)
     return RepMapReport(
         r1=r1,
-        r2=_check_r2(C, r, bij.ok),
+        r2=_check_r2(C, r, tags),
         r3=r3,
         r4=r4,
         bijective=bij,
@@ -188,7 +195,7 @@ def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Re
 
 
 def certify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
-    """`verify_repmap` without the R1–R4 sweeps whenever r passes.
+    """`verify_repmap` without the R1–R4 checks whenever r passes.
 
     A bijection onto X(C) exists only for ample C (|X(C)| ≤ |C| ≤ number of
     shattered sets, with equality iff C is ample), and for ample C such a

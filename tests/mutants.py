@@ -1,0 +1,112 @@
+"""Pinned mutants of the fast paths: each one must make its named tests fail.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+A mutant is a file of the checkout, an exact source string that occurs once
+in it, the string's replacement, and the tests that must fail.  For each
+mutant the whole checkout is copied into a temporary directory, because
+pyproject.toml's `pythonpath = ["src"]` puts the tests' own `src/` ahead of
+PYTHONPATH, so a mutated `src/` elsewhere would not be imported.  The mutant
+is applied in the copy and its tests run there with `-x`: pytest exiting 1
+(a test failed) kills the mutant, exiting 0 lets it survive.  A source
+string that does not occur exactly once, and any other pytest status (a
+test not found, an import error), is an error, as is a named test that
+fails on the unmutated checkout.  The script exits 0 only when every mutant
+run is killed.
+
+The file name does not match `test_*.py`, so pytest does not collect it.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+
+ORBITS = "tests/test_small_n.py::test_each_ample_orbit_and_its_complement_match_the_oracles_on_n4"
+R2_SWEEPS = "tests/test_repmap.py::test_r2_and_r3_match_their_sweeps"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    source: str
+    replacement: str
+    tests: tuple
+
+
+MUTANTS = (
+    # the peeling search rechecks one concept too few after a peel
+    Mutant("recheck-one-short", "src/amplekit/peeling.py",
+           "recheck(shared)", "recheck(shared[:-1])", (ORBITS,)),
+    # every concept is a corner
+    Mutant("every-concept-a-corner", "src/amplekit/graph.py",
+           "    return _is_corner_in(s, c, _neighbour_dirs(s, c, C.n))\n",
+           "    return True\n",
+           ("tests/test_slices.py::test_ampleness_and_corners_of_seeded_5_classes",)),
+    # class and map files accept width 0
+    Mutant("file-width-from-0", "src/amplekit/core.py",
+           "    if not 1 <= n <= MAX_WIDTH:\n", "    if not 0 <= n <= MAX_WIDTH:\n",
+           ("tests/test_repmap.py::test_repmap_parse_refuses_a_given_width_outside_1_to_24",)),
+    # R2 on an ample class starts its scan above every set, not at Z*
+    Mutant("r2-scan-from-the-top", "src/amplekit/repmap.py",
+           "        best = min((Z for Z in counts.keys() | tags.keys() if counts[Z] != (Z in tags)),\n"
+           "                   default=1 << C.n)\n",
+           "        best = 1 << C.n\n",
+           (R2_SWEEPS, ORBITS)),
+    # Z* counts only images that occur twice, not images that miss X(C)
+    Mutant("r2-odd-set-only-repeated-images", "src/amplekit/repmap.py",
+           "counts[Z] != (Z in tags)", "counts[Z] > 1", (R2_SWEEPS, ORBITS)),
+)
+
+
+def pytest_status(checkout: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def run(mutant: Mutant, workdir: Path) -> str:
+    """'killed', 'survived', or 'error: …' for one mutant."""
+    original = (ROOT / mutant.path).read_text(encoding="utf-8")
+    found = original.count(mutant.source)
+    if found != 1:
+        return f"error: the source string occurs {found} times in {mutant.path}"
+    checkout = workdir / mutant.name
+    shutil.copytree(ROOT, checkout, ignore=IGNORED)
+    (checkout / mutant.path).write_text(original.replace(mutant.source, mutant.replacement),
+                                        encoding="utf-8")
+    status = pytest_status(checkout, mutant.tests)
+    shutil.rmtree(checkout)
+    return {0: "survived", 1: "killed"}.get(status, f"error: pytest exited {status}")
+
+
+def main() -> int:
+    status = pytest_status(ROOT, sorted({t for m in MUTANTS for t in m.tests}))
+    if status != 0:
+        print(f"error: the named tests exit {status} on the unmutated checkout")
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        killed = 0
+        for m in MUTANTS:
+            start = time.perf_counter()
+            verdict = run(m, workdir)
+            killed += verdict == "killed"
+            print(f"{m.name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

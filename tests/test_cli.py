@@ -12,7 +12,7 @@ import pytest
 from amplekit import cli, core, generate, repmap
 from amplekit.core import ConceptClass
 
-from test_repmap import isr_all_pairs_oracle
+from test_repmap import copied_image_ball_18_3_map, isr_all_pairs_oracle
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -152,6 +152,18 @@ def test_repmap_verify_prints_the_exhaustive_report(capsys, tmp_path, corrupt):
     code, out, err = run(capsys, "repmap", "verify", str(cls), "--repmap", str(rp))
     assert out == "\n".join(want) + "\n" and err == ""
     assert code == (0 if report.valid else 1)
+
+
+def test_repmap_verify_of_a_copied_image_ball_18_3_map(capsys, tmp_path):
+    # the lines recorded before R2 read one domain of an ample class, when
+    # the sweep over domains took about 19 s
+    C, r = copied_image_ball_18_3_map()
+    cls, rp = tmp_path / "ball.txt", tmp_path / "ball.rep"
+    core.write_class_file(str(cls), C)
+    rp.write_text(repmap.format_repmap(r, C.n))
+    code, out, err = run(capsys, "repmap", "verify", str(cls), "--repmap", str(rp))
+    assert (code, err) == (1, "")
+    assert out == "r1=0\nr2=0\nr3=0\nr4=0\nbijective=0\nc1=0\nc2=0\nvalid=0\n"
 
 
 NOT_INJECTIVE = "000 -> 000\n100 -> 000\n"

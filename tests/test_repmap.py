@@ -4,6 +4,7 @@ import itertools
 import operator
 import random
 import sys
+import time
 
 import pytest
 
@@ -181,15 +182,62 @@ def bijection_cases(seed):
             yield C, dict(zip(C.concepts, images))
 
 
+def first_odd_set(C, r):
+    """Z*: the least set Z whose number of preimages under r is not
+    [Z ∈ X(C)], or 2^n when r is a bijection onto X(C)."""
+    images = list(r.values())
+    X = graph.cube_tags(C)
+    return next((Z for Z in range(1 << C.n) if images.count(Z) != (Z in X)), 1 << C.n)
+
+
+def non_bijection_cases(seed):
+    """(class, map) pairs of ample classes with 5 ≤ n ≤ 8 and of every
+    B(n,d) with 3 ≤ n ≤ 8, each map made from the built map (the
+    peeling's out-map off the balls) by copying one image, copying two,
+    giving one concept a random image inside X(C) or one outside it,
+    giving a third of the concepts random images, or swapping two images
+    and giving the concept of the largest image the second largest."""
+    rng = random.Random(seed)
+    classes = [generate.hamming_ball(n, d) for n in range(3, 9) for d in range(1, n)]
+    classes += [generate.random_ample(n, rng.randrange(4, min(1 << n, 80)), s)
+                for n in range(5, 9) for s in range(3)]
+    for C in classes:
+        if shatter.is_maximum(C):
+            o = repmap.build_maximum_repmap(C)
+        else:
+            o = repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
+        X = graph.cube_tags(C)
+        outside = [Z for Z in range(1 << C.n) if Z not in X]
+        a, b, c, d = rng.sample(C.concepts, 4)
+        yield C, {**o, a: o[b]}
+        yield C, {**o, a: o[b], c: o[d]}
+        yield C, {**o, a: rng.choice([Z for Z in X if Z != o[a]])}
+        if outside:
+            yield C, {**o, a: rng.choice(outside)}
+        yield C, {**o, **{e: rng.randrange(1 << C.n) for e in rng.sample(C.concepts, C.size // 3)}}
+        top, second = sorted(C, key=o.get)[:-3:-1]
+        yield C, {**o, a: o[b], b: o[a], top: o[second]}
+
+
 def test_r2_and_r3_match_their_sweeps():
     """R2 with its witness, and R3's verdict, against the sweeps they
-    replace; each R3 witness is a real collision on its cube.  A bijection
-    onto X(C) takes R2 from its clashing pairs, any other map the sweep."""
-    seen, failing_bijections = set(), 0
-    for C, r in itertools.chain(map_cases(23), bijection_cases(31)):
+    replace; each R3 witness is a real collision on its cube.  A map on an
+    ample class takes R2 at one domain, from its clashing pairs and Z*, its
+    least set whose preimages are not [Z ∈ X(C)]; a map on a class that is
+    not ample, from the sweep.  Every map of an ample class that is not a
+    bijection onto X(C) fails R2."""
+    seen, failing_bijections, at_odd_set, below_it = set(), 0, 0, 0
+    for C, r in itertools.chain(map_cases(23), bijection_cases(31), non_bijection_cases(41)):
         rep = repmap.verify_repmap(C, r)
         assert rep.r2 == check_r2_oracle(C, r)
         failing_bijections += rep.bijective.ok and not rep.r2.ok
+        if not rep.bijective.ok and shatter.is_ample(C)[0]:
+            # R2 fails, at the least of Z* and the clashing unions
+            assert not rep.r2.ok
+            Y, odd = rep.r2.witness[0], first_odd_set(C, r)
+            assert Y <= odd
+            at_odd_set += Y == odd
+            below_it += Y < odd
         assert rep.r3.ok == check_r3_oracle(C, r).ok == rep.r4.ok
         if not rep.r3.ok:
             B, c, d = rep.r3.witness
@@ -201,6 +249,8 @@ def test_r2_and_r3_match_their_sweeps():
     assert {(True, True, True, True), (False, False, False, False),
             (False, True, False, False)} <= seen
     assert failing_bijections > 50
+    # the witness of a map that is not a bijection at Z* and below it
+    assert at_odd_set > 100 and below_it > 20
 
 
 def first_pair_oracle(C, r, sets):
@@ -239,6 +289,58 @@ def test_r2_witness_of_a_swapped_ball_18_3_map():
     rep = repmap.certify_repmap(C, {**r, a: r[b], b: r[a]})
     assert rep.r2 == repmap.Check(False, (98308, 0))
     assert rep.bijective.ok and not rep.r1.ok
+
+
+def test_r2_reads_one_domain_of_an_ample_class_and_sweeps_any_other(monkeypatch):
+    decodings = core._decodings
+    domains = []
+    monkeypatch.setattr(core, "_decodings",
+                        lambda cs, r, Y: domains.append(Y) or decodings(cs, r, Y))
+    for C, r in itertools.chain(map_cases(23), non_bijection_cases(41)):
+        if not shatter.is_ample(C)[0]:
+            continue
+        domains.clear()
+        got = repmap.verify_repmap(C, r).r2
+        assert len(domains) <= 1
+        assert domains == ([] if got.ok else [got.witness[0]])
+    # an ample class's out-map, with one concept added that makes the class
+    # not ample and is given the whole domain as its image
+    swept = 0
+    for n in (4, 5, 6):
+        C = generate.random_ample(n, 1 << (n - 2), n)
+        o = repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
+        for e in range(1 << n):
+            D = ConceptClass(n, C.concepts + (e,))
+            if e in C or shatter.is_ample(D)[0]:
+                continue
+            r = {**o, e: D.domain_mask}
+            domains.clear()
+            got = repmap.verify_repmap(D, r).r2
+            assert got == check_r2_oracle(D, r) and not got.ok
+            assert domains == list(range(got.witness[0] + 1))
+            swept += len(domains) > 1
+    assert swept > 20
+
+
+def copied_image_ball_18_3_map():
+    """B(18,3) and its built map with one concept given another's image:
+    the second draw of `random.Random(1)`, whose sweep over domains took
+    15.7 s to the witness (98308, 0) on a 2-CPU host (Python 3.11)."""
+    C = generate.hamming_ball(18, 3)
+    r = repmap.build_maximum_repmap(C)
+    rng = random.Random(1)
+    rng.sample(C.concepts, 2)
+    a, b = rng.sample(C.concepts, 2)
+    return C, {**r, a: r[b]}
+
+
+def test_r2_witness_of_a_copied_image_ball_18_3_map():
+    C, r = copied_image_ball_18_3_map()
+    start = time.perf_counter()
+    rep = repmap.verify_repmap(C, r)
+    assert time.perf_counter() - start < 3
+    assert rep.r2 == repmap.Check(False, (98308, 0))
+    assert rep.bijective == repmap.Check(False, 98308)
 
 
 def test_bijection_witness_is_the_first_repeated_image():

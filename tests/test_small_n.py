@@ -71,9 +71,11 @@ def check_against_the_oracles(C, rng):
     o = repmap.peeling_to_uso(C, order)
     maps = [o]
     if C.size > 1:
-        # two images swapped, then one concept given another's image
+        # two images swapped, one concept given another's image, and random
+        # images for half of the concepts
         a, b = rng.sample(C.concepts, 2)
-        maps += [{**o, a: o[b], b: o[a]}, {**o, a: o[b]}]
+        maps += [{**o, a: o[b], b: o[a]}, {**o, a: o[b]},
+                 {**o, **{c: rng.randrange(1 << N) for c in rng.sample(C.concepts, C.size // 2)}}]
     for r in maps:
         rep = repmap.verify_repmap(C, r)
         p1 = first_pair_oracle(C, r, operator.or_)
