@@ -11,12 +11,17 @@ from .core import ConceptClass, bits_of, full_mask, popcount
 from .errors import ContractError, DomainError
 
 
+# Each generator checks the width before it enumerates any concept, so that
+# a width past 24 is refused at once rather than after filling memory.
+
 def cube_class(n: int) -> ConceptClass:
+    core._check_domain_width(n)
     return ConceptClass(n, tuple(range(1 << n)))
 
 
 def hamming_ball(n: int, d: int) -> ConceptClass:
     """All concepts of weight at most d; maximum of VC-dimension d."""
+    core._check_domain_width(n)
     if not 0 <= d <= n:
         raise ContractError(f"radius {d} outside 0..{n}")
     # enumerated by weight, never scanning all 2^n masks; ConceptClass sorts
@@ -28,6 +33,7 @@ def hamming_ball(n: int, d: int) -> ConceptClass:
 def simplicial_class(n: int, facets) -> ConceptClass:
     """Characteristic vectors of all faces of the complex generated by the
     given facets (coordinate sets): a bouquet of cubes glued at the origin."""
+    core._check_domain_width(n)
     for f in facets:
         if f & ~full_mask(n):
             raise ContractError("facet outside domain")
@@ -46,6 +52,7 @@ def random_ample(n: int, size: int, seed: int,
     cubes, and the cubes gained by adding t all pass through t; so with the
     class so far within the cap, adding t keeps it there iff no cube through
     t is larger than max_dim."""
+    core._check_domain_width(n)
     if size < 1 or size > 1 << n:
         raise ContractError("size out of range")
     rng = random.Random(seed)

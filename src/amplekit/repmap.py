@@ -12,7 +12,8 @@ from collections import Counter
 from itertools import accumulate, chain
 from typing import NamedTuple, Optional
 
-# `shatter` and `matching` are imported where used: `repmap verify` loads neither
+# `shatter` and `matching` are imported where used: `repmap verify` on an
+# ample class loads neither
 from . import core, graph
 from .core import ConceptClass, Cube, bit, bits_of, coords, popcount
 from .errors import ContractError, IntegrityError
@@ -74,47 +75,50 @@ def _check_pairs(C: ConceptClass, r: RepMap) -> tuple[Check, Check, Check]:
 def _check_r2(C: ConceptClass, r: RepMap, tags: dict) -> Check:
     """Unique reconstruction: for every sample domain Y, each realized pattern
     has exactly one consistent concept with r(c) ⊆ Y (`core._decodings`).
-    The witness is the first (Y, pattern) in a sweep of the domains in
-    numeric order, patterns in `_decodings` order; `tags` is
-    `graph.cube_tags(C)`.
+    The witness is the first (Y, pattern) over the domains in numeric
+    order, patterns in `_decodings` order; `tags` is `graph.cube_tags(C)`.
 
-    When C is ample, that is |X(C)| = |C|, no sweep is run.  Let Z* be the
-    least set Z with #r⁻¹(Z) ≠ [Z ∈ X(C)], or 2^n if there is none (r is a
-    bijection onto X(C)).  For every Y the restriction of C to Y is ample
-    with shattered sets X(C) ∩ 2^Y, so C realizes |X(C) ∩ 2^Y| patterns on
-    Y, while the concepts with r(c) ⊆ Y number Σ_{Z ⊆ Y} #r⁻¹(Z).  Every
-    subset of Y is numerically at most Y, so the two counts agree on every
-    Y < Z* and differ at Z*, which therefore fails.  Below Z*, a pattern
-    with no decoding exists at Y exactly when a pattern with two does, that
-    is when Y contains r(c) | r(d) and misses c ^ d for some pair c ≠ d.
-    Such a pair clashes in R1's sense, (c ^ d) & (r(c) | r(d)) = 0, and
-    conversely a clashing pair fails at Y = r(c) | r(d).  So the first
-    failing Y is the least of Z* and the unions over the clashing pairs,
-    and its witness is read at that Y alone.  The least union below Z* is
-    found scanning the concepts in ascending r(d) against the ones before,
-    up to the first r(d) at or above the best so far, since every later
-    union is at least r(d).  A class that is not ample is swept.
+    The witness is read at one domain, on every class.  Let sh(C) be the
+    shattered sets: `tags.keys()` when |X(C)| = |C|, by the sandwich lemma
+    as in `shatter._complexes`, and the shattering scan otherwise.  Let Z*
+    be the least set Z with #r⁻¹(Z) ≠ [Z ∈ sh(C)], or 2^n if there is none,
+    and U the least union r(c) | r(d) over the pairs c ≠ d that clash,
+    (c ^ d) & (r(c) | r(d)) = 0, or 2^n.  For every Y below min(Z*, U),
+    every Z ⊆ Y is at most Y, so #r⁻¹(Z) = [Z ∈ sh(C)] and the concepts
+    with r(c) ⊆ Y number |sh(C) ∩ 2^Y|, which is at least the number of
+    patterns |C|_Y| by Pajor's lemma, as sh(C|_Y) = sh(C) ∩ 2^Y.  Two
+    decodings of one pattern at Y would be a clashing pair with union
+    inside Y; there is none, so every pattern has exactly one decoding.
+    At Z*, the decodings number |sh(C) ∩ 2^Z*| - [Z* ∈ sh(C)] + #r⁻¹(Z*):
+    one short of the 2^|Z*| patterns when Z* is shattered and has no
+    preimage, and more than |C|_Z*| patterns otherwise; at U two concepts
+    decode one pattern.  So min(Z*, U) is the first failing domain, and its
+    witness is the first failing pattern there.  A map that passes thus has
+    #r⁻¹ = [· ∈ sh(C)], hence |C| = |sh(C)|: every map on a class that is
+    not ample fails R2.  The least union below Z* is found scanning the
+    concepts in ascending r(d) against the ones before, up to the first
+    r(d) at or above the best so far, since every later union is at least
+    r(d).
     """
-    domains = range(1 << C.n)
-    if len(tags) == len(C):
-        counts = Counter(r.values())
-        best = min((Z for Z in counts.keys() | tags.keys() if counts[Z] != (Z in tags)),
-                   default=1 << C.n)
-        order = sorted(C.concepts, key=r.__getitem__)
-        for i, d in enumerate(order):
-            rd = r[d]
-            if rd >= best:
-                break
-            for c in order[:i]:
-                u = r[c] | rd
-                if u < best and not (c ^ d) & u:
-                    best = u
-        domains = domains[best:best + 1]
-    for Y in domains:
-        for pat, hits in core._decodings(C.concepts, r, Y).items():
-            if len(hits) != 1:
-                return Check(False, (Y, pat))
-    return Check(True)
+    sh = tags.keys()
+    if len(sh) < len(C):    # not ample, so sh(C) is not X(C)
+        from . import shatter
+        sh = shatter._shattered_sets(C)
+    counts = Counter(r.values())
+    best = min((Z for Z in counts.keys() | sh if counts[Z] != (Z in sh)), default=1 << C.n)
+    order = sorted(C.concepts, key=r.__getitem__)
+    for i, d in enumerate(order):
+        rd = r[d]
+        if rd >= best:
+            break
+        for c in order[:i]:
+            u = r[c] | rd
+            if u < best and not (c ^ d) & u:
+                best = u
+    if best >> C.n:
+        return Check(True)
+    hits = core._decodings(C.concepts, r, best)
+    return Check(False, (best, next(pat for pat, cs in hits.items() if len(cs) != 1)))
 
 
 def _check_c1(C: ConceptClass, r: RepMap, tags: dict) -> Check:
@@ -177,7 +181,7 @@ def _check_c2(C: ConceptClass, r: RepMap, tags: dict) -> Check:
 def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> RepMapReport:
     """Every check, each with its first witness; `tags` is
     `graph.cube_tags(C)` when the caller already has it.  R2 reads one
-    domain when C is ample and sweeps them otherwise (`_check_r2`)."""
+    domain on every class (`_check_r2`)."""
     _check_total(C, r)
     if tags is None:
         tags = graph.cube_tags(C)

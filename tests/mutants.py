@@ -34,6 +34,8 @@ IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
 
 ORBITS = "tests/test_small_n.py::test_each_ample_orbit_and_its_complement_match_the_oracles_on_n4"
 R2_SWEEPS = "tests/test_repmap.py::test_r2_and_r3_match_their_sweeps"
+R2_ONE_DOMAIN = "tests/test_repmap.py::test_r2_reads_one_domain_of_every_class"
+R2_NOT_AMPLE = "tests/test_repmap.py::test_every_map_on_a_class_that_is_not_ample_fails_r2"
 
 
 class Mutant(NamedTuple):
@@ -57,15 +59,18 @@ MUTANTS = (
     Mutant("file-width-from-0", "src/amplekit/core.py",
            "    if not 1 <= n <= MAX_WIDTH:\n", "    if not 0 <= n <= MAX_WIDTH:\n",
            ("tests/test_repmap.py::test_repmap_parse_refuses_a_given_width_outside_1_to_24",)),
-    # R2 on an ample class starts its scan above every set, not at Z*
+    # R2 starts its scan above every set, not at Z*
     Mutant("r2-scan-from-the-top", "src/amplekit/repmap.py",
-           "        best = min((Z for Z in counts.keys() | tags.keys() if counts[Z] != (Z in tags)),\n"
-           "                   default=1 << C.n)\n",
-           "        best = 1 << C.n\n",
+           "    best = min((Z for Z in counts.keys() | sh if counts[Z] != (Z in sh)),"
+           " default=1 << C.n)\n",
+           "    best = 1 << C.n\n",
            (R2_SWEEPS, ORBITS)),
-    # Z* counts only images that occur twice, not images that miss X(C)
+    # Z* counts only images that occur twice, not images that miss sh(C)
     Mutant("r2-odd-set-only-repeated-images", "src/amplekit/repmap.py",
-           "counts[Z] != (Z in tags)", "counts[Z] > 1", (R2_SWEEPS, ORBITS)),
+           "counts[Z] != (Z in sh)", "counts[Z] > 1", (R2_SWEEPS, ORBITS)),
+    # R2 takes X(C) for sh(C) on every class, ample or not
+    Mutant("r2-cube-supports-as-shattered-sets", "src/amplekit/repmap.py",
+           "    if len(sh) < len(C):", "    if False:", (R2_ONE_DOMAIN, R2_NOT_AMPLE)),
 )
 
 

@@ -12,7 +12,8 @@ import pytest
 from amplekit import cli, core, generate, repmap
 from amplekit.core import ConceptClass
 
-from test_repmap import copied_image_ball_18_3_map, isr_all_pairs_oracle
+from test_repmap import (ball_with_two_concepts_on_top, copied_image_ball_18_3_map,
+                         isr_all_pairs_oracle)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -164,6 +165,17 @@ def test_repmap_verify_of_a_copied_image_ball_18_3_map(capsys, tmp_path):
     code, out, err = run(capsys, "repmap", "verify", str(cls), "--repmap", str(rp))
     assert (code, err) == (1, "")
     assert out == "r1=0\nr2=0\nr3=0\nr4=0\nbijective=0\nc1=0\nc2=0\nvalid=0\n"
+
+
+def test_repmap_verify_on_a_wide_class_that_is_not_ample(capsys, tmp_path):
+    # the sweep over domains took about 19 s to reach R2's witness
+    C, r = ball_with_two_concepts_on_top(20)
+    cls, rp = tmp_path / "top.txt", tmp_path / "top.rep"
+    core.write_class_file(str(cls), C)
+    rp.write_text(repmap.format_repmap(r, C.n))
+    code, out, err = run(capsys, "repmap", "verify", str(cls), "--repmap", str(rp))
+    assert (code, err) == (1, "")
+    assert out == "r1=1\nr2=0\nr3=1\nr4=1\nbijective=0\nc1=0\nc2=1\nvalid=0\n"
 
 
 NOT_INJECTIVE = "000 -> 000\n100 -> 000\n"

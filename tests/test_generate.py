@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from amplekit.errors import ContractError, DomainError
 
 from classes import is_isometric_oracle
 from downsets import random_downset_class
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_cube():
@@ -196,6 +202,28 @@ def test_generate_dispatches_on_kind():
     for n in (0, core.MAX_WIDTH + 1):
         with pytest.raises(DomainError, match=f"width {n} outside"):
             generate.generate("cube", n, 0, 0, 0, ())
+
+
+@pytest.mark.parametrize("call", ["cube_class(25)", "hamming_ball(25, 12)",
+                                  "simplicial_class(25, [2**25 - 1])",
+                                  "random_ample(25, 2**24, 1)"])
+def test_generators_refuse_a_width_past_24_before_they_enumerate(call):
+    # each of these enumerated, or grew, into a MemoryError under 512 MB
+    # before the width was read
+    resource = pytest.importorskip("resource")
+    limit = 512 << 20
+    code = ("import time\n"
+            "from amplekit import generate\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            f"    generate.{call}\n"
+            "except Exception as e:\n"
+            "    print(type(e).__name__, e, time.perf_counter() - start < 0.5)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.stdout, proc.stderr) == ("DomainError domain width 25 outside 0..24 True\n", "")
 
 
 def test_batch_row_and_csv():

@@ -12,7 +12,7 @@ from amplekit import core, generate, graph, matching, peeling, repmap, shatter
 from amplekit.core import ConceptClass, Cube, bit, mask_of
 from amplekit.errors import ContractError, IntegrityError, ParseError
 
-from classes import ample_classes, cc
+from classes import all_classes, ample_classes, cc
 
 
 PATH3 = cc("00", "01", "10")          # {00, 01, 10}
@@ -221,11 +221,11 @@ def non_bijection_cases(seed):
 
 def test_r2_and_r3_match_their_sweeps():
     """R2 with its witness, and R3's verdict, against the sweeps they
-    replace; each R3 witness is a real collision on its cube.  A map on an
-    ample class takes R2 at one domain, from its clashing pairs and Z*, its
-    least set whose preimages are not [Z ∈ X(C)]; a map on a class that is
-    not ample, from the sweep.  Every map of an ample class that is not a
-    bijection onto X(C) fails R2."""
+    replace; each R3 witness is a real collision on its cube.  Every map
+    takes R2 at one domain, from its clashing pairs and Z*, its least set
+    whose preimages are not [Z ∈ sh(C)], which is X(C) on an ample class.
+    Every map of an ample class that is not a bijection onto X(C) fails
+    R2."""
     seen, failing_bijections, at_odd_set, below_it = set(), 0, 0, 0
     for C, r in itertools.chain(map_cases(23), bijection_cases(31), non_bijection_cases(41)):
         rep = repmap.verify_repmap(C, r)
@@ -291,21 +291,23 @@ def test_r2_witness_of_a_swapped_ball_18_3_map():
     assert rep.bijective.ok and not rep.r1.ok
 
 
-def test_r2_reads_one_domain_of_an_ample_class_and_sweeps_any_other(monkeypatch):
+def test_r2_reads_one_domain_of_every_class(monkeypatch):
+    """`_check_r2` calls `core._decodings` at most once, at its witness's
+    domain, on ample classes and on classes that are not ample alike."""
     decodings = core._decodings
     domains = []
     monkeypatch.setattr(core, "_decodings",
                         lambda cs, r, Y: domains.append(Y) or decodings(cs, r, Y))
+    not_ample = 0
     for C, r in itertools.chain(map_cases(23), non_bijection_cases(41)):
-        if not shatter.is_ample(C)[0]:
-            continue
         domains.clear()
         got = repmap.verify_repmap(C, r).r2
-        assert len(domains) <= 1
         assert domains == ([] if got.ok else [got.witness[0]])
+        not_ample += not shatter.is_ample(C)[0]
+    assert not_ample > 10
     # an ample class's out-map, with one concept added that makes the class
     # not ample and is given the whole domain as its image
-    swept = 0
+    classes = above_zero = 0
     for n in (4, 5, 6):
         C = generate.random_ample(n, 1 << (n - 2), n)
         o = repmap.peeling_to_uso(C, peeling.corner_peeling_search(C).ordering)
@@ -317,9 +319,63 @@ def test_r2_reads_one_domain_of_an_ample_class_and_sweeps_any_other(monkeypatch)
             domains.clear()
             got = repmap.verify_repmap(D, r).r2
             assert got == check_r2_oracle(D, r) and not got.ok
-            assert domains == list(range(got.witness[0] + 1))
-            swept += len(domains) > 1
-    assert swept > 20
+            assert domains == [got.witness[0]]
+            classes += 1
+            above_zero += got.witness[0] > 0
+    # a sweep would have read more than one domain in over 20 of them
+    assert classes == 60 and above_zero > 20
+
+
+def ample_subclass_map(D, rng):
+    """A map of D that is a representation map on an ample subclass: the
+    concepts of D in a seeded order, each kept when the class kept so far
+    stays ample, the kept class given its peeling's out-map, and the others
+    distinct shattered sets of D that the out-map leaves unused."""
+    order = rng.sample(D.concepts, D.size)
+    kept = order[:1]
+    for c in order[1:]:
+        if shatter.is_ample(ConceptClass(D.n, kept + [c]))[0]:
+            kept.append(c)
+    A = ConceptClass(D.n, kept)
+    o = repmap.peeling_to_uso(A, peeling.corner_peeling_search(A).ordering)
+    unused = sorted(shatter._shattered_sets(D) - set(o.values()))
+    rest = [c for c in D if c not in o]
+    return {**o, **dict(zip(rest, rng.sample(unused, len(rest))))}
+
+
+def test_every_map_on_a_class_that_is_not_ample_fails_r2():
+    """A map passing R2 has #r⁻¹(Z) = [Z ∈ sh(C)] for every Z, so |C| =
+    |sh(C)|: every map fails on a class that is not ample.  Every total map
+    on every such class with n ≤ 2, and seeded maps on every such 3-class:
+    random, injective into sh(C), and an ample subclass's out-map extended
+    by unused shattered sets.  Each witness is the sweep oracle's."""
+    pairs = top = 0
+    for n in (1, 2):
+        for D in all_classes(n):
+            if shatter.is_ample(D)[0]:
+                continue
+            for images in itertools.product(range(1 << n), repeat=D.size):
+                r = dict(zip(D.concepts, images))
+                got = repmap.verify_repmap(D, r).r2
+                assert not got.ok and got == check_r2_oracle(D, r), (D, r)
+                pairs += 1
+    assert pairs == 32
+    rng = random.Random(37)
+    for D in all_classes(3):
+        if shatter.is_ample(D)[0]:
+            continue
+        sh = sorted(shatter._shattered_sets(D))
+        maps = [{c: rng.randrange(8) for c in D} for _ in range(6)]
+        maps += [dict(zip(D.concepts, rng.sample(sh, D.size))) for _ in range(6)]
+        maps += [ample_subclass_map(D, rng) for _ in range(3)]
+        for r in maps:
+            got = repmap.verify_repmap(D, r).r2
+            assert not got.ok and got == check_r2_oracle(D, r), (D, r)
+            pairs += 1
+            top += got.witness[0] >= 1 << 2
+    # 128 classes on n = 3 that are not ample; witnesses at or above the
+    # top coordinate, the half of the domains a sweep reads last
+    assert pairs == 32 + 128 * 15 and top > 150
 
 
 def copied_image_ball_18_3_map():
@@ -341,6 +397,29 @@ def test_r2_witness_of_a_copied_image_ball_18_3_map():
     assert time.perf_counter() - start < 3
     assert rep.r2 == repmap.Check(False, (98308, 0))
     assert rep.bijective == repmap.Check(False, 98308)
+
+
+def ball_with_two_concepts_on_top(n):
+    """A class that is not ample: B(n-1,2) on width n, plus {n} and {1,2,n},
+    mapped by B(n-1,2)'s built map with {n} -> {n} and {1,2,n} -> {1,n}.
+    Its shattered set {2,n} has no preimage, so R2 first fails at the
+    domain {2,n}, numbered 2^(n-1) + 2, which a sweep over the domains
+    took 15–21 s to reach at n = 20 on a 2-CPU host (Python 3.11)."""
+    B = generate.hamming_ball(n - 1, 2)
+    top, extra = bit(n), mask_of([1, 2, n])
+    C = ConceptClass(n, B.concepts + (top, extra))
+    return C, {**repmap.build_maximum_repmap(B), top: top, extra: mask_of([1, n])}
+
+
+def test_r2_witness_on_a_wide_class_that_is_not_ample():
+    C, r = ball_with_two_concepts_on_top(20)
+    assert not shatter.is_ample(C)[0]
+    start = time.perf_counter()
+    rep = repmap.verify_repmap(C, r)
+    assert time.perf_counter() - start < 3
+    assert rep.r2 == repmap.Check(False, (524290, 524290))
+    assert rep.bijective == repmap.Check(False, 524289)
+    assert rep.c1 == repmap.Check(False, 524291)
 
 
 def test_bijection_witness_is_the_first_repeated_image():
