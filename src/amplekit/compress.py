@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import core
-from .core import ConceptClass, _Frozen, _setfield, coords, popcount
+from .core import ConceptClass, _Frozen, _setfield, bits_of, coords, popcount
 from .errors import ContractError, DecodeError, IntegrityError, ParseError
 
 
@@ -103,52 +103,58 @@ class SchemeReport(NamedTuple):
     samples_checked: int
     witness: Optional[Sample] = None
     reason: str = ""
-    sampled: bool = False       # True when only a seeded selection of domains ran
 
 
-_FULL_ENUM_CAP = 12
-_SAMPLE_SEED = 0          # seeds the domains drawn above the cap
-_SAMPLED_DOMAINS = 2048   # draws, with the full and the empty domain added
+def _supersets_below(R: int, T: int) -> int:
+    """#{Y < T : Y ⊇ R}.  Such a Y first differs from T at a coordinate b
+    of T, which Y lacks: b is not in R, R's coordinates above b are in T,
+    and the coordinates below b not in R are free."""
+    return sum(1 << (b.bit_length() - 1 - popcount(R & (b - 1)))
+               for b in bits_of(T) if not R & (~T | b) & -b)
 
 
 def verify_scheme(scheme: CompressionScheme) -> SchemeReport:
     """Round-trip every realizable sample of the scheme's class: γ(s)
-    exists and is unique, and |α(s)| ≤ vc_dim.  All domains are enumerated
-    for n ≤ 12, a seeded selection above (the report's `sampled` flag says
-    which).
+    exists and is unique (R2, `repmap._check_r2`), and |α(s)| ≤ d =
+    vc_dim.  The report is that of the loop over every domain Y in numeric
+    order, each pattern in `core._decodings` order, up to the first failing
+    sample; the loop runs at one domain, exact at every width.
+
+    Let Y* be R2's first failing domain, or 2^n if R2 holds.  An image
+    r(c) with |r(c)| > d is not shattered yet has a preimage, so R2 fails
+    at or below it (`_check_r2`'s Z*).  Below Y* every pattern decodes
+    uniquely, and a decoding g at Y has r(g) ⊆ Y, so r(g) ≤ Y < Y* and
+    |r(g)| ≤ d: no sample fails below Y*, and one fails at Y*, where R2
+    does.  So the loop runs at Y* alone, and a map that passes R2 passes.
+    Below Y*, each pattern at Y has one decoding, and each c with
+    r(c) ⊆ Y decodes its own pattern, so the samples at Y number
+    #{c : r(c) ⊆ Y} and the decoded sizes are the |r(c)| with r(c) < Y*.
+    Hence `samples_checked` is Σ_c #{Y < Y* : Y ⊇ r(c)} plus the patterns
+    scanned at Y*, Σ_c 2^(n - |r(c)|) on a pass; and `max_size` is the
+    largest |r(c)| with r(c) < Y* or scanned at Y*.
 
     The rest of the round trip holds by construction: γ(s) = g has
     r(g) ⊆ dom(s), so α(s) = r(g) ⊆ dom(s); and the scheme's inverse is the
     exact inverse of r, so β(α(s)) = g, which is consistent with s.
     """
-    import random
-
-    from . import shatter
+    from . import graph, repmap
 
     C, r = scheme.C, scheme.r
-    d = shatter.vc_dim(C)
-    sampled = C.n > _FULL_ENUM_CAP
-    if not sampled:
-        domains = range(1 << C.n)
-    else:
-        rng = random.Random(_SAMPLE_SEED)
-        domains = {rng.randrange(1 << C.n) for _ in range(_SAMPLED_DOMAINS)}
-        domains.add(C.domain_mask)
-        domains.add(0)
-    max_size = 0
-    checked = 0
-
-    def fail(dom: int, pat: int, reason: str) -> SchemeReport:
-        return SchemeReport(False, max_size, checked, Sample(dom, pat), reason, sampled)
-
-    for dom in domains:
-        for pat, hits in core._decodings(C.concepts, r, dom).items():
-            checked += 1
-            if len(hits) != 1:
-                return fail(dom, pat, "ambiguous reconstruction" if hits
-                            else "no reconstruction")
-            size = popcount(r[hits[0]])
-            if size > d:
-                return fail(dom, pat, "compressed set too large")
-            max_size = max(max_size, size)
-    return SchemeReport(True, max_size, checked, sampled=sampled)
+    sh = graph._shattered(C, graph.cube_tags(C).keys())
+    r2 = repmap._check_r2(C, r, sh)
+    Y = r2.witness[0] if not r2.ok else 1 << C.n
+    max_size = max((popcount(v) for v in r.values() if v < Y), default=0)
+    checked = sum(_supersets_below(v, Y) for v in r.values())
+    if r2.ok:
+        return SchemeReport(True, max_size, checked)
+    d = max(map(popcount, sh))
+    for checked, (pat, hits) in enumerate(core._decodings(C.concepts, r, Y).items(),
+                                          checked + 1):
+        if len(hits) != 1:
+            reason = "ambiguous reconstruction" if hits else "no reconstruction"
+        elif popcount(r[hits[0]]) > d:
+            reason = "compressed set too large"
+        else:
+            max_size = max(max_size, popcount(r[hits[0]]))
+            continue
+        return SchemeReport(False, max_size, checked, Sample(Y, pat), reason)

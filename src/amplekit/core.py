@@ -336,8 +336,7 @@ def twist(C: ConceptClass, Y: int) -> ConceptClass:
 def product(C: ConceptClass, D: ConceptClass) -> ConceptClass:
     """Cartesian product; D's coordinates are relabelled to C.n+1 .. C.n+D.n."""
     n = C.n + D.n
-    if n > MAX_WIDTH:
-        raise DomainError(f"product domain width {n} exceeds {MAX_WIDTH}")
+    _check_domain_width(n)
     cs = tuple(c | (d << C.n) for c in C for d in D)
     return ConceptClass(n, cs)
 

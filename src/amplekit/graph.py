@@ -72,6 +72,19 @@ def _ample_tags(C: ConceptClass, message: str) -> dict:
     return tags
 
 
+def _shattered(C: ConceptClass, st):
+    """sh(C), given st = X(C)'s supports (a set, or `cube_tags(C).keys()`).
+
+    By the sandwich lemma st(C) ⊆ sh(C) and |st(C)| ≤ |C| ≤ |sh(C)|, and C is
+    ample iff |st(C)| = |C|, in which case sh(C) = st(C).  So sh(C) is st
+    whenever that has |C| members, and only a class that falls short pays
+    for the shattering scan."""
+    if len(st) == C.size:
+        return st
+    from . import shatter
+    return shatter._shattered_sets(C)
+
+
 def split_tags(tags: dict, xb: int) -> tuple[dict, dict]:
     """The cube complexes of the reduction C^x and the restriction C_x of an
     ample class C, over C's own coordinates, read off C's `tags`.

@@ -72,16 +72,15 @@ def _check_pairs(C: ConceptClass, r: RepMap) -> tuple[Check, Check, Check]:
     return Check(r1 is None, r1), Check(False, (core.interval(*r4), *r4)), Check(False, r4)
 
 
-def _check_r2(C: ConceptClass, r: RepMap, tags: dict) -> Check:
+def _check_r2(C: ConceptClass, r: RepMap, sh) -> Check:
     """Unique reconstruction: for every sample domain Y, each realized pattern
     has exactly one consistent concept with r(c) ⊆ Y (`core._decodings`).
     The witness is the first (Y, pattern) over the domains in numeric
-    order, patterns in `_decodings` order; `tags` is `graph.cube_tags(C)`.
+    order, patterns in `_decodings` order; `sh` is sh(C), the shattered
+    sets, from `graph._shattered`.
 
-    The witness is read at one domain, on every class.  Let sh(C) be the
-    shattered sets: `tags.keys()` when |X(C)| = |C|, by the sandwich lemma
-    as in `shatter._complexes`, and the shattering scan otherwise.  Let Z*
-    be the least set Z with #r⁻¹(Z) ≠ [Z ∈ sh(C)], or 2^n if there is none,
+    The witness is read at one domain, on every class.  Let Z* be the
+    least set Z with #r⁻¹(Z) ≠ [Z ∈ sh(C)], or 2^n if there is none,
     and U the least union r(c) | r(d) over the pairs c ≠ d that clash,
     (c ^ d) & (r(c) | r(d)) = 0, or 2^n.  For every Y below min(Z*, U),
     every Z ⊆ Y is at most Y, so #r⁻¹(Z) = [Z ∈ sh(C)] and the concepts
@@ -100,10 +99,6 @@ def _check_r2(C: ConceptClass, r: RepMap, tags: dict) -> Check:
     r(d) at or above the best so far, since every later union is at least
     r(d).
     """
-    sh = tags.keys()
-    if len(sh) < len(C):    # not ample, so sh(C) is not X(C)
-        from . import shatter
-        sh = shatter._shattered_sets(C)
     counts = Counter(r.values())
     best = min((Z for Z in counts.keys() | sh if counts[Z] != (Z in sh)), default=1 << C.n)
     order = sorted(C.concepts, key=r.__getitem__)
@@ -189,7 +184,7 @@ def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> Re
     r1, r3, r4 = _check_pairs(C, r)
     return RepMapReport(
         r1=r1,
-        r2=_check_r2(C, r, tags),
+        r2=_check_r2(C, r, graph._shattered(C, tags.keys())),
         r3=r3,
         r4=r4,
         bijective=bij,

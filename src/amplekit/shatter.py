@@ -101,17 +101,10 @@ def _strongly_shattered_sets(C: ConceptClass) -> set:
 
 
 def _complexes(C: ConceptClass) -> tuple[set, set]:
-    """(shattered, strongly shattered) coordinate sets of C.
-
-    By the sandwich lemma st(C) ⊆ sh(C) and |st(C)| ≤ |C| ≤ |sh(C)|, and C is
-    ample iff |st(C)| = |C|, in which case sh(C) = st(C).  So the shattered
-    complex is read off the cube complex whenever that has |C| members, and
-    only a class that falls short pays for the shattering scan.
-    """
+    """(shattered, strongly shattered) coordinate sets of C; the shattered
+    ones by `graph._shattered`."""
     st = _strongly_shattered_sets(C)
-    if len(st) == C.size:
-        return st, st
-    return _shattered_sets(C), st
+    return graph._shattered(C, st), st
 
 
 def shattered_complex(C: ConceptClass) -> SetFamily:

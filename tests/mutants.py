@@ -36,6 +36,9 @@ ORBITS = "tests/test_small_n.py::test_each_ample_orbit_and_its_complement_match_
 R2_SWEEPS = "tests/test_repmap.py::test_r2_and_r3_match_their_sweeps"
 R2_ONE_DOMAIN = "tests/test_repmap.py::test_r2_reads_one_domain_of_every_class"
 R2_NOT_AMPLE = "tests/test_repmap.py::test_every_map_on_a_class_that_is_not_ample_fails_r2"
+SCHEME = "tests/test_compress.py::test_verify_scheme_equals_the_enumeration_oracle"
+SCHEME_OVERSIZE = ("tests/test_compress.py::"
+                   "test_verify_scheme_equals_the_enumeration_oracle_on_oversize_images")
 
 
 class Mutant(NamedTuple):
@@ -68,9 +71,15 @@ MUTANTS = (
     # Z* counts only images that occur twice, not images that miss sh(C)
     Mutant("r2-odd-set-only-repeated-images", "src/amplekit/repmap.py",
            "counts[Z] != (Z in sh)", "counts[Z] > 1", (R2_SWEEPS, ORBITS)),
-    # R2 takes X(C) for sh(C) on every class, ample or not
-    Mutant("r2-cube-supports-as-shattered-sets", "src/amplekit/repmap.py",
-           "    if len(sh) < len(C):", "    if False:", (R2_ONE_DOMAIN, R2_NOT_AMPLE)),
+    # sh(C) is taken as X(C) on every class, ample or not
+    Mutant("r2-cube-supports-as-shattered-sets", "src/amplekit/graph.py",
+           "    if len(st) == C.size:", "    if True:", (R2_ONE_DOMAIN, R2_NOT_AMPLE)),
+    # the scheme's count takes the supersets Y <= Y*, not Y < Y*
+    Mutant("scheme-count-up-to-the-failing-domain", "src/amplekit/compress.py",
+           "_supersets_below(v, Y)", "_supersets_below(v, Y + 1)", (SCHEME,)),
+    # the scheme checks no size bound at its failing domain
+    Mutant("scheme-no-size-bound", "src/amplekit/compress.py",
+           "        elif popcount(r[hits[0]]) > d:", "        elif False:", (SCHEME_OVERSIZE,)),
 )
 
 

@@ -160,16 +160,19 @@ def test_verify_scheme_maximum_classes():
         assert report.ok and report.max_size == d
 
 
-@pytest.mark.parametrize("n, sampled", [(3, False), (12, False), (13, True)])
-def test_verify_scheme_says_when_domains_were_sampled(n, sampled):
-    C = generate.hamming_ball(n, 1)
+@pytest.mark.parametrize("n", [13, 16])
+def test_verify_scheme_is_exact_above_width_12(n):
+    # the 2^n domains were once enumerated up to n = 12 and sampled above:
+    # at n = 16 the sampling reported the domain {2,3,15,16}, not {1}
+    C = generate.hamming_ball(n, 3)
     r = repmap.build_maximum_repmap(C)
     report = compress.verify_scheme(compress.CompressionScheme(C, r))
-    assert report.ok and report.sampled is sampled
+    assert report == (True, 3, sum(1 << (n - core.popcount(v)) for v in r.values()), None, "")
     bad = dict(r)
     bad[bit(1)], bad[bit(2)] = r[bit(2)], r[bit(1)]
     report = compress.verify_scheme(compress.CompressionScheme(C, bad))
-    assert not report.ok and report.sampled is sampled
+    assert not report.ok
+    assert report.witness.dom == repmap.verify_repmap(C, bad).r2.witness[0]
 
 
 def verify_scheme_oracle(C, scheme):
@@ -181,7 +184,7 @@ def verify_scheme_oracle(C, scheme):
 
     def fail(dom, pat, reason):
         return compress.SchemeReport(False, max_size, checked,
-                                     compress.Sample(dom, pat), reason, False)
+                                     compress.Sample(dom, pat), reason)
 
     for dom in range(1 << C.n):
         candidates: dict = {}
@@ -204,6 +207,31 @@ def verify_scheme_oracle(C, scheme):
             if inv[a] & dom != pat:
                 return fail(dom, pat, "round trip mismatch")
             max_size = max(max_size, core.popcount(a))
+    return compress.SchemeReport(True, max_size, checked)
+
+
+def verify_scheme_enumeration_oracle(C, scheme):
+    """verify_scheme as it read every domain, for n ≤ 12: each domain in
+    numeric order, each pattern in `core._decodings` order, up to the first
+    failing sample."""
+    r = scheme.r
+    d = shatter.vc_dim(C)
+    max_size = 0
+    checked = 0
+
+    def fail(dom: int, pat: int, reason: str) -> compress.SchemeReport:
+        return compress.SchemeReport(False, max_size, checked, compress.Sample(dom, pat), reason)
+
+    for dom in range(1 << C.n):
+        for pat, hits in core._decodings(C.concepts, r, dom).items():
+            checked += 1
+            if len(hits) != 1:
+                return fail(dom, pat, "ambiguous reconstruction" if hits
+                            else "no reconstruction")
+            size = core.popcount(r[hits[0]])
+            if size > d:
+                return fail(dom, pat, "compressed set too large")
+            max_size = max(max_size, size)
     return compress.SchemeReport(True, max_size, checked)
 
 
@@ -263,6 +291,75 @@ def test_verify_scheme_matches_the_round_trip_loop():
                                   "compressed set too large")
         verdicts[got.ok] += 1
     assert verdicts[True] > 10 and verdicts[False] > 10
+
+
+def oversize_image_cases(seed):
+    """(class, injective map) pairs with n ≤ 7 whose first failing sample is
+    too large.  The least concept c takes an oversize image W, one of the
+    three least sets above vc_dim in size.  The shattered sets below W go,
+    in ascending order, to concepts off c's pattern on W, each drawn among
+    those that clash with no earlier pick at a union below W (a few tries);
+    the other concepts take sets above W.  So every domain below W
+    decodes uniquely (`repmap._check_r2`), and at W c's pattern comes
+    first, decoded by c alone."""
+    rng = random.Random(seed)
+    for n in range(3, 8):
+        for k in range(80):
+            if k % 2:
+                C = generate.random_ample(n, rng.randrange(3, min(1 << n, 16)), k)
+            else:
+                C = ConceptClass(n, rng.sample(range(1 << n), rng.randrange(3, min(1 << n, 12))))
+            sh = shatter._shattered_sets(C)
+            d = max(map(core.popcount, sh))
+            if d == n:
+                continue
+            W = rng.choice([W for W in range(1 << n) if core.popcount(W) > d][:3])
+            c, *rest = C.concepts
+            low = sorted(Z for Z in sh if Z < W)
+            for _ in range(30):
+                r = {}
+                for Z in low:
+                    fits = [e for e in rest if e & W != c & W and e not in r and all(
+                        (e ^ a) & (Z | r[a]) or Z | r[a] >= W for a in r)]
+                    if not fits:
+                        break
+                    r[rng.choice(fits)] = Z
+                else:
+                    others = [e for e in rest if e not in r]
+                    above = rng.sample(range(W + 1, 1 << n), len(others))
+                    yield C, {c: W, **r, **dict(zip(others, above))}
+                    break
+
+
+def test_verify_scheme_equals_the_enumeration_oracle(monkeypatch):
+    """The whole report, failures included, on every map, with the decoder
+    read at the witness's domain alone: once by R2, once by the scheme."""
+    decodings = core._decodings
+    domains = []
+    monkeypatch.setattr(core, "_decodings",
+                        lambda cs, r, Y: domains.append(Y) or decodings(cs, r, Y))
+    verdicts = {True: 0, False: 0}
+    for seed in range(6):
+        for C, r in injective_map_cases(seed):
+            scheme = compress.CompressionScheme(C, r)
+            domains.clear()
+            report = compress.verify_scheme(scheme)
+            assert domains == ([] if report.ok else [report.witness.dom] * 2)
+            assert report == verify_scheme_enumeration_oracle(C, scheme)
+            verdicts[report.ok] += 1
+    assert verdicts[True] > 200 and verdicts[False] > 300
+
+
+def test_verify_scheme_equals_the_enumeration_oracle_on_oversize_images():
+    cases = 0
+    for seed in range(6):
+        for C, r in oversize_image_cases(seed):
+            scheme = compress.CompressionScheme(C, r)
+            report = compress.verify_scheme(scheme)
+            assert report == verify_scheme_enumeration_oracle(C, scheme)
+            assert report.reason == "compressed set too large"
+            cases += 1
+    assert cases > 40
 
 
 def test_reconstruct_unique_matches_the_two_scans():

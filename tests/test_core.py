@@ -189,6 +189,14 @@ def test_product():
     assert P == ConceptClass(2, range(4))
 
 
+def test_product_refuses_a_wide_domain_by_the_class_width_rule():
+    # the product once raised its own "product domain width 25 exceeds 24"
+    with pytest.raises(DomainError) as got:
+        core.product(ConceptClass(12, (0,)), ConceptClass(13, (0,)))
+    assert str(got.value) == "domain width 25 outside 0..24"
+    assert core.product(ConceptClass(12, (0,)), ConceptClass(12, (1,))).n == 24
+
+
 # ---------------------------------------------------------------- carrier/tail
 
 def carrier(C: ConceptClass, x: int) -> Optional[ConceptClass]:

@@ -115,8 +115,7 @@ def test_records_keep_their_properties_and_equality():
     assert peeling.OrderingReport(True, True, True, True).all_equal
     assert peeling.OrderingReport(False, False, False, False).all_equal
     assert not peeling.OrderingReport(True, True, False, True).all_equal
-    assert compress.SchemeReport(True, 1, 5).sampled is False
-    assert compress.SchemeReport(True, 1, 5) == compress.SchemeReport(True, 1, 5, None, "", False)
+    assert compress.SchemeReport(True, 1, 5) == compress.SchemeReport(True, 1, 5, None, "")
     assert repmap.Check(True, (1, 2)) == repmap.Check(True, (1, 2)) != repmap.Check(True, (2, 1))
     sf = shatter.SetFamily(2, frozenset({0, 1}))
     assert len(sf) == sf.size == 2 and 1 in sf and 2 not in sf and sf.dim() == 1
@@ -130,7 +129,7 @@ def test_records_keep_their_properties_and_equality():
 @pytest.mark.parametrize("record", [
     repmap.Check(False, Cube(0, 1)),
     peeling.PeelingResult((1, 0), True, 2),
-    compress.SchemeReport(False, 1, 3, Sample(1, 1), "no reconstruction", True),
+    compress.SchemeReport(False, 1, 3, Sample(1, 1), "no reconstruction"),
 ])
 def test_records_copy_and_pickle(record):
     for other in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):

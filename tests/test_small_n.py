@@ -12,7 +12,7 @@ from amplekit import compress, core, peeling, repmap, shatter
 from amplekit.core import popcount
 
 from classes import all_classes
-from test_compress import verify_scheme_oracle
+from test_compress import verify_scheme_enumeration_oracle, verify_scheme_oracle
 from test_peeling import _recursive_search, classify_ordering_oracle, replay_collapse_oracle
 from test_repmap import check_r2_oracle, check_r3_oracle, first_pair_oracle
 
@@ -91,6 +91,7 @@ def check_against_the_oracles(C, rng):
         assert got.ok == want.ok
         if want.ok:
             assert got == want
+        assert got == verify_scheme_enumeration_oracle(C, scheme)
 
 
 def test_each_ample_orbit_and_its_complement_match_the_oracles_on_n4():
