@@ -115,17 +115,27 @@ def _supersets_below(R: int, T: int) -> int:
 
 def verify_scheme(scheme: CompressionScheme) -> SchemeReport:
     """Round-trip every realizable sample of the scheme's class: γ(s)
-    exists and is unique (R2, `repmap._check_r2`), and |α(s)| ≤ d =
-    vc_dim.  The report is that of the loop over every domain Y in numeric
-    order, each pattern in `core._decodings` order, up to the first failing
-    sample; the loop runs at one domain, exact at every width.
+    exists and is unique (R2), and |α(s)| ≤ d = vc_dim.  The report is
+    that of the loop over every domain Y in numeric order, each pattern in
+    `core._decodings` order, up to the first failing sample; the loop runs
+    at one domain, exact at every width.
 
-    Let Y* be R2's first failing domain, or 2^n if R2 holds.  An image
-    r(c) with |r(c)| > d is not shattered yet has a preimage, so R2 fails
-    at or below it (`_check_r2`'s Z*).  Below Y* every pattern decodes
-    uniquely, and a decoding g at Y has r(g) ⊆ Y, so r(g) ≤ Y < Y* and
-    |r(g)| ≤ d: no sample fails below Y*, and one fails at Y*, where R2
-    does.  So the loop runs at Y* alone, and a map that passes R2 passes.
+    The verdict is the certificate's, `repmap._certified` (bijection onto
+    X(C), C1 and C2), as in `certify_repmap`.  A certified map is a
+    representation map, so every sample decodes uniquely, to a g whose
+    r(g) is a set of X(C), of size at most d: the scheme passes.
+    Conversely a pass satisfies R2, so r is a non-clashing bijection onto
+    sh(C) = X(C) (`repmap._r2_domain`); each cube (t, Y) of C then has one
+    sink, γ of the pattern t on the complement of Y, which is C2, and C1
+    follows from C2 for a bijection onto X(C) (`certify_repmap`).  So R2's
+    domain is searched only on a map that fails, to locate the failure.
+
+    Let Y* be R2's first failing domain, or 2^n on a certified map.  An
+    image r(c) with |r(c)| > d is not shattered yet has a preimage, so R2
+    fails at or below it (`_r2_domain`'s Z*).  Below Y* every pattern
+    decodes uniquely, and a decoding g at Y has r(g) ⊆ Y, so r(g) ≤ Y < Y*
+    and |r(g)| ≤ d: no sample fails below Y*, and one fails at Y*, where R2
+    does.  So the loop runs at Y* alone, and not at all on a pass.
     Below Y*, each pattern at Y has one decoding, and each c with
     r(c) ⊆ Y decodes its own pattern, so the samples at Y number
     #{c : r(c) ⊆ Y} and the decoded sizes are the |r(c)| with r(c) < Y*.
@@ -140,12 +150,13 @@ def verify_scheme(scheme: CompressionScheme) -> SchemeReport:
     from . import graph, repmap
 
     C, r = scheme.C, scheme.r
-    sh = graph._shattered(C, graph.cube_tags(C).keys())
-    r2 = repmap._check_r2(C, r, sh)
-    Y = r2.witness[0] if not r2.ok else 1 << C.n
+    tags = graph.cube_tags(C)
+    # sh(C) is read only to locate the failure of a map that fails
+    sh = None if repmap._certified(C, r, tags) else graph._shattered(C, tags.keys())
+    Y = 1 << C.n if sh is None else repmap._r2_domain(C, r, sh)
     max_size = max((popcount(v) for v in r.values() if v < Y), default=0)
     checked = sum(_supersets_below(v, Y) for v in r.values())
-    if r2.ok:
+    if Y >> C.n:
         return SchemeReport(True, max_size, checked)
     d = max(map(popcount, sh))
     for checked, (pat, hits) in enumerate(core._decodings(C.concepts, r, Y).items(),

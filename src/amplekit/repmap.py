@@ -72,14 +72,13 @@ def _check_pairs(C: ConceptClass, r: RepMap) -> tuple[Check, Check, Check]:
     return Check(r1 is None, r1), Check(False, (core.interval(*r4), *r4)), Check(False, r4)
 
 
-def _check_r2(C: ConceptClass, r: RepMap, sh) -> Check:
-    """Unique reconstruction: for every sample domain Y, each realized pattern
-    has exactly one consistent concept with r(c) ⊆ Y (`core._decodings`).
-    The witness is the first (Y, pattern) over the domains in numeric
-    order, patterns in `_decodings` order; `sh` is sh(C), the shattered
-    sets, from `graph._shattered`.
+def _r2_domain(C: ConceptClass, r: RepMap, sh) -> int:
+    """R2's first failing domain, or 2^n when R2 holds.  R2 is unique
+    reconstruction: for every sample domain Y, each realized pattern has
+    exactly one consistent concept with r(c) ⊆ Y (`core._decodings`); `sh`
+    is sh(C), the shattered sets, from `graph._shattered`.
 
-    The witness is read at one domain, on every class.  Let Z* be the
+    The domain is found on every class without a sweep.  Let Z* be the
     least set Z with #r⁻¹(Z) ≠ [Z ∈ sh(C)], or 2^n if there is none,
     and U the least union r(c) | r(d) over the pairs c ≠ d that clash,
     (c ^ d) & (r(c) | r(d)) = 0, or 2^n.  For every Y below min(Z*, U),
@@ -91,13 +90,13 @@ def _check_r2(C: ConceptClass, r: RepMap, sh) -> Check:
     At Z*, the decodings number |sh(C) ∩ 2^Z*| - [Z* ∈ sh(C)] + #r⁻¹(Z*):
     one short of the 2^|Z*| patterns when Z* is shattered and has no
     preimage, and more than |C|_Z*| patterns otherwise; at U two concepts
-    decode one pattern.  So min(Z*, U) is the first failing domain, and its
-    witness is the first failing pattern there.  A map that passes thus has
-    #r⁻¹ = [· ∈ sh(C)], hence |C| = |sh(C)|: every map on a class that is
-    not ample fails R2.  The least union below Z* is found scanning the
-    concepts in ascending r(d) against the ones before, up to the first
-    r(d) at or above the best so far, since every later union is at least
-    r(d).
+    decode one pattern.  So min(Z*, U) is the first failing domain.  A map
+    that passes thus has #r⁻¹ = [· ∈ sh(C)] and no clashing pair, hence
+    |C| = |sh(C)|: every map on a class that is not ample fails R2, and a
+    map that passes is a non-clashing bijection onto sh(C) = X(C).  The
+    least union below Z* is found scanning the concepts in ascending r(d)
+    against the ones before, up to the first r(d) at or above the best so
+    far, since every later union is at least r(d).
     """
     counts = Counter(r.values())
     best = min((Z for Z in counts.keys() | sh if counts[Z] != (Z in sh)), default=1 << C.n)
@@ -110,10 +109,7 @@ def _check_r2(C: ConceptClass, r: RepMap, sh) -> Check:
             u = r[c] | rd
             if u < best and not (c ^ d) & u:
                 best = u
-    if best >> C.n:
-        return Check(True)
-    hits = core._decodings(C.concepts, r, best)
-    return Check(False, (best, next(pat for pat, cs in hits.items() if len(cs) != 1)))
+    return best
 
 
 def _check_c1(C: ConceptClass, r: RepMap, tags: dict) -> Check:
@@ -175,16 +171,21 @@ def _check_c2(C: ConceptClass, r: RepMap, tags: dict) -> Check:
 
 def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> RepMapReport:
     """Every check, each with its first witness; `tags` is
-    `graph.cube_tags(C)` when the caller already has it.  R2 reads one
-    domain on every class (`_check_r2`)."""
+    `graph.cube_tags(C)` when the caller already has it.  R2's witness is
+    the first (Y, pattern) over the domains in numeric order, patterns in
+    `core._decodings` order: the first failing pattern at R2's first
+    failing domain (`_r2_domain`), so the decoder reads that domain alone."""
     _check_total(C, r)
     if tags is None:
         tags = graph.cube_tags(C)
     bij = _bijection(r, tags)
     r1, r3, r4 = _check_pairs(C, r)
+    Y = _r2_domain(C, r, graph._shattered(C, tags.keys()))
+    r2 = Check(True) if Y >> C.n else Check(False, (Y, next(
+        pat for pat, cs in core._decodings(C.concepts, r, Y).items() if len(cs) != 1)))
     return RepMapReport(
         r1=r1,
-        r2=_check_r2(C, r, graph._shattered(C, tags.keys())),
+        r2=r2,
         r3=r3,
         r4=r4,
         bijective=bij,

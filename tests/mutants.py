@@ -80,6 +80,34 @@ MUTANTS = (
     # the scheme checks no size bound at its failing domain
     Mutant("scheme-no-size-bound", "src/amplekit/compress.py",
            "        elif popcount(r[hits[0]]) > d:", "        elif False:", (SCHEME_OVERSIZE,)),
+    # the scheme passes every bijection onto X(C), with no C1 or C2
+    Mutant("scheme-certified-by-the-bijection-alone", "src/amplekit/compress.py",
+           "repmap._certified(C, r, tags)", "repmap._bijection(r, tags).ok", (SCHEME,)),
+    # a child cube's directions are read off one facet, not both
+    Mutant("cube-tags-one-facet", "src/amplekit/graph.py",
+           "child[t] = m & up[t | b]", "child[t] = m",
+           ("tests/test_graph.py::test_cube_tags_matches_the_levelwise_oracle_with_key_order",)),
+    # the fibre walk goes on past a fibre with no concept holding the coordinate
+    Mutant("fibre-walk-one-side", "src/amplekit/shatter.py",
+           "if not (a and c):", "if not a:",
+           ("tests/test_shatter.py::test_engine_matches_oracle_random_n5_n6",)),
+    # the ISR conflict rule compares Y1 and Y2 on the lowest coordinate of S alone
+    Mutant("isr-conflict-lowest-coordinate", "src/amplekit/repmap.py",
+           "& S)", "& S & -S)",
+           ("tests/test_repmap.py::test_isr_instance_matches_the_all_pairs_builder",)),
+    # R4's pair predicate reads the union of the images, as R1 does
+    Mutant("r4-union-of-images", "src/amplekit/repmap.py",
+           "(r[c] ^ r[d])", "(r[c] | r[d])",
+           ("tests/test_repmap.py::test_one_pair_sweep_matches_the_r1_and_r4_sweeps",)),
+    # C2 takes a cube whose two facet sinks both hold b as sound
+    Mutant("c2-either-sink", "src/amplekit/repmap.py",
+           "(a ^ c) & b", "(a | c) & b",
+           ("tests/test_repmap.py::"
+            "test_check_c2_matches_the_sweep_oracle_on_perturbed_and_random_maps",)),
+    # the isometry test skips the points of P without coordinate 1
+    Mutant("isometric-odd-points-only", "src/amplekit/graph.py",
+           "and u != v:", "and u != v and u & 1:",
+           ("tests/test_graph.py::test_is_isometric_matches_bfs_oracle",)),
 )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from amplekit import compress, core, generate, graph, peeling, repmap, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError, DecodeError, IntegrityError, ParseError
 
-from classes import cc
+from classes import ample_classes, cc
 
 
 PATH3 = cc("00", "01", "10")
@@ -300,7 +301,7 @@ def oversize_image_cases(seed):
     in ascending order, to concepts off c's pattern on W, each drawn among
     those that clash with no earlier pick at a union below W (a few tries);
     the other concepts take sets above W.  So every domain below W
-    decodes uniquely (`repmap._check_r2`), and at W c's pattern comes
+    decodes uniquely (`repmap._r2_domain`), and at W c's pattern comes
     first, decoded by c alone."""
     rng = random.Random(seed)
     for n in range(3, 8):
@@ -332,8 +333,9 @@ def oversize_image_cases(seed):
 
 
 def test_verify_scheme_equals_the_enumeration_oracle(monkeypatch):
-    """The whole report, failures included, on every map, with the decoder
-    read at the witness's domain alone: once by R2, once by the scheme."""
+    """The whole report, failures included, on every map, with the verdict
+    of the certificate and the decoder read once, at the witness's domain
+    alone."""
     decodings = core._decodings
     domains = []
     monkeypatch.setattr(core, "_decodings",
@@ -344,8 +346,9 @@ def test_verify_scheme_equals_the_enumeration_oracle(monkeypatch):
             scheme = compress.CompressionScheme(C, r)
             domains.clear()
             report = compress.verify_scheme(scheme)
-            assert domains == ([] if report.ok else [report.witness.dom] * 2)
+            assert domains == ([] if report.ok else [report.witness.dom])
             assert report == verify_scheme_enumeration_oracle(C, scheme)
+            assert report.ok == repmap.certify_repmap(C, r).valid
             verdicts[report.ok] += 1
     assert verdicts[True] > 200 and verdicts[False] > 300
 
@@ -358,8 +361,38 @@ def test_verify_scheme_equals_the_enumeration_oracle_on_oversize_images():
             report = compress.verify_scheme(scheme)
             assert report == verify_scheme_enumeration_oracle(C, scheme)
             assert report.reason == "compressed set too large"
+            assert report.ok == repmap.certify_repmap(C, r).valid
             cases += 1
     assert cases > 40
+
+
+def test_verify_scheme_is_the_certificate_on_every_bijection_onto_x_of_c():
+    """Every bijection onto X(C) of every ample class with n ≤ 3 and
+    |C| ≤ 6: the scheme passes exactly when the map certifies."""
+    verdicts = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        for C in ample_classes(n, 6):
+            for images in itertools.permutations(graph.cube_tags(C)):
+                r = dict(zip(C.concepts, images))
+                ok = compress.verify_scheme(compress.CompressionScheme(C, r)).ok
+                assert ok == repmap.certify_repmap(C, r).valid
+                verdicts[ok] += 1
+    assert verdicts == {True: 1232, False: 12672 - 1232}
+
+
+def test_verify_scheme_never_searches_r2_on_a_certified_map(monkeypatch):
+    """On a certified map the pass report comes from the certificate alone:
+    R2's domain is searched only to locate a failure."""
+    def no_search(*args):
+        raise AssertionError("R2's domain searched on a certified map")
+
+    monkeypatch.setattr(repmap, "_r2_domain", no_search)
+    B, D = generate.hamming_ball(16, 3), generate.random_ample(11, 400, 0)
+    for C, r in ((B, repmap.build_maximum_repmap(B)),
+                 (D, repmap.peeling_to_uso(D, peeling.corner_peeling_search(D).ordering))):
+        report = compress.verify_scheme(compress.CompressionScheme(C, r))
+        assert report == (True, max(map(core.popcount, r.values())),
+                          sum(1 << (C.n - core.popcount(v)) for v in r.values()), None, "")
 
 
 def test_reconstruct_unique_matches_the_two_scans():

@@ -292,7 +292,7 @@ def test_r2_witness_of_a_swapped_ball_18_3_map():
 
 
 def test_r2_reads_one_domain_of_every_class(monkeypatch):
-    """`_check_r2` calls `core._decodings` at most once, at its witness's
+    """`verify_repmap` calls `core._decodings` at most once, at R2's witness's
     domain, on ample classes and on classes that are not ample alike."""
     decodings = core._decodings
     domains = []

@@ -92,6 +92,7 @@ def check_against_the_oracles(C, rng):
         if want.ok:
             assert got == want
         assert got == verify_scheme_enumeration_oracle(C, scheme)
+        assert got.ok == repmap.certify_repmap(C, r).valid
 
 
 def test_each_ample_orbit_and_its_complement_match_the_oracles_on_n4():
