@@ -16,6 +16,7 @@ class Sample(_Frozen):
     __slots__ = _key = ("dom", "bits")
 
     def __init__(self, dom: int, bits: int):
+        core._check_subdomain(dom, core.MAX_WIDTH, ContractError)
         if bits & ~dom:
             raise ContractError("sample labels outside its domain")
         _setfield(self, "dom", dom)
@@ -62,6 +63,7 @@ def parse_sample(text: str, n: int = core.MAX_WIDTH) -> Sample:
 
 def reconstruct_unique(C: ConceptClass, r: dict, s: Sample) -> int:
     """γ(s): the unique consistent concept with r(c) ⊆ dom(s)."""
+    core._check_subdomain(s.dom, C.n, ContractError)
     hits = core._decodings(C.concepts, r, s.dom).get(s.bits)
     if hits is None:
         raise ContractError("sample is not realizable by the class")
@@ -92,6 +94,7 @@ class CompressionScheme(_Frozen):
 
     def decompress(self, Z: int) -> int:
         """β(Z) = r^{-1}(Z)."""
+        core._check_subdomain(Z, self.C.n, DecodeError)
         if Z not in self.inv:
             raise DecodeError(f"coordinate set {coords(Z)} is not in the map's image")
         return self.inv[Z]

@@ -24,8 +24,8 @@ def full_mask(n: int) -> int:
 
 
 def coords(mask: int) -> list[int]:
-    """Ascending coordinate labels of a bitmask."""
-    return [b.bit_length() for b in bits_of(mask)]
+    """Ascending coordinate labels of a coordinate set of 1..MAX_WIDTH."""
+    return [b.bit_length() for b in bits_of(_check_subdomain(mask, MAX_WIDTH))]
 
 
 def mask_of(xs: Iterable[int]) -> int:
@@ -112,6 +112,17 @@ def _check_coordinate(x: int, n: int, error=ParseError) -> int:
     return x
 
 
+def _check_subdomain(Y: int, n: int, error=DomainError) -> int:
+    """Y, when it is a coordinate set of the domain 1..n; otherwise the
+    error of `_check_coordinate` for its least coordinate above n.  A
+    negative Y has every coordinate above some k, so ``Y >> n`` is nonzero
+    and its lowest bit gives the least one at once: iterating such a mask
+    bit by bit, as `bits_of` does, would never end."""
+    if high := Y >> n:
+        _check_coordinate((high & -high).bit_length() + n, n, error)
+    return Y
+
+
 def parse_decimal(s: str) -> int:
     """The value of a string of ASCII digits, surrounding whitespace
     stripped; ValueError for anything else.  int() alone would also take
@@ -184,8 +195,7 @@ class ConceptClass(_Frozen):
         cs = tuple(sorted(members))
         if not cs:
             raise EmptyClassError("a concept class must be nonempty")
-        if cs[0] < 0 or cs[-1] >= 1 << n:
-            raise DomainError("concept out of range for domain width")
+        _check_subdomain(cs[0] | cs[-1], n)
         _setfield(self, "n", n)
         _setfield(self, "concepts", cs)
         _setfield(self, "concept_set", members)
@@ -236,6 +246,7 @@ class Cube(_Frozen):
     __slots__ = _key = ("tag", "support")
 
     def __init__(self, tag: int, support: int):
+        _check_subdomain(tag | support, MAX_WIDTH)
         if tag & support:
             raise DomainError("cube tag must be zero on support coordinates")
         _setfield(self, "tag", tag)
@@ -267,11 +278,6 @@ def cube_in_class(cube: Cube, concept_set) -> bool:
     return all(v in concept_set for v in cube.vertices())
 
 
-def _check_subdomain(C: ConceptClass, Y: int) -> None:
-    if Y & ~C.domain_mask:
-        raise DomainError(f"coordinate set {coords(Y)} is not a subset of the domain")
-
-
 def _project(c: int, ys: list[int]) -> int:
     out = 0
     for i, y in enumerate(ys):
@@ -291,13 +297,13 @@ def _reindexed(concepts: Iterable[int], kept: int) -> ConceptClass:
 def restrict(C: ConceptClass, Y: int) -> ConceptClass:
     """C|Y, re-indexed to coordinates 1..|Y|: local coordinate i is the
     i-th coordinate of coords(Y)."""
-    _check_subdomain(C, Y)
+    _check_subdomain(Y, C.n)
     return _reindexed(C.concepts, Y)
 
 
 def drop(C: ConceptClass, Y: int) -> ConceptClass:
     """C_Y = C restricted to the complement of Y."""
-    _check_subdomain(C, Y)
+    _check_subdomain(Y, C.n)
     return _reindexed(C.concepts, C.domain_mask & ~Y)
 
 
@@ -313,7 +319,7 @@ def reduction_tags(concepts: Iterable[int], Y: int) -> set:
 
 def reduce(C: ConceptClass, Y: int) -> Optional[ConceptClass]:
     """C^Y over the re-indexed domain X\\Y; None when no Y-cube exists."""
-    _check_subdomain(C, Y)
+    _check_subdomain(Y, C.n)
     tags = reduction_tags(C.concepts, Y)
     if not tags:
         return None
@@ -329,7 +335,7 @@ def complement(C: ConceptClass) -> ConceptClass:
 
 
 def twist(C: ConceptClass, Y: int) -> ConceptClass:
-    _check_subdomain(C, Y)
+    _check_subdomain(Y, C.n)
     return ConceptClass(C.n, tuple(c ^ Y for c in C))
 
 
@@ -343,8 +349,7 @@ def product(C: ConceptClass, D: ConceptClass) -> ConceptClass:
 
 def intersect_cube(C: ConceptClass, B: Cube) -> Optional[ConceptClass]:
     """C ∩ B over the same domain; None when the intersection is empty."""
-    if B.tag | B.support >= 1 << C.n:
-        raise DomainError("cube does not fit in the domain")
+    _check_subdomain(B.tag | B.support, C.n)
     cs = tuple(c for c in C if c & ~B.support == B.tag)
     if not cs:
         return None
@@ -439,8 +444,7 @@ def _check_total(C: ConceptClass, r: dict) -> None:
     if set(r) != set(C.concepts):
         raise ContractError("map is not total on the class")
     for v in r.values():
-        if v & ~C.domain_mask:
-            raise ContractError("image coordinate set outside domain")
+        _check_subdomain(v, C.n, ContractError)
 
 
 def _inverse(r: dict) -> dict:

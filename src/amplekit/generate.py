@@ -35,8 +35,7 @@ def simplicial_class(n: int, facets) -> ConceptClass:
     given facets (coordinate sets): a bouquet of cubes glued at the origin."""
     core._check_domain_width(n)
     for f in facets:
-        if f & ~full_mask(n):
-            raise ContractError("facet outside domain")
+        core._check_subdomain(f, n, ContractError)
     faces = core.levelwise(bits_of(full_mask(n)),
                            lambda Z, _: Z == 0 or any(Z & ~f == 0 for f in facets))
     return ConceptClass(n, tuple(faces))

@@ -441,7 +441,7 @@ def _translate(masks: dict, kept: int) -> tuple[ConceptClass, dict]:
 def sub_repmap_reduction(C: ConceptClass, r: RepMap, Y: int) -> tuple[ConceptClass, RepMap]:
     """r^Y(c) = r(source of c's Y-cube) \\ Y, over the re-indexed domain."""
     _require_valid(C, r)
-    core._check_subdomain(C, Y)
+    core._check_subdomain(Y, C.n)
     tags = core.reduction_tags(C.concepts, Y)
     if not tags:
         raise ContractError("empty reduction has no representation map")
@@ -457,7 +457,7 @@ def sub_repmap_reduction(C: ConceptClass, r: RepMap, Y: int) -> tuple[ConceptCla
 def sub_repmap_restriction(C: ConceptClass, r: RepMap, Y: int) -> tuple[ConceptClass, RepMap]:
     """r_Y(c) = r(unique sink of C ∩ (c's Y-cylinder)), over the re-indexed domain."""
     _require_valid(C, r)
-    core._check_subdomain(C, Y)
+    core._check_subdomain(Y, C.n)
     out: dict = {}
     # the sinks v of c's cylinder, r(v) & Y = 0, are γ of c's sample on X \ Y
     for t, sinks in core._decodings(C.concepts, r, ~Y).items():

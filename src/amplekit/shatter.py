@@ -178,8 +178,7 @@ class ForbiddenLabel(NamedTuple):
 
 def forbidden_labels(C: ConceptClass, Y: int) -> list[ForbiddenLabel]:
     """All patterns over Y missing from C|Y, for |Y| = vc_dim(C)+1."""
-    if Y & ~C.domain_mask:
-        raise ContractError("coordinate set outside domain")
+    core._check_subdomain(Y, C.n, ContractError)
     d = vc_dim(C)
     if popcount(Y) != d + 1:
         raise ContractError(f"need a set of size vc_dim+1 = {d + 1}, got {popcount(Y)}")

@@ -36,6 +36,7 @@ ORBITS = "tests/test_small_n.py::test_each_ample_orbit_and_its_complement_match_
 R2_SWEEPS = "tests/test_repmap.py::test_r2_and_r3_match_their_sweeps"
 R2_ONE_DOMAIN = "tests/test_repmap.py::test_r2_reads_one_domain_of_every_class"
 R2_NOT_AMPLE = "tests/test_repmap.py::test_every_map_on_a_class_that_is_not_ample_fails_r2"
+DOMAIN_RULE = "tests/test_core.py::test_every_entry_refuses_a_coordinate_outside_1_to_n"
 SCHEME = "tests/test_compress.py::test_verify_scheme_equals_the_enumeration_oracle"
 SCHEME_OVERSIZE = ("tests/test_compress.py::"
                    "test_verify_scheme_equals_the_enumeration_oracle_on_oversize_images")
@@ -71,6 +72,10 @@ MUTANTS = (
     # Z* counts only images that occur twice, not images that miss sh(C)
     Mutant("r2-odd-set-only-repeated-images", "src/amplekit/repmap.py",
            "counts[Z] != (Z in sh)", "counts[Z] > 1", (R2_SWEEPS, ORBITS)),
+    # R2's least clashing union asks the concepts to differ inside r(d) alone
+    Mutant("r2-clash-inside-one-image", "src/amplekit/repmap.py",
+           "if u < best and not (c ^ d) & u:", "if u < best and not (c ^ d) & rd:",
+           (R2_SWEEPS,)),
     # sh(C) is taken as X(C) on every class, ample or not
     Mutant("r2-cube-supports-as-shattered-sets", "src/amplekit/graph.py",
            "    if len(st) == C.size:", "    if True:", (R2_ONE_DOMAIN, R2_NOT_AMPLE)),
@@ -104,6 +109,12 @@ MUTANTS = (
            "(a ^ c) & b", "(a | c) & b",
            ("tests/test_repmap.py::"
             "test_check_c2_matches_the_sweep_oracle_on_perturbed_and_random_maps",)),
+    # the domain rule names the highest coordinate above n, not the least
+    Mutant("domain-rule-highest-coordinate", "src/amplekit/core.py",
+           "(high & -high).bit_length()", "high.bit_length()", (DOMAIN_RULE,)),
+    # the domain rule lets coordinate n + 1 through
+    Mutant("domain-rule-one-wider", "src/amplekit/core.py",
+           "if high := Y >> n:", "if high := Y >> n + 1:", (DOMAIN_RULE,)),
     # the isometry test skips the points of P without coordinate 1
     Mutant("isometric-odd-points-only", "src/amplekit/graph.py",
            "and u != v:", "and u != v and u & 1:",

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from typing import Optional
 
 import pytest
@@ -70,6 +74,91 @@ def test_domain_cap():
         ConceptClass(25, [0])
     with pytest.raises(DomainError):
         ConceptClass(2, [4])
+
+
+# ---------------------------------------------------------------- domain rule
+
+# Every entry that takes a coordinate set, given one with coordinate n + 1 or
+# a negative mask: expression -> (error class, message).  B is B(3,1) with
+# its built map r, so n = 3; Sample, Cube and coords carry no width and are
+# checked against MAX_WIDTH = 24.  The message names the least coordinate
+# above n: 4 in 24 = {4,5} and in -24, whose coordinates above 3 are 4, 6,
+# 7, ...
+N1 = "coordinate 4 outside 1..3"
+W1 = "coordinate 25 outside 1..24"
+DOMAIN_CASES = {
+    "core.restrict(B, 8)": ("DomainError", N1),
+    "core.restrict(B, -1)": ("DomainError", N1),
+    "core.restrict(B, 24)": ("DomainError", N1),
+    "core.restrict(B, -24)": ("DomainError", N1),
+    "core.drop(B, 8)": ("DomainError", N1),
+    "core.drop(B, -1)": ("DomainError", N1),
+    "core.reduce(B, 8)": ("DomainError", N1),
+    "core.reduce(B, -1)": ("DomainError", N1),
+    "core.twist(B, 8)": ("DomainError", N1),
+    "core.twist(B, -1)": ("DomainError", N1),
+    "repmap.sub_repmap_reduction(B, r, 8)": ("DomainError", N1),
+    "repmap.sub_repmap_reduction(B, r, -1)": ("DomainError", N1),
+    "repmap.sub_repmap_restriction(B, r, 8)": ("DomainError", N1),
+    "repmap.sub_repmap_restriction(B, r, -1)": ("DomainError", N1),
+    "core.intersect_cube(B, Cube(0, 8))": ("DomainError", N1),
+    "repmap.sub_repmap_cube(B, r, Cube(0, 8))": ("DomainError", N1),
+    "ConceptClass(3, (0, 8))": ("DomainError", N1),
+    "ConceptClass(3, (-1, 0))": ("DomainError", N1),
+    "shatter.forbidden_labels(B, 8)": ("ContractError", N1),
+    "shatter.forbidden_labels(B, -1)": ("ContractError", N1),
+    "generate.simplicial_class(3, [1, 8])": ("ContractError", N1),
+    "generate.simplicial_class(3, [-1])": ("ContractError", N1),
+    "core._check_total(B, {**r, 0: 8})": ("ContractError", N1),
+    "core._check_total(B, {**r, 0: -1})": ("ContractError", N1),
+    "CompressionScheme(B, r).compress(Sample(1 << 5, 0))":
+        ("ContractError", "coordinate 6 outside 1..3"),
+    "compress.reconstruct_unique(B, r, Sample(1 | 1 << 7, 1))":
+        ("ContractError", "coordinate 8 outside 1..3"),
+    "CompressionScheme(B, r).decompress(8)": ("DecodeError", N1),
+    "CompressionScheme(B, r).decompress(-1)": ("DecodeError", N1),
+    "core.coords(1 << 24)": ("DomainError", W1),
+    "core.coords(-1)": ("DomainError", W1),
+    "Sample(1 << 24, 0)": ("ContractError", W1),
+    "Sample(-1, 0)": ("ContractError", W1),
+    "Cube(1 << 24, 0)": ("DomainError", W1),
+    "Cube(0, -1)": ("DomainError", W1),
+}
+
+# evaluates each expression of argv in turn and prints [error class, message],
+# with its address space capped so that a runaway loop ends in MemoryError
+DOMAIN_RUN = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from amplekit import compress, core, generate, repmap, shatter
+from amplekit.compress import CompressionScheme, Sample
+from amplekit.core import ConceptClass, Cube
+B = generate.hamming_ball(3, 1)
+r = repmap.build_maximum_repmap(B)
+for expr in sys.argv[1:]:
+    try:
+        eval(expr)
+        print(json.dumps(["no error", ""]), flush=True)
+    except Exception as exc:
+        print(json.dumps([type(exc).__name__, str(exc)]), flush=True)
+"""
+
+
+def test_every_entry_refuses_a_coordinate_outside_1_to_n():
+    """A negative mask, iterated bit by bit, never empties, so the cases
+    run in a child where a runaway loop fails the test instead of stalling
+    the run."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    try:
+        proc = subprocess.run([sys.executable, "-c", DOMAIN_RUN, *DOMAIN_CASES],
+                              capture_output=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+    except subprocess.TimeoutExpired as exc:
+        done = (exc.stdout or b"").count(b"\n")
+        pytest.fail(f"{list(DOMAIN_CASES)[done]} did not return within 60 s")
+    assert proc.returncode == 0, proc.stderr
+    got = dict(zip(DOMAIN_CASES, map(tuple, map(json.loads, proc.stdout.splitlines()))))
+    assert got == DOMAIN_CASES
 
 
 # ---------------------------------------------------------------- restrict
