@@ -15,8 +15,8 @@ MAX_WIDTH = 24
 
 
 def bit(x: int) -> int:
-    """Mask of the single coordinate x (1-based)."""
-    return 1 << (x - 1)
+    """Mask of the single coordinate x of 1..MAX_WIDTH."""
+    return 1 << (_check_coordinate(x, MAX_WIDTH, DomainError) - 1)
 
 
 def full_mask(n: int) -> int:
@@ -29,9 +29,10 @@ def coords(mask: int) -> list[int]:
 
 
 def mask_of(xs: Iterable[int]) -> int:
+    """Mask of the coordinates xs of 1..MAX_WIDTH."""
     m = 0
     for x in xs:
-        m |= 1 << (x - 1)
+        m |= bit(x)
     return m
 
 

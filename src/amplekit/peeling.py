@@ -94,29 +94,40 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
     cornerhood needs re-checking along the way.  A None ordering with
     proven=True means the exhaustive search finished without success;
     proven=False means the expansion budget ran out first.  The search keeps
-    its own stack, so its depth is not bounded by the recursion limit.
+    its path in a list, so its depth is not bounded by the recursion limit.
 
-    The corners of the current level are kept as a set.  Before c is
-    removed from the level s, the concepts c ^ Z for the supports Z of
-    `graph._local_supports(s, c, N(c))` are collected: these are exactly the
-    concepts u that share a cube of s with c, since the interval between u
-    and c is then a cube through c.  After the removal only they are
-    rechecked.  Any other concept u keeps its cornerhood: u is not next to
-    c, so its neighbour mask N(u) is unchanged; if u was a corner, its
-    N(u)-cube lay in s without c (else u would share it with c), so it
-    still lies in s minus c; if u was not a corner, its N(u)-cube was
-    already missing a vertex.  Putting c back is the same argument read
-    backwards on s, so a backtrack rechecks the same concepts, c included.
+    Its state is the current level `remaining`, the set of its corners, the
+    list `peeled` of the concepts removed on the way to it, and the levels
+    known to fail.  Before c is removed from the level s, the concepts
+    c ^ Z for the supports Z of `graph._local_supports(s, c, N(c))` are
+    collected: these are exactly the concepts u that share a cube of s with
+    c, since the interval between u and c is then a cube through c.  After
+    the removal only they are rechecked.  Any other concept u keeps its
+    cornerhood: u is not next to c, so its neighbour mask N(u) is
+    unchanged; if u was a corner, its N(u)-cube lay in s without c (else u
+    would share it with c), so it still lies in s minus c; if u was not a
+    corner, its N(u)-cube was already missing a vertex.  Putting c back is
+    the same argument read backwards on s, and the same call on s, made
+    once c is back, collects the same concepts, c included.  So the corner
+    set is always exactly the corners of `remaining`, and a backtrack to a
+    level restores the corners it first chose from.  A level tries its
+    corners in ascending order: first the least, and after a backtrack from
+    c = `peeled.pop()`, the least above c.  A level with none left to try
+    is added to the failed levels, and a level already among them tries
+    none: the search backs up from either at once.
     """
     graph._ample_tags(C, "corner peeling search requires an ample class")
     n = C.n
     expansions = 0
     failed: set = set()
     peeled: list[int] = []
-    # touched[i]: the concepts that shared a cube with peeled[i] when it went
-    touched: list = []
     remaining = set(C.concepts)
     corners = set(graph.corners(C))
+
+    def around(c: int) -> list[int]:
+        """The concepts that share a cube of `remaining` with c."""
+        return [c ^ Z for Z in graph._local_supports(
+            remaining, c, graph._neighbour_dirs(remaining, c, n))]
 
     def recheck(us) -> None:
         for u in us:
@@ -126,41 +137,27 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
             else:
                 corners.discard(u)
 
-    def unpeel() -> None:
-        remaining.add(peeled.pop())
-        recheck(touched.pop())
-
-    # one frame per peeled level: its corners not yet tried
-    stack: list = []
-    while True:
-        if len(remaining) == 1:
-            peeled.extend(remaining)
-            return PeelingResult(tuple(reversed(peeled)), True, expansions)
-        if failed and frozenset(remaining) in failed:
-            unpeel()
-        else:
-            stack.append(iter(sorted(corners)))
-        # next untried corner, dropping exhausted levels as failed
-        while True:
-            if not stack:
-                return PeelingResult(None, True, expansions)
-            c = next(stack[-1], None)
-            if c is not None:
-                break
-            # every child this level peeled is back, so remaining is its state
+    while len(remaining) > 1:
+        # a level known to fail tries no corner
+        c = None if failed and frozenset(remaining) in failed else min(corners, default=None)
+        # back up past every level with no corner left to try
+        while c is None:
             failed.add(frozenset(remaining))
-            stack.pop()
-            if stack:
-                unpeel()
+            if not peeled:
+                return PeelingResult(None, True, expansions)
+            last = peeled.pop()
+            remaining.add(last)
+            recheck(around(last))
+            c = min((u for u in corners if u > last), default=None)
         expansions += 1
         if expansions > budget:
             return PeelingResult(None, False, expansions)
-        shared = [c ^ Z for Z in graph._local_supports(
-            remaining, c, graph._neighbour_dirs(remaining, c, n))]
+        shared = around(c)
         remaining.remove(c)
         peeled.append(c)
-        touched.append(shared)
         recheck(shared)
+    peeled.extend(remaining)
+    return PeelingResult(tuple(reversed(peeled)), True, expansions)
 
 
 def _closure(C: ConceptClass, s: int) -> Optional[int]:

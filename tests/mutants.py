@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
 
 ORBITS = "tests/test_small_n.py::test_each_ample_orbit_and_its_complement_match_the_oracles_on_n4"
+PEEL_REFERENCE = "tests/test_peeling.py::test_search_matches_recursive_reference"
 R2_SWEEPS = "tests/test_repmap.py::test_r2_and_r3_match_their_sweeps"
 R2_ONE_DOMAIN = "tests/test_repmap.py::test_r2_reads_one_domain_of_every_class"
 R2_NOT_AMPLE = "tests/test_repmap.py::test_every_map_on_a_class_that_is_not_ample_fails_r2"
@@ -54,6 +55,16 @@ MUTANTS = (
     # the peeling search rechecks one concept too few after a peel
     Mutant("recheck-one-short", "src/amplekit/peeling.py",
            "recheck(shared)", "recheck(shared[:-1])", (ORBITS,)),
+    # after a backtrack a level resumes at its greatest corner above the last
+    Mutant("resume-at-the-greatest-corner", "src/amplekit/peeling.py",
+           "min((u for u in corners if u > last)", "max((u for u in corners if u > last)",
+           (PEEL_REFERENCE,)),
+    # a backtrack rechecks only the concept it puts back
+    Mutant("backtrack-rechecks-one", "src/amplekit/peeling.py",
+           "recheck(around(last))", "recheck([last])", (PEEL_REFERENCE,)),
+    # the search forgets the levels it found to fail
+    Mutant("no-failed-memo", "src/amplekit/peeling.py",
+           "failed and frozenset(remaining) in failed", "False", (PEEL_REFERENCE,)),
     # every concept is a corner
     Mutant("every-concept-a-corner", "src/amplekit/graph.py",
            "    return _is_corner_in(s, c, _neighbour_dirs(s, c, C.n))\n",

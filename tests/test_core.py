@@ -83,7 +83,8 @@ def test_domain_cap():
 # its built map r, so n = 3; Sample, Cube and coords carry no width and are
 # checked against MAX_WIDTH = 24.  The message names the least coordinate
 # above n: 4 in 24 = {4,5} and in -24, whose coordinates above 3 are 4, 6,
-# 7, ...
+# 7, ...  bit and mask_of take coordinates, not a set, and are given 0, a
+# negative one and 25, each named as it is.
 N1 = "coordinate 4 outside 1..3"
 W1 = "coordinate 25 outside 1..24"
 DOMAIN_CASES = {
@@ -123,6 +124,11 @@ DOMAIN_CASES = {
     "Sample(-1, 0)": ("ContractError", W1),
     "Cube(1 << 24, 0)": ("DomainError", W1),
     "Cube(0, -1)": ("DomainError", W1),
+    "core.bit(0)": ("DomainError", "coordinate 0 outside 1..24"),
+    "core.bit(25)": ("DomainError", W1),
+    "core.mask_of([0])": ("DomainError", "coordinate 0 outside 1..24"),
+    "core.mask_of([-3])": ("DomainError", "coordinate -3 outside 1..24"),
+    "core.mask_of([25])": ("DomainError", W1),
 }
 
 # evaluates each expression of argv in turn and prints [error class, message],
