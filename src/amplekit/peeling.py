@@ -114,12 +114,16 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
     corners in ascending order: first the least, and after a backtrack from
     c = `peeled.pop()`, the least above c.  A level with none left to try
     is added to the failed levels, and a level already among them tries
-    none: the search backs up from either at once.
+    none: the search backs up from either at once.  A level is known by the
+    concepts peeled on the way to it, so each failed level is kept as one
+    int, `gone`, with bit i set for each peeled concept C.concepts[i].
     """
     graph._ample_tags(C, "corner peeling search requires an ample class")
     n = C.n
     expansions = 0
     failed: set = set()
+    index = {c: i for i, c in enumerate(C.concepts)}
+    gone = 0
     peeled: list[int] = []
     remaining = set(C.concepts)
     corners = set(graph.corners(C))
@@ -139,14 +143,15 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
 
     while len(remaining) > 1:
         # a level known to fail tries no corner
-        c = None if failed and frozenset(remaining) in failed else min(corners, default=None)
+        c = None if gone in failed else min(corners, default=None)
         # back up past every level with no corner left to try
         while c is None:
-            failed.add(frozenset(remaining))
+            failed.add(gone)
             if not peeled:
                 return PeelingResult(None, True, expansions)
             last = peeled.pop()
             remaining.add(last)
+            gone ^= 1 << index[last]
             recheck(around(last))
             c = min((u for u in corners if u > last), default=None)
         expansions += 1
@@ -155,6 +160,7 @@ def corner_peeling_search(C: ConceptClass, budget: int = 10**6) -> PeelingResult
         shared = around(c)
         remaining.remove(c)
         peeled.append(c)
+        gone ^= 1 << index[c]
         recheck(shared)
     peeled.extend(remaining)
     return PeelingResult(tuple(reversed(peeled)), True, expansions)

@@ -196,11 +196,9 @@ def _missed_labels(concepts, alive: int, d: int) -> dict:
 
 
 class AmpleReport(NamedTuple):
-    """Outcomes of the independent ample characterisations.
-
-    Each field is True/False, or None when that test was skipped because the
-    domain is too wide to enumerate it honestly.  The empty class (which can
-    only appear here as a complement) counts as ample.
+    """Outcomes of the independent ample characterisations, each True or
+    False at every width.  The empty class (which can only appear here as a
+    complement) counts as ample.
 
     Each field tests one statement, each of which holds iff C is ample:
     `complexes_equal` that sh(C) = st(C), with sh(C) from the fibre walk and
@@ -215,39 +213,32 @@ class AmpleReport(NamedTuple):
     complexes_equal: bool                   # shattered == strongly shattered
     strongly_shattered_count: bool          # |strongly shattered complex| == |C|
     shattered_count: bool                   # |shattered complex| == |C|
-    partition_lopsided: Optional[bool]      # each partition: Y-cube in C or Z-cube in complement
-    reductions_connected: Optional[bool]    # every nonempty reduction C^Y is connected
+    partition_lopsided: bool                # each partition: Y-cube in C or Z-cube in complement
+    reductions_connected: bool              # every nonempty reduction C^Y is connected
     connected_hyperplanes_ample: bool       # C connected and every C^x ample
 
     @property
     def agree(self) -> bool:
-        vals = [v for v in self if v is not None]
-        return all(vals) or not any(vals)
+        return all(self) or not any(self)
 
     @property
     def ample(self) -> bool:
         return self.shattered_count
 
 
-_SUBSETS_CAP = 12   # the two loops over all 2^n coordinate sets: fine up to here
-
-
-def _partition_lopsided_ok(C: ConceptClass, st: set, st_comp: set) -> bool:
-    """For every partition X = Y ∪̇ Z: Y strongly shattered by C, or Z by
-    2^X \\ C; `st` and `st_comp` are the strongly shattered sets of the two."""
-    for Y in range(0, C.domain_mask + 1):
-        if Y not in st and (C.domain_mask & ~Y) not in st_comp:
-            return False
-    return True
-
-
 def ample_characterization_report(C: ConceptClass) -> AmpleReport:
-    sh = _shattered_sets(C)
-    st = _strongly_shattered_sets(C)
-    complexes_equal = sh == st
-    shattered_count = len(sh) == C.size
-    strongly_count = len(st) == C.size
+    """The report, each field read off sets built once: st(C) and the tags
+    of X(C), sh(C), and st of the complement.
 
+    C is lopsided iff every Y of X is strongly shattered by C or has its
+    complement X \\ Y strongly shattered by 2^X \\ C, that is iff st(C)
+    and the complements of the complement's st together hold all 2^n sets.
+    The nonempty reductions C^Y are those of the supports Y of X(C), and
+    tags[Y] holds the concepts of C^Y, zero on Y, so each is searched once
+    in place, by the directions outside Y."""
+    tags = graph.cube_tags(C)
+    st = tags.keys()
+    sh = _shattered_sets(C)
     if C.is_full_cube():
         st_comp: set = set()
         complement_ample = True  # empty class is vacuously ample
@@ -255,18 +246,6 @@ def ample_characterization_report(C: ConceptClass) -> AmpleReport:
         comp = core.complement(C)
         st_comp = _strongly_shattered_sets(comp)
         complement_ample = len(st_comp) == comp.size
-
-    if C.n <= _SUBSETS_CAP:
-        partition_lopsided = _partition_lopsided_ok(C, st, st_comp)
-        reductions_connected = True
-        for Y in range(0, C.domain_mask + 1):
-            R = core.reduce(C, Y)
-            if R is not None and not graph.is_connected(R):
-                reductions_connected = False
-                break
-    else:
-        partition_lopsided = None
-        reductions_connected = None
 
     chp = graph.is_connected(C)
     if chp:
@@ -278,10 +257,12 @@ def ample_characterization_report(C: ConceptClass) -> AmpleReport:
 
     return AmpleReport(
         complement_ample=complement_ample,
-        complexes_equal=complexes_equal,
-        strongly_shattered_count=strongly_count,
-        shattered_count=shattered_count,
-        partition_lopsided=partition_lopsided,
-        reductions_connected=reductions_connected,
+        complexes_equal=sh == st,
+        strongly_shattered_count=len(st) == C.size,
+        shattered_count=len(sh) == C.size,
+        partition_lopsided=len(st | {C.domain_mask ^ Z for Z in st_comp}) == 1 << C.n,
+        reductions_connected=all(
+            len(graph._bfs(ts, min(ts), bits_of(C.domain_mask & ~Y))) == len(ts)
+            for Y, ts in tags.items()),
         connected_hyperplanes_ample=chp,
     )

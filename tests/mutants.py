@@ -39,6 +39,7 @@ R2_ONE_DOMAIN = "tests/test_repmap.py::test_r2_reads_one_domain_of_every_class"
 R2_NOT_AMPLE = "tests/test_repmap.py::test_every_map_on_a_class_that_is_not_ample_fails_r2"
 DOMAIN_RULE = "tests/test_core.py::test_every_entry_refuses_a_coordinate_outside_1_to_n"
 SCHEME = "tests/test_compress.py::test_verify_scheme_equals_the_enumeration_oracle"
+REPORT = "tests/test_shatter.py::test_report_matches_its_oracle_field_by_field"
 SCHEME_OVERSIZE = ("tests/test_compress.py::"
                    "test_verify_scheme_equals_the_enumeration_oracle_on_oversize_images")
 
@@ -64,7 +65,7 @@ MUTANTS = (
            "recheck(around(last))", "recheck([last])", (PEEL_REFERENCE,)),
     # the search forgets the levels it found to fail
     Mutant("no-failed-memo", "src/amplekit/peeling.py",
-           "failed and frozenset(remaining) in failed", "False", (PEEL_REFERENCE,)),
+           "if gone in failed else", "if False else", (PEEL_REFERENCE,)),
     # every concept is a corner
     Mutant("every-concept-a-corner", "src/amplekit/graph.py",
            "    return _is_corner_in(s, c, _neighbour_dirs(s, c, C.n))\n",
@@ -107,6 +108,12 @@ MUTANTS = (
     Mutant("fibre-walk-one-side", "src/amplekit/shatter.py",
            "if not (a and c):", "if not a:",
            ("tests/test_shatter.py::test_engine_matches_oracle_random_n5_n6",)),
+    # the lopsided test pairs Y with the complement's set Y, not with X minus Y
+    Mutant("lopsided-partner-not-complemented", "src/amplekit/shatter.py",
+           "C.domain_mask ^ Z", "Z", (REPORT,)),
+    # every nonempty reduction counts as connected
+    Mutant("reductions-always-connected", "src/amplekit/shatter.py",
+           "== len(ts)", ">= 1", (REPORT,)),
     # the ISR conflict rule compares Y1 and Y2 on the lowest coordinate of S alone
     Mutant("isr-conflict-lowest-coordinate", "src/amplekit/repmap.py",
            "& S)", "& S & -S)",

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from amplekit import core, generate, shatter
+from amplekit import core, generate, graph, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError
 
@@ -214,6 +214,58 @@ def test_report_agrees_on_random_classes():
         rep = shatter.ample_characterization_report(C)
         assert rep.agree, (C, rep)
         assert rep.ample == shatter.is_ample(C)[0]
+
+
+def report_oracle(C):
+    """The report read off each field's definition.  The lopsided partitions
+    and the reductions are the two loops over all 2^n coordinate sets that
+    the report once ran, C^Y read by `core.reduce`; sh(C) is the pattern
+    scan.  2^X \\ C holds the Z-cube with tag t iff no concept of C agrees
+    with t off Z, so it strongly shatters Z iff C does not shatter X \\ Z."""
+    X = C.domain_mask
+    reductions = {Y: core.reduce(C, Y) for Y in range(X + 1)}
+    st = {Y for Y, R in reductions.items() if R is not None}
+    sh = {Y for Y in range(X + 1) if shattered_oracle(C, Y)}
+    st_comp = {X & ~Y for Y in range(X + 1) if Y not in sh}
+    partition_lopsided = True
+    for Y in range(X + 1):
+        if Y not in st and (X & ~Y) not in st_comp:
+            partition_lopsided = False
+            break
+    reductions_connected = True
+    for R in reductions.values():
+        if R is not None and not graph.is_connected(R):
+            reductions_connected = False
+            break
+    hyperplanes = (core.reduce(C, bit(x)) for x in range(1, C.n + 1))
+    return shatter.AmpleReport(
+        complement_ample=len(st_comp) == (1 << C.n) - C.size,
+        complexes_equal=sh == st,
+        strongly_shattered_count=len(st) == C.size,
+        shattered_count=len(sh) == C.size,
+        partition_lopsided=partition_lopsided,
+        reductions_connected=reductions_connected,
+        connected_hyperplanes_ample=graph.is_connected(C) and all(
+            R is None or shatter.is_ample(R)[0] for R in hyperplanes))
+
+
+def test_report_matches_its_oracle_field_by_field():
+    classes = [C for n in range(4) for C in all_classes(n)]
+    rng = random.Random(42)
+    for n in range(4, 11):
+        for seed in range(2):
+            A = generate.random_ample(n, rng.randint(2, 1 << (n - 1)), seed=seed)
+            dense = ConceptClass(n, tuple(c for c in range(1 << n) if rng.random() < 0.8))
+            classes += [A, dense, *(core.complement(C) for C in (A, dense) if not C.is_full_cube())]
+    A = generate.random_ample(13, 200, 0)
+    far = min(v for v in range(1 << 13)
+              if all(core.popcount(v ^ c) >= 2 for c in A.concepts))
+    wide = [A, ConceptClass(13, A.concepts + (far,))]
+    reports = [shatter.ample_characterization_report(C) for C in classes + wide]
+    for C, rep in zip(classes + wide, reports):
+        assert rep == report_oracle(C), C
+        assert rep.agree, (C, rep)
+    assert [rep.ample for rep in reports[-2:]] == [True, False]
 
 
 def test_cube_intersections_of_ample_classes_are_ample():
