@@ -114,7 +114,3 @@ def find_cycle(nodes, succ) -> Optional[list]:
                 path.pop()
                 stack.pop()
     return None
-
-
-def is_unique_perfect_matching(adj: dict, matching: dict) -> bool:
-    return find_alternating_cycle(adj, matching) is None

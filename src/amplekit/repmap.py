@@ -278,7 +278,7 @@ def _sources_for_missed_simplices(tags: dict, sub: list, alive: int, d: int) -> 
         if len(patterns) != 1:
             raise IntegrityError(
                 f"{len(patterns)} missing patterns on a missed simplex, expected 1")
-        src = t | patterns[0]
+        src = t | next(iter(patterns))
         if src in out:
             raise IntegrityError("concept is the source of two incomplete cubes")
         out[src] = sigma
@@ -643,6 +643,18 @@ class TailMatchingReport(NamedTuple):
 
 
 def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
+    """The bipartite graph between the tails C_x \\ C^x of a maximum class C
+    of dimension d at coordinate x and the forbidden labels of its
+    reduction C^x, with a maximum matching, all re-indexed to X \\ {x}.
+
+    C^x is maximum of dimension d - 1 (Welzl 1987), so its forbidden labels
+    are the (sigma, pattern) pairs over the d-sets sigma that C^x misses; a
+    tail t is joined to each label with t & sigma = pattern.  The status is
+    `no_perfect_matching` when no matching pairs the tails and the labels
+    one to one (`matching` is then empty), `unique` when the perfect
+    matching found is the only one, and `multiple` when an alternating
+    cycle gives another.  Raises ContractError when C is not maximum or
+    has no x-edge."""
     from . import matching, shatter
 
     tail = core.tail(C, x)
@@ -651,16 +663,9 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     if red is None:
         raise ContractError("reduction is empty; the class has no x-edge")
     tails = tail.concepts if tail is not None else ()
-    # the labels are forbidden_labels(red, sigma) over all d-sets sigma, as
-    # red is maximum of dimension d - 1 (Welzl 1987): the patterns whose
-    # fibre over sigma holds no concept of red.  The tails t with
-    # t & sigma = p are the fibre of p over sigma, so one unpruned walk over
-    # red's concepts followed by the tails gives every label its tails.
-    nred = len(red.concepts)
-    in_red = (1 << nred) - 1
-    fibre = {(Y, shatter._pattern(Y, i)): f >> nred
-             for Y, fibres in shatter._fibre_walk(red.concepts + tails, red.domain_mask, d, False)
-             if popcount(Y) == d for i, f in enumerate(fibres) if not f & in_red}
+    # one walk gives every label of red its tails, as a bitset over `tails`
+    missed = shatter._missed_labels(red.concepts, red.domain_mask, d, tails)
+    fibre = {(Y, p): f for Y, fibres in missed.items() for p, f in fibres.items()}
     labels = tuple(sorted(fibre))
     adj: dict = {t: [] for t in tails}
     for i, label in enumerate(labels):
@@ -672,7 +677,7 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     if len(tails) != len(labels) or len(m) != len(tails):
         status = "no_perfect_matching"
         m = {}
-    elif matching.is_unique_perfect_matching(adj, m):
+    elif matching.find_alternating_cycle(adj, m) is None:
         status = "unique"
     else:
         status = "multiple"

@@ -185,14 +185,21 @@ def forbidden_labels(C: ConceptClass, Y: int) -> list[ForbiddenLabel]:
     return [ForbiddenLabel(Y, p) for p in _missed_labels(C.concepts, Y, d + 1)[Y]]
 
 
-def _missed_labels(concepts, alive: int, d: int) -> dict:
-    """sigma -> the ascending patterns over sigma that no concept (of a
-    sequence of concepts) realises, for every d-subset sigma of the alive
-    coordinates in `combinations` order: the patterns of sigma's empty
-    fibres in the unpruned fibre walk, since a class of dimension d - 1
-    that misses a pattern on sigma may also miss one on a subset."""
-    return {Y: [_pattern(Y, i) for i, f in enumerate(fibres) if not f]
-            for Y, fibres in _fibre_walk(concepts, alive, d, False) if popcount(Y) == d}
+def _missed_labels(concepts, alive: int, d: int, extra=()) -> dict:
+    """sigma -> {pattern: extra bitset} for the ascending patterns over sigma
+    that no concept (of a sequence of concepts) realises, for every d-subset
+    sigma of the alive coordinates in `combinations` order.  Bit j of a
+    pattern's extra bitset is set iff extra[j] & sigma is the pattern.
+
+    One unpruned fibre walk over the concepts followed by the extra ones
+    reads every fibre of sigma, since a class of dimension d - 1 that misses
+    a pattern on sigma may also miss one on a subset; a pattern is missed
+    when its fibre holds none of the first len(concepts) indices."""
+    size = len(concepts)
+    own = (1 << size) - 1
+    return {Y: {_pattern(Y, i): f >> size for i, f in enumerate(fibres) if not f & own}
+            for Y, fibres in _fibre_walk((*concepts, *extra), alive, d, False)
+            if popcount(Y) == d}
 
 
 class AmpleReport(NamedTuple):

@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
 
 ORBITS = "tests/test_small_n.py::test_each_ample_orbit_and_its_complement_match_the_oracles_on_n4"
+MAXIMUM_ORBITS = "tests/test_small_n.py::test_each_maximum_orbit_on_n5_matches_the_oracles"
 PEEL_REFERENCE = "tests/test_peeling.py::test_search_matches_recursive_reference"
 R2_SWEEPS = "tests/test_repmap.py::test_r2_and_r3_match_their_sweeps"
 R2_ONE_DOMAIN = "tests/test_repmap.py::test_r2_reads_one_domain_of_every_class"
@@ -108,6 +109,11 @@ MUTANTS = (
     Mutant("fibre-walk-one-side", "src/amplekit/shatter.py",
            "if not (a and c):", "if not a:",
            ("tests/test_shatter.py::test_engine_matches_oracle_random_n5_n6",)),
+    # a label counts as missed only when no tail realises it either
+    Mutant("missed-labels-empty-of-extra-too", "src/amplekit/shatter.py",
+           "if not f & own", "if not f",
+           ("tests/test_repmap.py::test_tail_matching_report_matches_the_per_tail_edge_scan",
+            MAXIMUM_ORBITS)),
     # the lopsided test pairs Y with the complement's set Y, not with X minus Y
     Mutant("lopsided-partner-not-complemented", "src/amplekit/shatter.py",
            "C.domain_mask ^ Z", "Z", (REPORT,)),
