@@ -97,7 +97,7 @@ def cmd_repmap(args) -> int:
     if not args.repmap:
         raise ParseError("repmap verify requires --repmap <file>")
     r = repmap.parse_repmap_text(_read_text(args.repmap), C.n)
-    report = repmap.certify_repmap(C, r)
+    report = repmap.verify_repmap(C, r)
     for name, check in zip(report._fields, report):
         print(f"{name}={int(check.ok)}")
     print(f"valid={int(report.valid)}")

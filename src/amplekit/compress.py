@@ -124,13 +124,13 @@ def verify_scheme(scheme: CompressionScheme) -> SchemeReport:
     at one domain, exact at every width.
 
     The verdict is the certificate's, `repmap._certified` (bijection onto
-    X(C), C1 and C2), as in `certify_repmap`.  A certified map is a
+    X(C), C1 and C2), as in `repmap.verify_repmap`.  A certified map is a
     representation map, so every sample decodes uniquely, to a g whose
     r(g) is a set of X(C), of size at most d: the scheme passes.
     Conversely a pass satisfies R2, so r is a non-clashing bijection onto
     sh(C) = X(C) (`repmap._r2_domain`); each cube (t, Y) of C then has one
     sink, γ of the pattern t on the complement of Y, which is C2, and C1
-    follows from C2 for a bijection onto X(C) (`certify_repmap`).  So R2's
+    follows from C2 for a bijection onto X(C) (`verify_repmap`).  So R2's
     domain is searched only on a map that fails, to locate the failure.
 
     Let Y* be R2's first failing domain, or 2^n on a certified map.  An

@@ -169,40 +169,19 @@ def _check_c2(C: ConceptClass, r: RepMap, tags: dict) -> Check:
     return Check(True) if failed is None else Check(False, failed)
 
 
-def verify_repmap(C: ConceptClass, r: RepMap, tags: Optional[dict] = None) -> RepMapReport:
-    """Every check, each with its first witness; `tags` is
-    `graph.cube_tags(C)` when the caller already has it.  R2's witness is
-    the first (Y, pattern) over the domains in numeric order, patterns in
+def verify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
+    """Every check, each with its first witness.  R2's witness is the first
+    (Y, pattern) over the domains in numeric order, patterns in
     `core._decodings` order: the first failing pattern at R2's first
-    failing domain (`_r2_domain`), so the decoder reads that domain alone."""
-    _check_total(C, r)
-    if tags is None:
-        tags = graph.cube_tags(C)
-    bij = _bijection(r, tags)
-    r1, r3, r4 = _check_pairs(C, r)
-    Y = _r2_domain(C, r, graph._shattered(C, tags.keys()))
-    r2 = Check(True) if Y >> C.n else Check(False, (Y, next(
-        pat for pat, cs in core._decodings(C.concepts, r, Y).items() if len(cs) != 1)))
-    return RepMapReport(
-        r1=r1,
-        r2=r2,
-        r3=r3,
-        r4=r4,
-        bijective=bij,
-        c1=_check_c1(C, r, tags),
-        c2=_check_c2(C, r, tags),
-    )
+    failing domain (`_r2_domain`), so the decoder reads that domain alone.
 
-
-def certify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
-    """`verify_repmap` without the R1–R4 checks whenever r passes.
-
-    A bijection onto X(C) exists only for ample C (|X(C)| ≤ |C| ≤ number of
+    The certificate (`_certified`: bijection onto X(C), C1 and C2) is
+    checked first, and R1–R4 are swept only on a map that fails it.  A
+    bijection onto X(C) exists only for ample C (|X(C)| ≤ |C| ≤ number of
     shattered sets, with equality iff C is ample), and for ample C such a
     bijection is a representation map exactly when it satisfies C1 and C2:
     its 1-skeleton is then a unique sink orientation.  So when the
-    bijection, C1 and C2 hold, R1–R4 hold too; otherwise the exhaustive
-    report is returned unchanged, witnesses included.
+    bijection, C1 and C2 hold, R1–R4 hold too, and every check passes.
 
     Once r is a bijection onto X(C), C1 is `_check_c1`'s lookup in the one
     cube complex that C2 also reads.  For such a bijection C2 in fact implies
@@ -219,11 +198,27 @@ def certify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
     tags = graph.cube_tags(C)
     if _certified(C, r, tags):
         return RepMapReport(*[Check(True)] * 7)
-    return verify_repmap(C, r, tags)
+    r1, r3, r4 = _check_pairs(C, r)
+    Y = _r2_domain(C, r, graph._shattered(C, tags.keys()))
+    r2 = Check(True) if Y >> C.n else Check(False, (Y, next(
+        pat for pat, cs in core._decodings(C.concepts, r, Y).items() if len(cs) != 1)))
+    return RepMapReport(
+        r1=r1,
+        r2=r2,
+        r3=r3,
+        r4=r4,
+        bijective=_bijection(r, tags),
+        c1=_check_c1(C, r, tags),
+        c2=_check_c2(C, r, tags),
+    )
+
+
+# the one report under its earlier name
+certify_repmap = verify_repmap
 
 
 def _certified(C: ConceptClass, r: RepMap, tags: dict) -> bool:
-    """`certify_repmap(C, r).valid` for r total on C, with `tags` =
+    """`verify_repmap(C, r).valid` for r total on C, with `tags` =
     `graph.cube_tags(C)`: the bijection, C1 and C2, and no R1–R4 sweep."""
     return (_bijection(r, tags).ok
             and _check_c1(C, r, tags).ok and _check_c2(C, r, tags).ok)

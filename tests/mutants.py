@@ -34,6 +34,7 @@ IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
 
 ORBITS = "tests/test_small_n.py::test_each_ample_orbit_and_its_complement_match_the_oracles_on_n4"
 MAXIMUM_ORBITS = "tests/test_small_n.py::test_each_maximum_orbit_on_n5_matches_the_oracles"
+N4_SWEEP = "tests/test_small_n.py::test_recognition_matches_the_definitions_on_every_class_on_n4"
 PEEL_REFERENCE = "tests/test_peeling.py::test_search_matches_recursive_reference"
 R2_SWEEPS = "tests/test_repmap.py::test_r2_and_r3_match_their_sweeps"
 R2_ONE_DOMAIN = "tests/test_repmap.py::test_r2_reads_one_domain_of_every_class"
@@ -98,6 +99,10 @@ MUTANTS = (
     # the scheme checks no size bound at its failing domain
     Mutant("scheme-no-size-bound", "src/amplekit/compress.py",
            "        elif popcount(r[hits[0]]) > d:", "        elif False:", (SCHEME_OVERSIZE,)),
+    # the report passes every bijection onto X(C), with no C1 or C2
+    Mutant("report-certified-by-the-bijection-alone", "src/amplekit/repmap.py",
+           "if _certified(C, r, tags):", "if _bijection(r, tags).ok:",
+           ("tests/test_repmap.py::test_certify_every_bijection_n_le_2",)),
     # the scheme passes every bijection onto X(C), with no C1 or C2
     Mutant("scheme-certified-by-the-bijection-alone", "src/amplekit/compress.py",
            "repmap._certified(C, r, tags)", "repmap._bijection(r, tags).ok", (SCHEME,)),
@@ -139,6 +144,11 @@ MUTANTS = (
     # the domain rule lets coordinate n + 1 through
     Mutant("domain-rule-one-wider", "src/amplekit/core.py",
            "if high := Y >> n:", "if high := Y >> n + 1:", (DOMAIN_RULE,)),
+    # the slice tables leave out the cubes that use the top coordinate
+    Mutant("slice-table-without-the-x-cubes", "tests/test_slices.py",
+           " | prev[m & low & m >> half] << half", "",
+           ("tests/test_slices.py::test_the_tables_match_cube_tags_on_every_class_up_to_n_4",
+            N4_SWEEP)),
     # the isometry test skips the points of P without coordinate 1
     Mutant("isometric-odd-points-only", "src/amplekit/graph.py",
            "and u != v:", "and u != v and u & 1:",

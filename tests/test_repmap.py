@@ -534,7 +534,7 @@ def test_certify_fallback_builds_the_complex_once(monkeypatch):
     r = repmap.build_maximum_repmap(C)
     a, b = C.concepts[3], C.concepts[40]
     r[a], r[b] = r[b], r[a]
-    expected = repmap.verify_repmap(C, r)
+    expected = verify_repmap_oracle(C, r)
     assert not expected.valid
 
     built = []
@@ -1477,9 +1477,31 @@ def c2_sweep_oracle(C, r):
     return repmap.Check(True)
 
 
+def verify_repmap_oracle(C, r):
+    """Every check on every map, each with its first witness, and no
+    certificate: the report as `verify_repmap` computed it before it
+    certified first."""
+    repmap._check_total(C, r)
+    tags = graph.cube_tags(C)
+    r1, r3, r4 = repmap._check_pairs(C, r)
+    Y = repmap._r2_domain(C, r, graph._shattered(C, tags.keys()))
+    r2 = repmap.Check(True) if Y >> C.n else repmap.Check(False, (Y, next(
+        pat for pat, cs in core._decodings(C.concepts, r, Y).items() if len(cs) != 1)))
+    return repmap.RepMapReport(
+        r1=r1,
+        r2=r2,
+        r3=r3,
+        r4=r4,
+        bijective=repmap._bijection(r, tags),
+        c1=repmap._check_c1(C, r, tags),
+        c2=repmap._check_c2(C, r, tags),
+    )
+
+
 def assert_certify_agrees(C, r):
     # every field, witnesses included
-    full = repmap.verify_repmap(C, r)
+    full = verify_repmap_oracle(C, r)
+    assert repmap.verify_repmap(C, r) == full
     assert repmap.certify_repmap(C, r) == full
     assert repmap._check_c2(C, r, graph.cube_tags(C)) == c2_sweep_oracle(C, r) == full.c2
     return full
@@ -1616,17 +1638,16 @@ def test_certify_on_a_non_ample_class():
 
 
 def test_certify_c1_lookup_every_bijection_n_le_3(monkeypatch):
-    """With C2 forced to pass and the R1–R4 fallback stubbed, certify_repmap
-    accepts a bijection onto X(C) exactly when the vertex-walk C1 oracle
-    does.  The real
-    C2 never holds where C1 fails: for a bijection onto X(C) of an ample
-    class, C2 implies C1 (see `certify_repmap`)."""
+    """With C2 forced to pass and the R1–R4 sweeps stubbed to fail, the
+    report accepts a bijection onto X(C) exactly when the vertex-walk C1
+    oracle does.  The real C2 never holds where C1 fails: for a bijection
+    onto X(C) of an ample class, C2 implies C1 (see `verify_repmap`)."""
     check_c2 = repmap._check_c2
-    fallback = repmap.RepMapReport(*[repmap.Check(False)] * 7)
     # the same complex each time, built once per class
     monkeypatch.setattr(graph, "cube_tags", functools.lru_cache(graph.cube_tags))
     monkeypatch.setattr(repmap, "_check_c2", lambda C, r, tags=None: repmap.Check(True))
-    monkeypatch.setattr(repmap, "verify_repmap", lambda C, r, tags=None: fallback)
+    monkeypatch.setattr(repmap, "_check_pairs", lambda C, r: (repmap.Check(False),) * 3)
+    monkeypatch.setattr(repmap, "_r2_domain", lambda C, r, sh: 1 << C.n)
     seen = {True: 0, False: 0}
     for n in (1, 2, 3):
         for C in ample_classes(n):

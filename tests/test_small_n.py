@@ -1,9 +1,9 @@
 """Every nonempty class on n = 4, enumerated by mask with no sampling,
-against oracles that read the complexes off their definitions, with
-neither `graph.cube_tags` nor the fibre walk; one class per orbit of the
-ample 4-classes, with its complement, and one class per orbit of the
-maximum 5-classes, against the oracles of the peeling, collapse, map and
-scheme checks."""
+against oracles that read sh(C) off its definition and st(C) off the
+slice tables, with neither `graph.cube_tags` nor the fibre walk; one
+class per orbit of the ample 4-classes, with its complement, and one
+class per orbit of the maximum 5-classes, against the oracles of the
+peeling, collapse, map and scheme checks."""
 import collections
 import itertools
 import operator
@@ -18,18 +18,19 @@ from classes import all_classes
 from test_compress import verify_scheme_enumeration_oracle, verify_scheme_oracle
 from test_peeling import _recursive_search, classify_ordering_oracle, replay_collapse_oracle
 from test_repmap import check_r2_oracle, check_r3_oracle, first_pair_oracle
+from test_slices import ST
 
 N = 4
 
 
 def test_recognition_matches_the_definitions_on_every_class_on_n4():
     seen = ample = 0
-    for C in all_classes(N):
-        # Y is shattered iff C|Y has all 2^|Y| patterns, and strongly
-        # shattered iff C holds a Y-cube, that is iff C^Y is nonempty
+    for m, C in enumerate(all_classes(N), 1):
+        # Y is shattered iff C|Y has all 2^|Y| patterns; st(C) is read off
+        # the slice tables, which `test_slices` checks against X(C)
         sh = {Y for Y in range(1 << N)
               if len({c & Y for c in C.concepts}) == 1 << popcount(Y)}
-        st = {Y for Y in range(1 << N) if core.reduction_tags(C.concepts, Y)}
+        st = {Y for Y in range(1 << N) if ST[N][m] >> Y & 1}
         d = max(map(popcount, sh))
         # ample: every shattered set is strongly shattered
         is_ample = sh == st
