@@ -227,7 +227,12 @@ def _collapse_rec(alive: int, tags: dict) -> tuple[CollapseSequence, int]:
     first, its complex from `graph.split_tags`, then lift each pair through
     the x-direction.  A cube Q of C_x is "thick" when both its side copies
     (x=0 and x=1) lie in C, in which case its preimage is the
-    (dim+1)-cube spanning the x-direction.
+    (dim+1)-cube spanning the x-direction, its x-cube.  A pair (Q, Qp)
+    lifts to one pair per side of Qp in C, plus one for a thick Q.  The
+    thick Q's x-cube comes first: it pairs with Qp's x-cube when Qp is
+    thick too, and otherwise it is the coface of the side of Q that Qp
+    lacks.  Then each side of Qp in C pairs with the same side of Q,
+    x=0 first.
     """
     if alive == 0:
         return [], next(iter(tags[0]))
@@ -243,36 +248,21 @@ def _collapse_rec(alive: int, tags: dict) -> tuple[CollapseSequence, int]:
     for Q, Qp in seq_x:
         q0, q1 = side_cubes(Q)
         p0, p1 = side_cubes(Qp)
-        q_thick = q0 is not None and q1 is not None
-        p_thick = p0 is not None and p1 is not None
-        if q_thick and p_thick:
+        # a face of a cube of C lies in C, and a cube of C_x has a side in C
+        if (q0 is None and p0 is not None or q1 is None and p1 is not None
+                or p0 is None and p1 is None):
+            raise IntegrityError("collapse lift failed: the coface has a side in C "
+                                 "without the same side of the face, or none")
+        if q0 is not None and q1 is not None:
             thickQ = Cube(Q.tag, Q.support | xb)
-            thickP = Cube(Qp.tag, Qp.support | xb)
-            seq.append((thickQ, thickP))
+            if p0 is not None and p1 is not None:
+                seq.append((thickQ, Cube(Qp.tag, Qp.support | xb)))
+            else:
+                seq.append((q0 if p0 is None else q1, thickQ))
+        if p0 is not None:
             seq.append((q0, p0))
+        if p1 is not None:
             seq.append((q1, p1))
-        elif q_thick:
-            # the coface lifts to one side only; pair the thick cube of Q
-            # with the surviving side of Qp, and the other side of Q stays
-            # paired through the x-direction
-            thickQ = Cube(Q.tag, Q.support | xb)
-            if p0 is not None:
-                seq.append((q1, thickQ))
-                seq.append((q0, p0))
-            else:
-                seq.append((q0, thickQ))
-                seq.append((q1, p1))
-        else:
-            # a thin free face under a thick coface cannot occur: a thick
-            # coface forces both sides of its facets into the class
-            if p_thick:
-                raise IntegrityError("collapse lift failed: thin face, thick coface")
-            if q0 is not None and p0 is not None:
-                seq.append((q0, p0))
-            elif q1 is not None and p1 is not None:
-                seq.append((q1, p1))
-            else:
-                raise IntegrityError("collapse lift failed: sides do not align")
     # the survivor vertex of C_x: collapse its x-edge if it exists
     v0 = survivor_x
     v1 = survivor_x | xb

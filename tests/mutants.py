@@ -68,6 +68,10 @@ MUTANTS = (
     # the search forgets the levels it found to fail
     Mutant("no-failed-memo", "src/amplekit/peeling.py",
            "if gone in failed else", "if False else", (PEEL_REFERENCE,)),
+    # a thick face's x-cube pairs with the side of the face that the coface keeps
+    Mutant("collapse-lift-wrong-side", "src/amplekit/peeling.py",
+           "q0 if p0 is None else q1", "q1 if p0 is None else q0",
+           ("tests/test_peeling.py::test_collapse_reads_the_complex_like_the_concept_recursion",)),
     # every concept is a corner
     Mutant("every-concept-a-corner", "src/amplekit/graph.py",
            "    return _is_corner_in(s, c, _neighbour_dirs(s, c, C.n))\n",

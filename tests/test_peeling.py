@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import sys
@@ -418,9 +419,10 @@ def test_collapse_replay_validates_n3():
         peeling.replay_collapse(C, seq, survivor)
 
 
-def collapse_rec_oracle(concepts):
+def collapse_rec_oracle(concepts, cases=None):
     """The collapse recursion on concept sets: each restriction C_x rebuilt
-    from the concepts, and side cubes tested by their vertices."""
+    from the concepts, and side cubes tested by their vertices.  A Counter
+    `cases` counts the lifts by which sides of Q and of Qp lie in C."""
     if len(concepts) == 1:
         return [], concepts[0]
     support = 0
@@ -428,7 +430,7 @@ def collapse_rec_oracle(concepts):
         support |= c ^ concepts[0]
     xb = 1 << (support.bit_length() - 1)
     s = set(concepts)
-    seq_x, survivor_x = collapse_rec_oracle(tuple(sorted({c & ~xb for c in concepts})))
+    seq_x, survivor_x = collapse_rec_oracle(tuple(sorted({c & ~xb for c in concepts})), cases)
 
     def side_cubes(Q):
         Q1 = Cube(Q.tag | xb, Q.support)
@@ -439,6 +441,8 @@ def collapse_rec_oracle(concepts):
     for Q, Qp in seq_x:
         q0, q1 = side_cubes(Q)
         p0, p1 = side_cubes(Qp)
+        if cases is not None:
+            cases[q0 is not None, q1 is not None, p0 is not None, p1 is not None] += 1
         q_thick = q0 is not None and q1 is not None
         p_thick = p0 is not None and p1 is not None
         if q_thick and p_thick:
@@ -486,14 +490,20 @@ def pairs(seq):
 def test_collapse_reads_the_complex_like_the_concept_recursion():
     """The collapse over `graph.split_tags` and tag lookups gives the same
     sequence, in order, and the same survivor as the recursion that
-    rebuilds each restriction from its concepts."""
+    rebuilds each restriction from its concepts.  The cases reach every
+    lift the rule allows: (sides of Q in C, sides of Qp in C) with Qp's
+    sides among Q's."""
     classes = 0
+    cases = collections.Counter()
     for C in collapse_cases():
         seq, survivor = peeling._collapse_rec(C.support(), graph.cube_tags(C))
-        want_seq, want_survivor = collapse_rec_oracle(C.concepts)
+        want_seq, want_survivor = collapse_rec_oracle(C.concepts, cases)
         assert (pairs(seq), survivor) == (pairs(want_seq), want_survivor)
         classes += 1
     assert classes > 100
+    thin0, thin1, thick = (True, False), (False, True), (True, True)
+    assert set(cases) == {thin1 + thin1, thin0 + thin0, thick + thin1, thick + thin0,
+                          thick + thick}
 
 
 def replay_collapse_oracle(C, seq, survivor=None):
