@@ -123,8 +123,9 @@ def verify_scheme(scheme: CompressionScheme) -> SchemeReport:
     `core._decodings` order, up to the first failing sample; the loop runs
     at one domain, exact at every width.
 
-    The verdict is the certificate's, `repmap._certified` (bijection onto
-    X(C), C1 and C2), as in `repmap.verify_repmap`.  A certified map is a
+    The verdict is the certificate's: the scheme passes iff the three
+    checks of `repmap._certificate` (bijection onto X(C), C1 and C2) pass,
+    as in `repmap.verify_repmap`.  A certified map is a
     representation map, so every sample decodes uniquely, to a g whose
     r(g) is a set of X(C), of size at most d: the scheme passes.
     Conversely a pass satisfies R2, so r is a non-clashing bijection onto
@@ -155,7 +156,8 @@ def verify_scheme(scheme: CompressionScheme) -> SchemeReport:
     C, r = scheme.C, scheme.r
     tags = graph.cube_tags(C)
     # sh(C) is read only to locate the failure of a map that fails
-    sh = None if repmap._certified(C, r, tags) else graph._shattered(C, tags.keys())
+    sh = (None if all(c.ok for c in repmap._certificate(C, r, tags))
+          else graph._shattered(C, tags.keys()))
     Y = 1 << C.n if sh is None else repmap._r2_domain(C, r, sh)
     max_size = max((popcount(v) for v in r.values() if v < Y), default=0)
     checked = sum(_supersets_below(v, Y) for v in r.values())

@@ -175,13 +175,15 @@ def verify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
     `core._decodings` order: the first failing pattern at R2's first
     failing domain (`_r2_domain`), so the decoder reads that domain alone.
 
-    The certificate (`_certified`: bijection onto X(C), C1 and C2) is
-    checked first, and R1–R4 are swept only on a map that fails it.  A
-    bijection onto X(C) exists only for ample C (|X(C)| ≤ |C| ≤ number of
-    shattered sets, with equality iff C is ample), and for ample C such a
-    bijection is a representation map exactly when it satisfies C1 and C2:
-    its 1-skeleton is then a unique sink orientation.  So when the
-    bijection, C1 and C2 hold, R1–R4 hold too, and every check passes.
+    The certificate (`_certificate`: bijection onto X(C), C1 and C2) is
+    computed first, once, and R1–R4 are swept only on a map that fails it;
+    the report of such a map carries the certificate's three checks as
+    they are.  A bijection onto X(C) exists only for ample C (|X(C)| ≤
+    |C| ≤ number of shattered sets, with equality iff C is ample), and for
+    ample C such a bijection is a representation map exactly when it
+    satisfies C1 and C2: its 1-skeleton is then a unique sink orientation.
+    So when the bijection, C1 and C2 hold, R1–R4 hold too, and every check
+    passes.
 
     Once r is a bijection onto X(C), C1 is `_check_c1`'s lookup in the one
     cube complex that C2 also reads.  For such a bijection C2 in fact implies
@@ -196,46 +198,43 @@ def verify_repmap(C: ConceptClass, r: RepMap) -> RepMapReport:
     """
     _check_total(C, r)
     tags = graph.cube_tags(C)
-    if _certified(C, r, tags):
+    cert = _certificate(C, r, tags)
+    if all(c.ok for c in cert):
         return RepMapReport(*[Check(True)] * 7)
     r1, r3, r4 = _check_pairs(C, r)
     Y = _r2_domain(C, r, graph._shattered(C, tags.keys()))
     r2 = Check(True) if Y >> C.n else Check(False, (Y, next(
         pat for pat, cs in core._decodings(C.concepts, r, Y).items() if len(cs) != 1)))
-    return RepMapReport(
-        r1=r1,
-        r2=r2,
-        r3=r3,
-        r4=r4,
-        bijective=_bijection(r, tags),
-        c1=_check_c1(C, r, tags),
-        c2=_check_c2(C, r, tags),
-    )
+    return RepMapReport(r1, r2, r3, r4, *cert)
 
 
 # the one report under its earlier name
 certify_repmap = verify_repmap
 
 
-def _certified(C: ConceptClass, r: RepMap, tags: dict) -> bool:
-    """`verify_repmap(C, r).valid` for r total on C, with `tags` =
-    `graph.cube_tags(C)`: the bijection, C1 and C2, and no R1–R4 sweep."""
-    return (_bijection(r, tags).ok
-            and _check_c1(C, r, tags).ok and _check_c2(C, r, tags).ok)
+def _certificate(C: ConceptClass, r: RepMap, tags: dict) -> tuple[Check, Check, Check]:
+    """The bijection onto X(C), C1 and C2 of r total on C, each with its
+    first witness, with `tags` = `graph.cube_tags(C)`; all three are always
+    computed.  r is a representation map iff all three pass
+    (`verify_repmap`); no R1–R4 sweep is made."""
+    return _bijection(r, tags), _check_c1(C, r, tags), _check_c2(C, r, tags)
 
 
 @functools.lru_cache(maxsize=1)
 def _valid(C: ConceptClass, items: tuple) -> bool:
-    """`_certified` on C and the total map `dict(items)`, with X(C) built
-    here: the certificate of one (class, map) content.
+    """Whether `_certificate` passes on C and the total map `dict(items)`,
+    with X(C) built here: the verdict of one (class, map) content.
 
-    The last verdict is kept, so maps derived one after another from one
-    (C, r) build X(C) and run the bijection, C1 and C2 once.  The key is the
-    class and the map's (concept, image) pairs in the map's order, so a copy
-    of r reuses the verdict, and any other content, an edit of r in place
-    included, is certified in full.  The memo holds the last class and its
-    items tuple alive."""
-    return _certified(C, dict(items), graph.cube_tags(C))
+    The last verdict is kept for chains of substructure maps of one (C, r):
+    the `sub_repmap_*` calls on it build X(C) and certify once between
+    them.  Acceptance 7 takes 60 such maps of each class, and it runs six to
+    eight times as long without the memo (2.0–2.6 s against 12.0–16.9 s,
+    two alternated runs on a 2-CPU host).  The key is the class and the
+    map's (concept, image) pairs in the map's order, so a copy of r reuses
+    the verdict, and any other content, an edit of r in place included, is
+    certified in full.  The memo holds the last class and its items tuple
+    alive."""
+    return all(c.ok for c in _certificate(C, dict(items), graph.cube_tags(C)))
 
 
 def _bijection(r: RepMap, tags: dict) -> Check:
@@ -371,7 +370,9 @@ def check_uso(C: ConceptClass, o: RepMap) -> UsoReport:
 
 
 def uso_to_peeling(C: ConceptClass, o: RepMap) -> tuple:
-    """Corner peeling from an acyclic USO: peel sources, reverse."""
+    """Corner peeling from an acyclic USO: peel sources, reverse.  The USO
+    is certified with `check_uso`, the test that `peeling_to_uso` applies
+    to its out-map."""
     rep = check_uso(C, o)
     if not rep.ok:
         raise ContractError(f"not a unique sink orientation: {rep}")
@@ -399,13 +400,34 @@ def uso_to_peeling(C: ConceptClass, o: RepMap) -> tuple:
 
 
 def peeling_to_uso(C: ConceptClass, ordering) -> RepMap:
-    """Out-map orienting every edge from the later concept to the earlier."""
+    """Out-map orienting every edge from the later concept to the earlier,
+    keyed in class order.  The ordering is a corner peeling (each concept a
+    corner of its prefix) iff the out-map o passes `check_uso`, on every
+    class, ample or not.  The out-map of any ordering orients G(C), so
+    `check_uso` reads exactly C1 and C2:
+
+    - corner ⇒ C1: when v is a corner of its prefix, the o(v)-cube through
+      v lies in the prefix, so in C;
+    - corner ⇒ C2: the prefixes meet a cube Q of C in sets grown one corner
+      at a time.  The earlier Q-neighbours of a new vertex all lie in one
+      face of its corner cube, so adding it never joins two components.  Q
+      is connected, so exactly one vertex of Q starts a component, that
+      is has no earlier Q-neighbour: Q has one sink;
+    - C1 and C2 ⇒ corner: by C1 the o(v)-cube B through v lies in C, and by
+      C2 every face of B has one sink, so o is a USO on B.  Reversing a USO
+      gives a USO (the outmap criterion of Szabó & Welzl, *Unique sink
+      orientations of cubes*, FOCS 2001, is unchanged when every outmap is
+      complemented), so B has exactly one source.  v is a source of B, as
+      all its B-edges leave it, and so is the last vertex of B in the
+      ordering; so B lies in v's prefix, and v is its corner.
+    """
     from . import peeling as peeling_mod
 
-    if not peeling_mod.classify_ordering(C, ordering).corner_peeling:
+    o = peeling_mod._out_map(peeling_mod._check_permutation(C, ordering), C.n)
+    o = {c: o[c] for c in C}
+    if not check_uso(C, o).ok:
         raise ContractError("ordering is not a corner peeling")
-    o = peeling_mod._out_map(ordering, C.n)
-    return {c: o[c] for c in C}
+    return o
 
 
 # -- substructure maps ---------------------------------------------------------

@@ -42,6 +42,7 @@ R2_NOT_AMPLE = "tests/test_repmap.py::test_every_map_on_a_class_that_is_not_ampl
 DOMAIN_RULE = "tests/test_core.py::test_every_entry_refuses_a_coordinate_outside_1_to_n"
 SCHEME = "tests/test_compress.py::test_verify_scheme_equals_the_enumeration_oracle"
 REPORT = "tests/test_shatter.py::test_report_matches_its_oracle_field_by_field"
+PEELING_TO_USO = "tests/test_repmap.py::test_peeling_to_uso_rejects_bad_ordering"
 SCHEME_OVERSIZE = ("tests/test_compress.py::"
                    "test_verify_scheme_equals_the_enumeration_oracle_on_oversize_images")
 
@@ -105,11 +106,18 @@ MUTANTS = (
            "        elif popcount(r[hits[0]]) > d:", "        elif False:", (SCHEME_OVERSIZE,)),
     # the report passes every bijection onto X(C), with no C1 or C2
     Mutant("report-certified-by-the-bijection-alone", "src/amplekit/repmap.py",
-           "if _certified(C, r, tags):", "if _bijection(r, tags).ok:",
+           "for c in cert)", "for c in cert[:1])",
            ("tests/test_repmap.py::test_certify_every_bijection_n_le_2",)),
     # the scheme passes every bijection onto X(C), with no C1 or C2
     Mutant("scheme-certified-by-the-bijection-alone", "src/amplekit/compress.py",
-           "repmap._certified(C, r, tags)", "repmap._bijection(r, tags).ok", (SCHEME,)),
+           "repmap._certificate(C, r, tags)", "repmap._certificate(C, r, tags)[:1]",
+           (SCHEME,)),
+    # an ordering is taken as a corner peeling when its out-map passes C1 alone
+    Mutant("peeling-to-uso-c1-alone", "src/amplekit/repmap.py",
+           "check_uso(C, o).ok", "check_uso(C, o).c1.ok", (PEELING_TO_USO,)),
+    # an ordering is taken as a corner peeling when its out-map passes C2 alone
+    Mutant("peeling-to-uso-c2-alone", "src/amplekit/repmap.py",
+           "check_uso(C, o).ok", "check_uso(C, o).c2.ok", (PEELING_TO_USO,)),
     # a child cube's directions are read off one facet, not both
     Mutant("cube-tags-one-facet", "src/amplekit/graph.py",
            "child[t] = m & up[t | b]", "child[t] = m",

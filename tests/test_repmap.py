@@ -877,8 +877,30 @@ def test_peeling_to_uso_matches_the_index_scan():
 
 def test_peeling_to_uso_rejects_bad_ordering():
     Q2 = ConceptClass(2, range(4))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="not a corner peeling"):
         repmap.peeling_to_uso(Q2, (0, 3, 1, 2))
+    with pytest.raises(ContractError, match="not a permutation"):
+        repmap.peeling_to_uso(Q2, (0, 3, 1))
+    # every class on n <= 3, ample or not: every ordering up to 5 concepts,
+    # 20 seeded ones beyond; the out-map certifies iff the ordering peels
+    rng = random.Random(47)
+    seen = collections.Counter()
+    for n in (1, 2, 3):
+        for C in all_classes(n):
+            if C.size <= 5:
+                orders = itertools.permutations(C.concepts)
+            else:
+                orders = (rng.sample(C.concepts, C.size) for _ in range(20))
+            for order in orders:
+                peels = peeling.classify_ordering(C, order).corner_peeling
+                seen[peels] += 1
+                if peels:
+                    got = repmap.peeling_to_uso(C, order)
+                    assert list(got.items()) == list(peeling_to_uso_index_oracle(C, order).items())
+                else:
+                    with pytest.raises(ContractError, match="not a corner peeling"):
+                        repmap.peeling_to_uso(C, order)
+    assert min(seen.values()) > 1000
 
 
 # ---------------------------------------------------------------- sub maps
@@ -1264,7 +1286,7 @@ def isr_solve_edge_list_oracle(inst, edges, budget=10**6):
 
     if dfs(0):
         assignment = {inst.vertices[i][0]: inst.vertices[i][1] for i in chosen}
-        if not repmap._certified(inst.C, assignment, graph.cube_tags(inst.C)):
+        if not repmap.verify_repmap(inst.C, assignment).valid:
             raise IntegrityError("ISR did not convert to a representation map")
         return repmap.ISRResult(assignment, True, expansions)
     return repmap.ISRResult(None, expansions <= budget, expansions)
