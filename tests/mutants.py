@@ -157,10 +157,13 @@ MUTANTS = (
     Mutant("domain-rule-one-wider", "src/amplekit/core.py",
            "if high := Y >> n:", "if high := Y >> n + 1:", (DOMAIN_RULE,)),
     # the slice tables leave out the cubes that use the top coordinate
-    Mutant("slice-table-without-the-x-cubes", "tests/test_slices.py",
+    Mutant("slice-table-without-the-x-cubes", "tests/classes.py",
            " | prev[m & low & m >> half] << half", "",
            ("tests/test_slices.py::test_the_tables_match_cube_tags_on_every_class_up_to_n_4",
             N4_SWEEP)),
+    # the census takes a class with fewer cubes than concepts as ample too
+    Mutant("census-ample-below-the-size", "tests/classes.py",
+           "].bit_count() == C.size", "].bit_count() <= C.size", (PEEL_REFERENCE,)),
     # the isometry test skips the points of P without coordinate 1
     Mutant("isometric-odd-points-only", "src/amplekit/graph.py",
            "and u != v:", "and u != v and u & 1:",

@@ -2,8 +2,6 @@
 error, and never a traceback.  Derandomized, with no example database and
 Hypothesis's storage (its constants cache) kept in a temporary directory, so
 the run is the same every time and leaves nothing in the checkout."""
-import contextlib
-import io
 import tempfile
 from math import comb
 
@@ -11,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from amplekit import cli, core, generate, repmap
+from amplekit import core, generate, repmap
+
+from test_cli import run_exit
 
 # Hypothesis caches the constants it finds in local modules under its storage
 # directory (./.hypothesis by default) while collecting, even with
@@ -73,18 +73,8 @@ def paths(tmp_path_factory):
     return str(cls), d / "map.rep"
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:      # argparse's own usage errors
-            code = exc.code
-    return code, err.getvalue()
-
-
 def assert_contract(argv):
-    code, err = run(argv)
+    code, _, err = run_exit(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
     return code
@@ -160,7 +150,7 @@ def test_fuzz_integer_options(paths, option, value):
     # with a sign, '_' or a non-ASCII digit the option's value is refused
     # by argparse, before any range check
     cls, _ = paths
-    code, err = run(integer_option_argv(cls, option, value))
+    code, _, err = run_exit(integer_option_argv(cls, option, value))
     assert code in (0, 1, 2) and "Traceback" not in err, (option, value, err)
     if has_odd(value):
         assert code == 2 and err.endswith(f"invalid int value: {value!r}\n"), (option, value)
@@ -198,10 +188,9 @@ def check_output(path, n, concepts):
     """`check`'s lines on a class file listing the concepts in the given order."""
     lines = [f"n={n}"] + [core.concept_to_string(c, n) for c in concepts]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["check", str(path)]) == 0
-    return out.getvalue().splitlines()
+    code, out, _ = run_exit(["check", str(path)])
+    assert code == 0
+    return out.splitlines()
 
 
 @FUZZ

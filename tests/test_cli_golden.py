@@ -9,19 +9,18 @@ it afresh (for a deliberate output change, named in CHANGES.md):
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
-import contextlib
 import hashlib
-import io
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-from amplekit import cli, core, generate
+from amplekit import core, generate
 from amplekit.core import ConceptClass
 
 from downsets import random_downset_class
+from test_cli import run_exit
 
 GOLDEN = Path(__file__).parent / "cli_golden.json"
 
@@ -65,13 +64,8 @@ SETS = ("{}", "{1}", "{1,2}", "{3,5}", "{1,2,3}")
 
 
 def _run(argv) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    code, out, err = run_exit(argv)
+    return {"argv": argv, "exit": code, "stdout": out, "stderr": err}
 
 
 def _swap_first_last(map_text: str) -> str:

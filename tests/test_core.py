@@ -10,7 +10,7 @@ from amplekit import core
 from amplekit.core import ConceptClass, Cube, bit, mask_of
 from amplekit.errors import DomainError, EmptyClassError, ParseError
 
-from classes import all_classes, cc
+from classes import all_classes, ample_classes, cc, submasks
 
 
 # ---------------------------------------------------------------- oracles
@@ -23,21 +23,7 @@ def restrict_oracle(C, Y):
 def reduce_oracle(C, Y):
     """Tags of Y-cubes fully contained in C, raw masks."""
     s = C.concept_set
-    tags = set()
-    for c in C:
-        tag = c & ~Y
-        sub = Y
-        ok = True
-        while True:
-            if (tag | sub) not in s:
-                ok = False
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & Y
-        if ok:
-            tags.add(tag)
-    return tags
+    return {c & ~Y for c in C if all(((c & ~Y) | sub) in s for sub in submasks(Y))}
 
 
 def raw_masks(C, kept):
@@ -234,8 +220,7 @@ def test_reduce_empty():
 
 
 def test_reduce_matches_oracle_exhaustive_n3():
-    for mask in range(1, 1 << 8):
-        C = ConceptClass(3, [c for c in range(8) if mask >> c & 1])
+    for C in all_classes(3):
         for Y in range(1, 8):
             R = core.reduce(C, Y)
             got = raw_masks(R, 7 & ~Y) if R is not None else set()
@@ -319,8 +304,7 @@ def test_tail_example():
 
 def test_partition_identity():
     # C = 0C^x ∪ 1C^x ∪ (tail concepts with their unique x-bit), raw masks
-    for mask in range(1, 1 << 8):
-        C = ConceptClass(3, [c for c in range(8) if mask >> c & 1])
+    for C in all_classes(3):
         for x in (1, 2, 3):
             xb = bit(x)
             tags = reduce_oracle(C, xb)
@@ -332,11 +316,7 @@ def test_partition_identity():
 
 def test_reduce_drop_commute_on_ample():
     # (C^Y)_Z = (C_Z)^Y for disjoint Y, Z when C is ample
-    from amplekit import shatter
-    for mask in range(1, 1 << 8):
-        C = ConceptClass(3, [c for c in range(8) if mask >> c & 1])
-        if not shatter.is_ample(C)[0]:
-            continue
+    for C in ample_classes(3):
         for Y in range(1, 8):
             Z = (~Y) & 7
             a = reduce_oracle(C, Y)

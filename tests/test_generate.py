@@ -11,7 +11,7 @@ from amplekit import core, generate, graph, peeling, shatter
 from amplekit.core import ConceptClass, mask_of
 from amplekit.errors import ContractError, DomainError
 
-from classes import is_isometric_oracle
+from classes import is_isometric_oracle, submasks
 from downsets import random_downset_class
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -64,13 +64,7 @@ def test_simplicial_bouquet():
 
 def simplicial_submask_oracle(n, facets):
     """Every submask of every facet, with the empty set."""
-    members = {0}
-    for f in facets:
-        sub = f
-        while sub:
-            members.add(sub)
-            sub = (sub - 1) & f
-    return ConceptClass(n, tuple(members))
+    return ConceptClass(n, {0, *(sub for f in facets for sub in submasks(f))})
 
 
 def test_simplicial_class_matches_the_submask_oracle():

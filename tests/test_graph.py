@@ -7,7 +7,7 @@ from amplekit import core, graph, peeling, shatter
 from amplekit.core import ConceptClass, Cube, bit, interval, popcount
 from amplekit.errors import ContractError, NotConnectedError, OrderingValidationError
 
-from classes import all_classes, bfs_dist, cc, is_isometric_oracle
+from classes import all_classes, ample_classes, bfs_dist, cc, is_isometric_oracle, submasks
 
 
 def random_classes():
@@ -36,7 +36,7 @@ def cubes_oracle(C):
             if tag in seen:
                 continue
             seen.add(tag)
-            verts = {tag | sub for sub in _subsets(support)}
+            verts = {tag | sub for sub in submasks(support)}
             if verts <= s:
                 out.add((tag, support))
     return out
@@ -74,15 +74,6 @@ def corners_oracle(C):
         if len(homes) == 1:
             out.append(c)
     return sorted(out)
-
-
-def _subsets(Y):
-    sub = Y
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & Y
 
 
 # ---------------------------------------------------------------- structure
@@ -175,18 +166,14 @@ def test_is_corner_matches_oracle_random_n5_n6():
 
 
 def test_maximal_cube_supports_distinct_for_ample():
-    for C in all_classes(3):
-        if not shatter.is_ample(C)[0]:
-            continue
+    for C in ample_classes(3):
         supports = [B.support for B in graph.maximal_cubes(C)]
         assert len(supports) == len(set(supports))
 
 
 def test_corner_neighbor_characterization_for_ample():
     # for ample C: c is a corner iff all its neighbors lie in one cube of C
-    for C in all_classes(3):
-        if not shatter.is_ample(C)[0]:
-            continue
+    for C in ample_classes(3):
         cubes = cubes_oracle(C)
         for c in C:
             nbrs = [c ^ bit(x) for x in range(1, 4) if (c ^ bit(x)) in C.concept_set]
@@ -204,10 +191,9 @@ def test_is_isometric_examples():
 
 
 def test_ample_implies_isometric_n3():
-    for C in all_classes(3):
-        if shatter.is_ample(C)[0]:
-            assert graph.is_isometric(C, "full")
-            assert graph.is_isometric(C, "weak")
+    for C in ample_classes(3):
+        assert graph.is_isometric(C, "full")
+        assert graph.is_isometric(C, "weak")
 
 
 def test_weak_vs_full():
@@ -339,9 +325,7 @@ def test_ordering_to_shelling_fails_at_first_non_isometric_prefix_random_n5_n6()
 
 
 def test_reductions_connected_isometric_for_ample():
-    for C in all_classes(3):
-        if not shatter.is_ample(C)[0]:
-            continue
+    for C in ample_classes(3):
         for Y in range(8):
             R = core.reduce(C, Y)
             if R is None:
@@ -448,9 +432,7 @@ def test_convexity_examples():
 
 
 def test_local_convexity_equals_convexity_for_connected_in_ample():
-    for C in all_classes(3):
-        if not shatter.is_ample(C)[0]:
-            continue
+    for C in ample_classes(3):
         concepts = list(C)
         for size in range(1, min(4, len(concepts)) + 1):
             for sel in itertools.combinations(concepts, size):

@@ -13,7 +13,7 @@ from amplekit import core, generate, graph, matching, peeling, repmap, shatter
 from amplekit.core import ConceptClass, Cube, bit, mask_of
 from amplekit.errors import ContractError, IntegrityError, ParseError
 
-from classes import all_classes, ample_classes, cc
+from classes import all_classes, ample_classes, cc, is_ample_by_st
 
 
 PATH3 = cc("00", "01", "10")          # {00, 01, 10}
@@ -27,16 +27,6 @@ def check_c1_oracle(C, r):
         if not core.cube_in_class(Cube(c & ~r[c], r[c]), C.concept_set):
             return repmap.Check(False, c)
     return repmap.Check(True)
-
-
-def non_clashing_oracle(C, r):
-    """R1 by definition: c != c' must differ inside r(c) | r(c')."""
-    cs = C.concepts
-    for i, c in enumerate(cs):
-        for d in cs[i + 1:]:
-            if (c ^ d) & (r[c] | r[d]) == 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------- verify
@@ -55,7 +45,7 @@ def test_verify_finds_a_failing_bijection():
     bad = None
     for images in itertools.permutations(fams):
         r = dict(zip(PATH3.concepts, images))
-        if not non_clashing_oracle(PATH3, r):
+        if first_pair_oracle(PATH3, r, operator.or_) is not None:
             bad = r
             break
     assert bad is not None
@@ -353,7 +343,7 @@ def test_every_map_on_a_class_that_is_not_ample_fails_r2():
     pairs = top = 0
     for n in (1, 2):
         for D in all_classes(n):
-            if shatter.is_ample(D)[0]:
+            if is_ample_by_st(D):
                 continue
             for images in itertools.product(range(1 << n), repeat=D.size):
                 r = dict(zip(D.concepts, images))
@@ -363,7 +353,7 @@ def test_every_map_on_a_class_that_is_not_ample_fails_r2():
     assert pairs == 32
     rng = random.Random(37)
     for D in all_classes(3):
-        if shatter.is_ample(D)[0]:
+        if is_ample_by_st(D):
             continue
         sh = sorted(shatter._shattered_sets(D))
         maps = [{c: rng.randrange(8) for c in D} for _ in range(6)]
@@ -1131,8 +1121,7 @@ def test_check_c1_lookup_matches_the_vertex_walk():
     classes."""
     verdicts = {True: 0, False: 0}
     for n in (1, 2):
-        for mask in range(1, 1 << (1 << n)):
-            C = ConceptClass(n, tuple(c for c in range(1 << n) if mask >> c & 1))
+        for C in all_classes(n):
             tags = graph.cube_tags(C)
             for images in itertools.product(range(1 << n), repeat=C.size):
                 r = dict(zip(C.concepts, images))

@@ -9,7 +9,7 @@ from amplekit import core, generate, graph, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError
 
-from classes import all_classes, ample_classes, cc
+from classes import all_classes, ample_classes, cc, submasks
 
 
 # ---------------------------------------------------------------- oracles
@@ -23,18 +23,9 @@ def strongly_shattered_oracle(C, Y):
     s = C.concept_set
     for c in C:
         tag = c & ~Y
-        if all((tag | sub) in s for sub in _subsets(Y)):
+        if all((tag | sub) in s for sub in submasks(Y)):
             return True
     return False
-
-
-def _subsets(Y):
-    sub = Y
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & Y
 
 
 def random_classes():
@@ -136,7 +127,7 @@ def test_complexes_downward_closed():
     for C in all_classes(3):
         for fam in (shatter.shattered_complex(C), shatter.strongly_shattered_complex(C)):
             for m in fam.members:
-                for sub in _subsets(m):
+                for sub in submasks(m):
                     assert sub in fam.members
 
 

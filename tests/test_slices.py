@@ -9,7 +9,7 @@ s0 ∩ s1 with x added, so
 
 With a class on n coordinates written as the bitset of its concepts, and
 st(C) as the bitset of its coordinate sets, this is a recursion from n = 0
-over tables of every class.  The table for n = 4 is checked against
+over tables of every class, `classes.ST`.  The tables are checked against
 `graph.cube_tags`, an independent computation of X(C).  By the sandwich
 lemma C is ample iff |st(C)| = |C|, and an ample C has c as a corner iff
 C \\ {c} is ample; both are checked on seeded 5-classes against the library.
@@ -17,25 +17,8 @@ C \\ {c} is ample; both are checked on seeded 5-classes against the library.
 import random
 
 from amplekit import graph, shatter
-from amplekit.core import ConceptClass
 
-from classes import all_classes
-
-
-def st_tables(top):
-    """tables[n][m] = st of the n-class with concept bitset m, as a bitset
-    over the coordinate sets of 1..n, for every n ≤ top."""
-    tables = [[0, 1]]       # n = 0: the empty class and the class {∅}
-    for n in range(1, top + 1):
-        prev = tables[-1]
-        half = 1 << (n - 1)         # bit of x in a concept or coordinate set
-        low = (1 << half) - 1
-        tables.append([prev[m & low] | prev[m >> half] | prev[m & low & m >> half] << half
-                       for m in range(1 << (1 << n))])
-    return tables
-
-
-ST = st_tables(4)
+from classes import ST, all_classes, class_of
 
 
 def st5(m):
@@ -65,7 +48,7 @@ def test_ampleness_and_corners_of_seeded_5_classes():
                           for _ in range(4000)) if m]
     ample = 0
     for m in masks:
-        C = ConceptClass(5, tuple(c for c in range(32) if m >> c & 1))
+        C = class_of(5, m)
         assert is_ample5(m) == shatter.is_ample(C)[0], m
         if is_ample5(m):
             ample += 1

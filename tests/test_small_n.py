@@ -5,7 +5,6 @@ class per orbit of the ample 4-classes, with its complement, and one
 class per orbit of the maximum 5-classes, against the oracles of the
 peeling, collapse, map and scheme checks."""
 import collections
-import itertools
 import operator
 import random
 from math import comb
@@ -14,11 +13,11 @@ from amplekit import compress, core, peeling, repmap, shatter
 from amplekit.core import popcount
 from amplekit.errors import ContractError
 
-from classes import all_classes
+from classes import (ST, all_classes, class_of, cube_symmetries, is_ample_by_st,
+                     orbit_representatives)
 from test_compress import verify_scheme_enumeration_oracle, verify_scheme_oracle
 from test_peeling import _recursive_search, classify_ordering_oracle, replay_collapse_oracle
 from test_repmap import check_r2_oracle, check_r3_oracle, first_pair_oracle
-from test_slices import ST
 
 N = 4
 
@@ -45,30 +44,6 @@ def test_recognition_matches_the_definitions_on_every_class_on_n4():
         ample += is_ample
     assert seen == (1 << (1 << N)) - 1
     assert ample == 5529
-
-
-def cube_symmetries(n):
-    """The 2^n n! symmetries of the n-cube (coordinate permutations, then
-    reflections), each as the list of the images of the points 0..2^n - 1."""
-    points = range(1 << n)
-    return [[sum((c >> i & 1) << p for i, p in enumerate(perm)) ^ flip for c in points]
-            for perm in itertools.permutations(range(n)) for flip in points]
-
-
-def orbit_representatives(n):
-    """The least concept bitset of each orbit of nonempty classes on n
-    coordinates under the symmetries of the n-cube, by one scan of the
-    bitsets in ascending order: the first bitset of an orbit marks the
-    whole orbit."""
-    points = range(1 << n)
-    symmetries = cube_symmetries(n)
-    seen = bytearray(1 << (1 << n))
-    for mask in range(1, 1 << (1 << n)):
-        if not seen[mask]:
-            yield mask
-            members = [c for c in points if mask >> c & 1]
-            for g in symmetries:
-                seen[sum(1 << g[c] for c in members)] = 1
 
 
 def check_against_the_oracles(C, rng, *given):
@@ -112,9 +87,8 @@ def check_against_the_oracles(C, rng, *given):
 
 def test_each_ample_orbit_and_its_complement_match_the_oracles_on_n4():
     reps = list(orbit_representatives(N))
-    classes = {mask: core.ConceptClass(N, tuple(c for c in range(1 << N) if mask >> c & 1))
-               for mask in reps}
-    ample = [mask for mask, C in classes.items() if shatter.is_ample(C)[0]]
+    classes = {mask: class_of(N, mask) for mask in reps}
+    ample = [mask for mask, C in classes.items() if is_ample_by_st(C)]
     assert (len(reps), len(ample)) == (401, 46)
     for mask in ample:
         C = classes[mask]
@@ -143,8 +117,7 @@ MAXIMUM_5_ORBITS = (
 
 
 def test_each_maximum_orbit_on_n5_matches_the_oracles():
-    classes = {mask: core.ConceptClass(5, tuple(c for c in range(32) if mask >> c & 1))
-               for mask in MAXIMUM_5_ORBITS}
+    classes = {mask: class_of(5, mask) for mask in MAXIMUM_5_ORBITS}
     assert all(map(shatter.is_maximum, classes.values()))
     # each pinned bitset is the least of its orbit, so the orbits are distinct
     for g in cube_symmetries(5):
