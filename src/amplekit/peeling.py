@@ -58,6 +58,10 @@ def classify_ordering(C: ConceptClass, ordering) -> OrderingReport:
     - ample: a cube of P lies in P' or passes through v, so X(P) is X(P')
       together with the supports of the cubes of P through v, and P is
       ample iff |X(P)| = |P|.
+
+    The isometry test scans every earlier concept, so while the levels stay
+    isometric the walk is quadratic in |C|: the 6,196-concept peeling of
+    ball(20,4) takes about 1.6 s.
     """
     order = _check_permutation(C, ordering)
     ample = corner = isometric = weak = True

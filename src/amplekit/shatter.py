@@ -125,7 +125,11 @@ def phi(d: int, n: int) -> int:
 
 
 def _is_ample_fast(C: ConceptClass) -> bool:
-    """Ampleness as |X(C)| = |C|: the cube complex alone, no shattering scan."""
+    """Ampleness as |X(C)| = |C|: the cube complex alone, no shattering scan.
+
+    No code in `src/` calls it: the report reads each C^x's ampleness off
+    C's own X(C).  It stays as a layer that perfbench/tracing.py wraps and
+    as a name the tests use, until ROADMAP item 2c settles the layers."""
     return len(graph.cube_tags(C)) == C.size
 
 
@@ -234,15 +238,24 @@ class AmpleReport(NamedTuple):
 
 
 def ample_characterization_report(C: ConceptClass) -> AmpleReport:
-    """The report, each field read off sets built once: st(C) and the tags
-    of X(C), sh(C), and st of the complement.
+    """The report, each field read off three sets built once: X(C) (its
+    supports st(C) and their tags), sh(C) from the fibre walk, and X of the
+    complement.  Each C^x and C's connectivity are read off X(C).
 
     C is lopsided iff every Y of X is strongly shattered by C or has its
     complement X \\ Y strongly shattered by 2^X \\ C, that is iff st(C)
     and the complements of the complement's st together hold all 2^n sets.
     The nonempty reductions C^Y are those of the supports Y of X(C), and
     tags[Y] holds the concepts of C^Y, zero on Y, so each is searched once
-    in place, by the directions outside Y."""
+    in place, by the directions outside Y.  C is connected iff the Y = 0
+    search reaches all of it, since tags[0] is C.
+
+    The concepts of C^x are the tags of C's x-edges, tags[{x}], and a
+    Y-cube with tag t lies in C^x iff the (Y | x)-cube with tag t lies in
+    C: the reduction half of `graph.split_tags`, which uses no ampleness.
+    So |X(C^x)| is the number of supports of X(C) that hold x, and C^x is
+    ample iff that number is |tags[{x}]|.  A class with no x-edge reads
+    0 = 0, as an empty C^x, which needs no test."""
     tags = graph.cube_tags(C)
     st = tags.keys()
     sh = _shattered_sets(C)
@@ -254,22 +267,15 @@ def ample_characterization_report(C: ConceptClass) -> AmpleReport:
         st_comp = _strongly_shattered_sets(comp)
         complement_ample = len(st_comp) == comp.size
 
-    chp = graph.is_connected(C)
-    if chp:
-        for x in range(1, C.n + 1):
-            R = core.reduce(C, core.bit(x))
-            if R is not None and not _is_ample_fast(R):
-                chp = False
-                break
-
+    connected = {Y: len(graph._bfs(ts, min(ts), bits_of(C.domain_mask & ~Y))) == len(ts)
+                 for Y, ts in tags.items()}
     return AmpleReport(
         complement_ample=complement_ample,
         complexes_equal=sh == st,
         strongly_shattered_count=len(st) == C.size,
         shattered_count=len(sh) == C.size,
         partition_lopsided=len(st | {C.domain_mask ^ Z for Z in st_comp}) == 1 << C.n,
-        reductions_connected=all(
-            len(graph._bfs(ts, min(ts), bits_of(C.domain_mask & ~Y))) == len(ts)
-            for Y, ts in tags.items()),
-        connected_hyperplanes_ample=chp,
+        reductions_connected=all(connected.values()),
+        connected_hyperplanes_ample=connected[0] and all(
+            sum(1 for Y in st if Y & b) == len(tags.get(b, ())) for b in bits_of(C.domain_mask)),
     )

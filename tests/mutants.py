@@ -137,6 +137,12 @@ MUTANTS = (
     # every nonempty reduction counts as connected
     Mutant("reductions-always-connected", "src/amplekit/shatter.py",
            "== len(ts)", ">= 1", (REPORT,)),
+    # |X(C^x)| counts only the support {x}, not every support that holds x
+    Mutant("hyperplane-ample-counts-the-wrong-supports", "src/amplekit/shatter.py",
+           "if Y & b) == len", "if Y == b) == len", (REPORT,)),
+    # every C^x ample counts as enough, connected or not
+    Mutant("hyperplanes-skip-connectivity", "src/amplekit/shatter.py",
+           "connected[0] and ", "", (REPORT,)),
     # the ISR conflict rule compares Y1 and Y2 on the lowest coordinate of S alone
     Mutant("isr-conflict-lowest-coordinate", "src/amplekit/repmap.py",
            "& S)", "& S & -S)",

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from amplekit import core, generate, graph, shatter
+from amplekit import compress, core, generate, graph, peeling, repmap, shatter
 from amplekit.core import ConceptClass, bit, mask_of
 from amplekit.errors import ContractError
 
@@ -257,6 +257,59 @@ def test_report_matches_its_oracle_field_by_field():
         assert rep == report_oracle(C), C
         assert rep.agree, (C, rep)
     assert [rep.ample for rep in reports[-2:]] == [True, False]
+
+
+def test_each_entry_builds_one_complex_per_class(monkeypatch):
+    built = []
+    cube_tags = graph.cube_tags
+
+    def counted(C):
+        built.append(C)
+        return cube_tags(C)
+
+    monkeypatch.setattr(graph, "cube_tags", counted)
+
+    def builds(f, *args):
+        repmap._valid.cache_clear()
+        built.clear()
+        f(*args)
+        return list(built)
+
+    A = generate.random_ample(7, 50, 3)
+    B = generate.hamming_ball(6, 1)
+    N = ConceptClass(6, B.concepts + (B.domain_mask,))
+    assert shatter.is_ample(A)[0] and not shatter.is_ample(N)[0]
+    for C in (A, N):
+        Y = mask_of(range(1, shatter.vc_dim(C) + 2))
+        for f, *args in ((shatter.summary,), (shatter.is_ample,), (shatter.vc_dim,),
+                         (shatter.is_maximum,), (shatter.shattered_complex,),
+                         (shatter.strongly_shattered_complex,), (shatter.forbidden_labels, Y)):
+            assert builds(f, C, *args) == [C], f.__name__
+        # X of the complement is read on its own, so that `complement_ample`
+        # stays an independent characterisation
+        assert builds(shatter.ample_characterization_report, C) == [C, core.complement(C)]
+    full = ConceptClass(3, range(8))
+    assert builds(shatter.ample_characterization_report, full) == [full]
+
+    T = generate.random_ample(7, 40, 3, max_dim=2)
+    ordering = peeling.corner_peeling_search(A).ordering
+    seq, survivor = peeling.collapse_sequence(A)
+    o = repmap.peeling_to_uso(A, ordering)
+    r = repmap.build_maximum_repmap(B)
+    ball = generate.hamming_ball(4, 1)
+    inst = repmap.isr_instance(ball)
+    for C, f, *args in ((A, peeling.corner_peeling_search, A), (T, peeling.two_dim_peeling, T),
+                        (A, peeling.replay_collapse, A, seq, survivor),
+                        (A, repmap.isr_instance, A), (A, repmap.uso_to_peeling, A, o),
+                        (A, repmap.peeling_to_uso, A, ordering),
+                        (ball, repmap.isr_solve, inst),
+                        (B, repmap.sub_repmap_cube, B, r, core.Cube(0, 0b11)),
+                        (B, repmap.sub_repmap_reduction, B, r, 0b1),
+                        (B, repmap.sub_repmap_restriction, B, r, 0b11),
+                        (B, compress.verify_scheme, compress.CompressionScheme(B, r)),
+                        (A, graph.maximal_cubes, A)):
+        assert builds(f, *args) == [C], f.__name__
+    assert repmap.isr_solve(inst).assignment is not None
 
 
 def test_cube_intersections_of_ample_classes_are_ample():
