@@ -227,10 +227,11 @@ def _collapse_rec(alive: int, tags: dict) -> tuple[CollapseSequence, int]:
     """Collapsing sequence of the cube complex `tags` plus the surviving
     vertex; `alive` holds the coordinates that vary.
 
-    Recursion on the highest alive coordinate x: collapse the half C_x
-    first, its complex from `graph.split_tags`, then lift each pair through
-    the x-direction.  A cube Q of C_x is "thick" when both its side copies
-    (x=0 and x=1) lie in C, in which case its preimage is the
+    Recursion on the highest alive coordinate x: collapse the restriction
+    C_x first, its complex from `graph.restriction_tags`, the only one
+    built, then lift each pair through the x-direction, whose side cubes
+    are looked up in `tags`.  A cube Q of C_x is "thick" when both its
+    side copies (x=0 and x=1) lie in C, in which case its preimage is the
     (dim+1)-cube spanning the x-direction, its x-cube.  A pair (Q, Qp)
     lifts to one pair per side of Qp in C, plus one for a thick Q.  The
     thick Q's x-cube comes first: it pairs with Qp's x-cube when Qp is
@@ -241,7 +242,7 @@ def _collapse_rec(alive: int, tags: dict) -> tuple[CollapseSequence, int]:
     if alive == 0:
         return [], next(iter(tags[0]))
     xb = 1 << (alive.bit_length() - 1)
-    seq_x, survivor_x = _collapse_rec(alive & ~xb, graph.split_tags(tags, xb)[1])
+    seq_x, survivor_x = _collapse_rec(alive & ~xb, graph.restriction_tags(tags, xb))
 
     def side_cubes(Q: Cube) -> tuple[Optional[Cube], Optional[Cube]]:
         t, S = Q.tag, Q.support

@@ -254,11 +254,20 @@ def _bijection(r: RepMap, tags: dict) -> Check:
 def _sources_for_missed_simplices(tags: dict, sub: list, alive: int, d: int) -> dict:
     """source concept -> support, for the pair (class, subclass) of maximum
     classes of dimensions d and d-1 over the alive coordinates; `tags` is
-    the cube complex of the class.
+    the cube complex of a maximum class C of dimension d whose restriction
+    to the alive coordinates is the class, C itself when its coordinates
+    are all alive.
 
     Every size-d subset of the alive coordinates is a missed simplex; each
     supports a unique cube of the class, whose source realises the one
     pattern missing from the subclass's restriction.
+
+    For a d-set sigma of alive coordinates, C^sigma is maximum of
+    dimension 0, so C has exactly one sigma-cube (t, sigma).  It projects
+    onto a sigma-cube of the class, which has exactly one too, so that one
+    is (t & alive, sigma), and its source for the missing pattern p is
+    (t | p) & alive.  When C is the class itself, t lies in the alive
+    coordinates and `& alive` changes nothing.
     """
     from . import shatter
 
@@ -272,7 +281,7 @@ def _sources_for_missed_simplices(tags: dict, sub: list, alive: int, d: int) -> 
         if len(patterns) != 1:
             raise IntegrityError(
                 f"{len(patterns)} missing patterns on a missed simplex, expected 1")
-        src = t | next(iter(patterns))
+        src = (t | next(iter(patterns))) & alive
         if src in out:
             raise IntegrityError("concept is the source of two incomplete cubes")
         out[src] = sigma
@@ -292,18 +301,28 @@ def _lift(concepts, xb: int, r_x: dict) -> dict:
 
 
 def _build_max_rec(alive: int, d: int, tags: dict) -> dict:
-    """Representation map of a maximum class of dimension d on the alive
-    coordinates with cube complex `tags`, whose concepts are `tags[0]`;
-    the complexes of its reduction and restriction come from
-    `graph.split_tags`, never from a rebuild."""
+    """Representation map of a maximum class C of dimension d on the alive
+    coordinates with cube complex `tags`, whose concepts are `tags[0]`.
+
+    Recursion on the highest alive coordinate x: the map of the reduction
+    C^x, plus one source per missed simplex of the restriction C_x, is a
+    map of C_x, lifted to C.  Only C^x's complex is built, in place: its
+    concepts are the c with x clear and c | x in C, so a Y-cube with tag t
+    lies in C^x iff the (Y | x)-cube with tag t lies in C.  C_x is read
+    off C's own complex: its concepts are C's with x cleared, and
+    `_sources_for_missed_simplices` projects each source of C onto the
+    alive coordinates.  Every class the recursion meets is maximum, since
+    the reduction of a maximum class is maximum (Welzl 1987), so C has
+    one cube on a missed simplex exactly where C_x has one.  Two sources
+    that meet only after the projection fail the tail check."""
     if d == 0 or alive == 0:
         return dict.fromkeys(tags[0], 0)
     xb = 1 << (alive.bit_length() - 1)
     below = alive & ~xb
-    red_tags, res_tags = graph.split_tags(tags, xb)
+    red_tags = {Y ^ xb: ts for Y, ts in tags.items() if Y & xb}
     r_red = _build_max_rec(below, d - 1, red_tags)
-    extra = _sources_for_missed_simplices(res_tags, sorted(red_tags[0]), below, d)
-    if extra.keys() != res_tags[0] - r_red.keys():
+    extra = _sources_for_missed_simplices(tags, sorted(red_tags[0]), below, d)
+    if extra.keys() != {c & ~xb for c in tags[0]} - r_red.keys():
         raise IntegrityError("source map is not a bijection onto the tail")
     r_x = dict(r_red)
     r_x.update(extra)
@@ -675,10 +694,11 @@ def tail_matching_analysis(C: ConceptClass, x: int) -> TailMatchingReport:
     from . import matching, shatter
 
     tail = core.tail(C, x)
-    _, d = shatter._maximum_tags(C, "tail matching is defined for maximum classes")
-    red = core.reduce(C, bit(x))
-    if red is None:
+    tags, d = shatter._maximum_tags(C, "tail matching is defined for maximum classes")
+    # the concepts of C^x are the tags of C's x-edges
+    if bit(x) not in tags:
         raise ContractError("reduction is empty; the class has no x-edge")
+    red = core._reindexed(tags[bit(x)], C.domain_mask & ~bit(x))
     tails = tail.concepts if tail is not None else ()
     # one walk gives every label of red its tails, as a bitset over `tails`
     missed = shatter._missed_labels(red.concepts, red.domain_mask, d, tails)

@@ -252,10 +252,11 @@ def ample_characterization_report(C: ConceptClass) -> AmpleReport:
 
     The concepts of C^x are the tags of C's x-edges, tags[{x}], and a
     Y-cube with tag t lies in C^x iff the (Y | x)-cube with tag t lies in
-    C: the reduction half of `graph.split_tags`, which uses no ampleness.
-    So |X(C^x)| is the number of supports of X(C) that hold x, and C^x is
-    ample iff that number is |tags[{x}]|.  A class with no x-edge reads
-    0 = 0, as an empty C^x, which needs no test."""
+    C, the reduction identity `repmap._build_max_rec` builds C^x's complex
+    by, which uses no ampleness.  So |X(C^x)| is the number of supports of
+    X(C) that hold x, and C^x is ample iff that number is |tags[{x}]|.  A
+    class with no x-edge reads 0 = 0, as an empty C^x, which needs no
+    test."""
     tags = graph.cube_tags(C)
     st = tags.keys()
     sh = _shattered_sets(C)

@@ -131,6 +131,11 @@ MUTANTS = (
            "if not f & own", "if not f",
            ("tests/test_repmap.py::test_tail_matching_report_matches_the_per_tail_edge_scan",
             MAXIMUM_ORBITS)),
+    # a missed simplex's source keeps the x of the class's cube: every sigma-cube
+    # of a Hamming ball has tag 0, so only a class with other tags kills it
+    Mutant("missed-simplex-source-not-projected", "src/amplekit/repmap.py",
+           "(t | next(iter(patterns))) & alive", "t | next(iter(patterns))",
+           (MAXIMUM_ORBITS,)),
     # the lopsided test pairs Y with the complement's set Y, not with X minus Y
     Mutant("lopsided-partner-not-complemented", "src/amplekit/shatter.py",
            "C.domain_mask ^ Z", "Z", (REPORT,)),

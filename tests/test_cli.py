@@ -213,6 +213,42 @@ def test_a_bad_character_in_a_map_names_its_line(capsys, tmp_path, ball_file, li
     assert err == f"error: line 2: invalid character 'a' in concept string {bad!r}\n"
 
 
+@pytest.mark.parametrize("command, rep_text, message", [
+    (["repmap", "verify", "{cls}"], None, "repmap verify requires --repmap <file>"),
+    (["decompress", "--repmap", "{rep}", "--set", "9,11"], "000 -> 000\n",
+     "expected a set like {1,3}"),
+    (["decompress", "--repmap", "{rep}", "--set", "{{}}"], "# only a comment\n",
+     "empty representation map file"),
+    (["repmap", "verify", "{cls}", "--repmap", "{rep}"], "000 -> 000\n000 -> 000\n",
+     "line 2: duplicate concept"),
+], ids=["verify-without-a-map", "set-without-braces", "map-of-comments", "duplicate-concept"])
+def test_each_refusal_prints_its_error_line(capsys, tmp_path, ball_file, command, rep_text,
+                                            message):
+    rp = tmp_path / "ball.rep"
+    if rep_text is not None:
+        rp.write_text(rep_text)
+    code, out, err = run(capsys, *(a.format(cls=ball_file, rep=rp) for a in command))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_set_and_facets_take_coordinates_in_any_order(capsys, tmp_path):
+    """`--set` and `--facets` each name sets: a coordinate may come in any
+    order and more than once, unlike a sample's strictly ascending ones."""
+    rp = tmp_path / "ball.rep"
+    rp.write_text(repmap.format_repmap(repmap.build_maximum_repmap(
+        generate.hamming_ball(14, 3)), 14))
+    printed = {run(capsys, "decompress", "--repmap", str(rp), "--set", s)
+               for s in ("{9,11,14}", "{14,9,11}", "{9,9,11,14}")}
+    assert printed == {(0, "00000000101001\n", "")}
+    printed = {run(capsys, "generate", "--kind", "simplicial", "--n", "4", "--facets", f)
+               for f in ("1,2;3", "2,1;3", "3;2,1,2")}
+    assert len(printed) == 1
+    code, out, _ = printed.pop()
+    assert code == 0
+    assert core.parse_class_text(out) == generate.simplicial_class(4, [0b11, 0b100])
+
+
 def test_compress_rejects_a_map_that_is_not_injective(capsys, tmp_path):
     cls, rp = tmp_path / "pair.txt", tmp_path / "dup.rep"
     core.write_class_file(str(cls), ConceptClass.from_strings(["000", "100"]))

@@ -55,6 +55,13 @@ def test_class_is_canonical():
     assert list(a) == [0, 1, 3]
 
 
+def test_an_empty_class_is_refused():
+    with pytest.raises(EmptyClassError):
+        ConceptClass.from_strings([])
+    with pytest.raises(EmptyClassError):
+        ConceptClass(3, [])
+
+
 def test_domain_cap():
     with pytest.raises(DomainError):
         ConceptClass(25, [0])

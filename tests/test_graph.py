@@ -107,7 +107,8 @@ def test_cube_tags_and_cubes_through_match_oracle_random_n5_n6():
         cubes = cubes_oracle(C)
         tags = graph.cube_tags(C)
         assert {(t, Y) for Y, ts in tags.items() for t in ts} == cubes
-        for c in C:
+        # a concept outside C lies on no cube of C
+        for c in range(1 << C.n):
             got = [(B.tag, B.support) for B in graph.cubes_through(C, c)]
             assert len(got) == len(set(got))
             assert set(got) == {(t, S) for t, S in cubes if c & ~S == t}
@@ -354,6 +355,8 @@ def test_gallery_errors():
         graph.gallery(C, Cube(0, 0), Cube(3, 0))
     with pytest.raises(ContractError):
         graph.gallery(C, Cube(0, 0), Cube(0, bit(1)))   # not parallel
+    with pytest.raises(ContractError, match="gallery endpoints must be cubes of the class"):
+        graph.gallery(C, Cube(0, 0), Cube(1, 0))
 
 
 def test_gallery_length_is_reduction_distance():

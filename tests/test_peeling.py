@@ -488,8 +488,8 @@ def pairs(seq):
 
 
 def test_collapse_reads_the_complex_like_the_concept_recursion():
-    """The collapse over `graph.split_tags` and tag lookups gives the same
-    sequence, in order, and the same survivor as the recursion that
+    """The collapse over `graph.restriction_tags` and tag lookups gives the
+    same sequence, in order, and the same survivor as the recursion that
     rebuilds each restriction from its concepts.  The cases reach every
     lift the rule allows: (sides of Q in C, sides of Qp in C) with Qp's
     sides among Q's."""

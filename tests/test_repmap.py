@@ -459,7 +459,7 @@ def test_build_is_deterministic():
     assert repmap.build_maximum_repmap(C) == repmap.build_maximum_repmap(C)
 
 
-def split_tags_cases():
+def half_complex_cases():
     for n in range(1, 9):
         for d in range(n + 1):
             yield generate.hamming_ball(n, d)
@@ -470,20 +470,41 @@ def split_tags_cases():
             yield generate.random_ample(n, rng.randrange(2, 1 << (n - 1)), seed)
 
 
-def test_split_tags_match_rebuilt_complexes():
+def test_restriction_and_reduction_tags_match_rebuilt_complexes():
+    """`graph.restriction_tags`, which the collapse walks, and the reduction
+    identity that the maximum construction and the characterization report
+    read, a Y-cube with tag t lies in C^x iff the (Y | x)-cube with tag t
+    lies in C, against the complexes rebuilt from the concepts."""
     pairs = 0
-    for C in split_tags_cases():
+    for C in half_complex_cases():
         tags = graph.cube_tags(C)
         for x in range(1, C.n + 1):
             xb = bit(x)
             reduction = [c for c in C if not c & xb and c | xb in C.concept_set]
             restriction = {c & ~xb for c in C}
-            red, res = graph.split_tags(tags, xb)
+            red = {Y ^ xb: ts for Y, ts in tags.items() if Y & xb}
             assert red == (graph.cube_tags(ConceptClass(C.n, tuple(reduction)))
                            if reduction else {})
-            assert res == graph.cube_tags(ConceptClass(C.n, tuple(restriction)))
+            assert graph.restriction_tags(tags, xb) == graph.cube_tags(
+                ConceptClass(C.n, tuple(restriction)))
             pairs += 1
     assert pairs > 400
+
+
+def test_build_reads_no_restriction_complex(monkeypatch):
+    """The maximum construction reads its missed-simplex cubes and its tail
+    off the class's own complex, so it builds the same map with
+    `graph.restriction_tags` out of reach."""
+    cases = [generate.hamming_ball(n, d) for n in range(1, 9) for d in range(n + 1)]
+    cases.append(core.twist(generate.hamming_ball(7, 3), 0b1010011))
+    want = [repmap.build_maximum_repmap(C) for C in cases]
+
+    def refused(tags, xb):
+        raise AssertionError("the construction built a restriction complex")
+
+    monkeypatch.setattr(graph, "restriction_tags", refused)
+    got = [repmap.build_maximum_repmap(C) for C in cases]
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
 
 
 def test_cube_tags_built_once_per_call(monkeypatch):
@@ -495,6 +516,14 @@ def test_cube_tags_built_once_per_call(monkeypatch):
         return cube_tags(C)
 
     monkeypatch.setattr(graph, "cube_tags", counted)
+    reduced = []
+    reduction_tags = core.reduction_tags
+
+    def counted_reduction(concepts, Y):
+        reduced.append(Y)
+        return reduction_tags(concepts, Y)
+
+    monkeypatch.setattr(core, "reduction_tags", counted_reduction)
 
     def builds(f, *args):
         built.clear()
@@ -508,7 +537,10 @@ def test_cube_tags_built_once_per_call(monkeypatch):
     assert builds(repmap.verify_repmap, C, r) == [C]
     # one complex for each of the two classes it is given
     assert builds(repmap.incomplete_cube_sources, C, D) == [C, D]
+    reduced.clear()
     assert builds(repmap.tail_matching_analysis, C, 1) == [C]
+    # C^x is read off the complex the guard built, not counted again
+    assert reduced == []
     for A in (C, generate.random_ample(7, 50, 3)):
         assert builds(repmap.pre_rep_c1, A) == [A]
         assert builds(repmap.pre_rep_c2, A) == [A]
@@ -560,6 +592,10 @@ def test_incomplete_cube_sources_examples():
 def test_incomplete_cube_sources_contract():
     with pytest.raises(ContractError):
         repmap.incomplete_cube_sources(PATH3, cc("00", "11"))
+    with pytest.raises(ContractError, match="subclass must share the domain"):
+        repmap.incomplete_cube_sources(PATH3, ConceptClass(3, [0]))
+    with pytest.raises(ContractError, match="subclass dimension must be one less"):
+        repmap.incomplete_cube_sources(PATH3, PATH3)
 
 
 def sources_groups_oracle(concepts, sub, alive, d):
@@ -913,6 +949,14 @@ def test_sub_repmap_identity_on_empty_Y():
     assert D.concepts == Q2.concepts and r0 == r
 
 
+def test_sub_repmap_refuses_an_empty_substructure():
+    r = repmap.build_maximum_repmap(PATH3)
+    with pytest.raises(ContractError, match="cube does not meet the class"):
+        repmap.sub_repmap_cube(PATH3, r, Cube(0b11, 0))
+    with pytest.raises(ContractError, match="empty reduction has no representation map"):
+        repmap.sub_repmap_reduction(PATH3, r, 0b11)
+
+
 def test_sub_repmap_reduction_square():
     Q2 = ConceptClass(2, range(4))
     r = {c: c for c in Q2}
@@ -1097,7 +1141,7 @@ def pre_rep_c1_scan_oracle(C):
 
 def incidence_cases():
     yield from isr_cases()
-    yield from split_tags_cases()
+    yield from half_complex_cases()
     yield core.product(generate.hamming_ball(3, 1), generate.hamming_ball(3, 2))
     yield ConceptClass(6, tuple(c | 0b100000 for c in generate.hamming_ball(5, 2)))
 
